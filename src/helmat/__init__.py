@@ -81,7 +81,6 @@ from .legendre_cex import (
     VectorInstance,
     build_vector_instance,
     composed_cost_matrix,
-    composed_cost_vector,
     grad_composed_cost_matrix,
     grad_psibar_vector,
     grad_schatten_p,
@@ -105,7 +104,6 @@ from .linalg import (
     inv_sqrtm,
     invm,
     logm,
-    powm,
     product_sqrt,
     sqrtm,
 )

@@ -29,15 +29,15 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InternalConsistencyError, UnsupportedObjectiveError
+from .errors import DimensionMismatchError, InternalConsistencyError, UnsupportedObjectiveError
 from .distances import DistanceKind, divergence
-from .linalg import SpdMatrix, _trusted_spd, product_sqrt, sqrt_entries, sqrtm
+from .linalg import SpdMatrix, hermitian_part, product_sqrt, sqrt_entries, sqrtm
 from .means import (
     WeightVector,
     arithmetic_mean,
     check_family,
     geometric_mean,
-    geometric_mean_t,
+    geometric_mean_entries,
     log_euclidean_pair,
 )
 
@@ -124,21 +124,29 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     Idempotent (``G(A, A) = A``); on commuting pairs all three kinds with
     ``t = 1/2`` reduce to the entrywise root ``sqrt(x_i a_i)``.
     """
+    if x.dim != a.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {a.dim}")
+    return SpdMatrix(_mean_map_entries(kind, x, a))
+
+
+def _mean_map_entries(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> np.ndarray:
     if isinstance(kind, Wasserstein):
         root = sqrt_entries(x)
-        return sqrtm(_trusted_spd(root @ a.entries @ root))
+        return sqrtm(SpdMatrix(hermitian_part(root @ a.entries @ root))).entries
     if isinstance(kind, PowerMean):
-        return geometric_mean_t(x, a, kind.t)
+        return geometric_mean_entries(x, a, kind.t)
     if isinstance(kind, LogEuclidean):
-        return log_euclidean_pair(x, a)
+        return log_euclidean_pair(x, a).entries
     raise TypeError(f"unknown mean kind {kind!r}")
 
 
 def _picard_sum(kind: MeanKind, x: SpdMatrix, mats, weights) -> np.ndarray:
-    acc = np.zeros((x.dim, x.dim), dtype=np.complex128)
-    for wj, aj in zip(weights, mats):
-        acc = acc + wj * mean_map(kind, x, aj).entries
-    return acc
+    return sum(wj * _mean_map_entries(kind, x, aj) for wj, aj in zip(weights, mats))
+
+
+def _require_dim(x: SpdMatrix, dim: int) -> None:
+    if x.dim != dim:
+        raise DimensionMismatchError(f"candidate has dimension {x.dim}, the family {dim}")
 
 
 def fixed_point_residual(
@@ -146,7 +154,7 @@ def fixed_point_residual(
 ) -> float:
     """Relative residual ``||X - sum_j w_j G(X, A_j)||_F / ||X||_F`` of the
     defining equation at a candidate ``X``."""
-    check_family(mats, w)
+    _require_dim(x, check_family(mats, w))
     summed = _picard_sum(kind, x, mats, w.weights)
     return float(np.linalg.norm(x.entries - summed) / np.linalg.norm(x.entries))
 
@@ -168,13 +176,13 @@ def solve(
     returned with ``converged=False`` diagnostics rather than an exception.
     """
     cfg = cfg or SolverConfig()
-    check_family(mats, w)
+    current = x0 if x0 is not None else arithmetic_mean(mats, w)
+    _require_dim(current, check_family(mats, w))
     alpha = min(float(a.eig().eigenvalues[0]) for a in mats)
     beta = max(float(a.eig().eigenvalues[-1]) for a in mats)
     lower = alpha * (1.0 - _BRACKET_SLACK)
     upper = beta * (1.0 + _BRACKET_SLACK)
 
-    current = x0 if x0 is not None else arithmetic_mean(mats, w)
     damping = cfg.damping
     consecutive_growth = 0
     previous_residual = np.inf
@@ -214,7 +222,7 @@ def solve(
             consecutive_growth = 0
         previous_residual = residual
         stepped = (1.0 - damping) * current.entries + damping * summed
-        current = _trusted_spd(stepped)
+        current = SpdMatrix(hermitian_part(stepped))
 
     return current, SolverReport(
         iterations=iterations,
@@ -272,10 +280,10 @@ def closed_form_m2(kind: MeanKind, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """
     if isinstance(kind, Wasserstein):
         cross = product_sqrt(a, b)
-        return _trusted_spd((a.entries + b.entries + cross + cross.conj().T) / 4.0)
+        return SpdMatrix(hermitian_part((a.entries + b.entries + cross + cross.conj().T) / 4.0))
     if isinstance(kind, PowerMean) and kind.t == 0.5:
         mid = geometric_mean(a, b).entries
-        return _trusted_spd((a.entries + b.entries + 2.0 * mid) / 4.0)
+        return SpdMatrix(hermitian_part((a.entries + b.entries + 2.0 * mid) / 4.0))
     raise UnsupportedObjectiveError(
         f"no closed form for the two-point barycentre of kind {kind!r}"
     )
@@ -316,9 +324,9 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     )
     inconclusive = bool(np.linalg.norm(commutator) / comm_scale <= _COMMUTATOR_TOL)
 
-    candidate = _trusted_spd(
+    candidate = SpdMatrix(hermitian_part(
         (a.entries + b.entries + 2.0 * log_euclidean_pair(a, b).entries) / 4.0
-    )
+    ))
     pulled = 0.5 * (
         log_euclidean_pair(candidate, a).entries
         + log_euclidean_pair(candidate, b).entries

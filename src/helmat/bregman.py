@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import InternalConsistencyError, SpectralDomainError
-from .linalg import SpdMatrix, _trusted_hermitian, apply_spectral, logm
+from .linalg import HermitianMatrix, SpdMatrix, apply_spectral, hermitian_part, logm
 from .means import (
     WeightVector,
     arithmetic_mean,
@@ -177,7 +177,7 @@ def left_barycentre(
     averaged = sum(
         wj * apply_spectral(m.dpsi, a).entries for wj, a in zip(w.weights, mats)
     )
-    averaged = _trusted_hermitian(averaged)
+    averaged = HermitianMatrix(hermitian_part(averaged))
     lo, hi = m.dpsi_image
     spectrum = averaged.eig().eigenvalues
     if spectrum[0] <= lo or spectrum[-1] >= hi:

@@ -25,7 +25,6 @@ from .linalg import (
     HermitianMatrix,
     MatrixLike,
     SpdMatrix,
-    _trusted_hermitian,
     apply_spectral,
     as_array,
     hermitian_part,
@@ -122,7 +121,7 @@ def frechet(
     exponent ``t``).  Linear in ``Y``; Hermitian for Hermitian ``Y``.
     """
     kernel = divided_difference_kernel(name, x.eig(), t)
-    return _trusted_hermitian(kernel.apply(y))
+    return HermitianMatrix(hermitian_part(kernel.apply(y)))
 
 
 def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -133,10 +132,10 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     ``M = A^{-1/2} X A^{-1/2}``.  At ``X = A`` this is ``Y / 2``.
     """
     root, inv_root = sqrt_pair_entries(a)
-    middle = SpdMatrix(_trusted_hermitian(inv_root @ x.entries @ inv_root))
+    middle = SpdMatrix(hermitian_part(inv_root @ x.entries @ inv_root))
     pushed = hermitian_part(inv_root @ as_array(y) @ inv_root)
     kernel = divided_difference_kernel("sqrt", middle.eig())
-    return _trusted_hermitian(root @ kernel.apply(pushed) @ root)
+    return HermitianMatrix(hermitian_part(root @ kernel.apply(pushed) @ root))
 
 
 def frechet_geometric_quadrature(
@@ -162,7 +161,7 @@ def frechet_geometric_quadrature(
         left = np.linalg.solve(lam * eye + xa, yarr)
         return np.linalg.solve((lam * eye + ax).conj().T, left.conj().T).conj().T
 
-    return _trusted_hermitian(measure.integrate_matrix(integrand))
+    return HermitianMatrix(hermitian_part(measure.integrate_matrix(integrand)))
 
 
 def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
@@ -177,10 +176,10 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     to ``diag(1 - sqrt(a_i / x_i))``.
     """
     _, inv_root = sqrt_pair_entries(a)
-    middle = SpdMatrix(_trusted_hermitian(inv_root @ x.entries @ inv_root))
+    middle = SpdMatrix(hermitian_part(inv_root @ x.entries @ inv_root))
     kernel = divided_difference_kernel("sqrt", middle.eig())
     pulled = inv_root @ kernel.apply(a.entries) @ inv_root
-    return _trusted_hermitian(np.eye(a.dim) - 2.0 * pulled)
+    return HermitianMatrix(hermitian_part(np.eye(a.dim) - 2.0 * pulled))
 
 
 def hessian_phi3_diag(a: SpdMatrix, y: MatrixLike) -> float:
@@ -204,7 +203,7 @@ def d_tr_log_euclidean(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     """
     mean = log_euclidean_pair(a, x)
     kernel = divided_difference_kernel("log", x.eig())
-    return _trusted_hermitian(0.5 * kernel.apply(mean.entries))
+    return HermitianMatrix(hermitian_part(0.5 * kernel.apply(mean.entries)))
 
 
 @dataclass(frozen=True)
@@ -328,8 +327,8 @@ def fd_frechet(
     matrix function; the independent oracle for :func:`frechet`."""
     f, _ = _pair_for(name, t)
     yarr = as_array(y)
-    plus = apply_spectral(f, _trusted_hermitian(x.entries + step * yarr)).entries
-    minus = apply_spectral(f, _trusted_hermitian(x.entries - step * yarr)).entries
+    plus = apply_spectral(f, hermitian_part(x.entries + step * yarr)).entries
+    minus = apply_spectral(f, hermitian_part(x.entries - step * yarr)).entries
     return (plus - minus) / (2.0 * step)
 
 

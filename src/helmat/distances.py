@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import SpdMatrix, sqrt_entries
-from .means import fidelity, geometric_mean, log_euclidean_pair
+from .means import fidelity, geometric_mean_entries, log_euclidean_pair
 
 #: Radicand magnitude at or below which the squared distance is reported as
 #: exactly zero.  At binary64 the trace formula cannot resolve squared
@@ -92,7 +92,7 @@ def _mean_trace(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
         # tr (AB)^{1/2} = tr (A^{1/2} B A^{1/2})^{1/2}, the fidelity.
         return fidelity(a, b)
     if kind is DistanceKind.D3:
-        return geometric_mean(a, b).trace()
+        return float(np.trace(geometric_mean_entries(a, b, 0.5)).real)
     if kind is DistanceKind.D4:
         return log_euclidean_pair(a, b).trace()
     raise ValueError(f"unknown distance kind {kind!r}")
@@ -130,12 +130,8 @@ def trace_chain(a: SpdMatrix, b: SpdMatrix) -> TraceChain:
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return TraceChain(
-        geometric=geometric_mean(a, b).trace(),
-        log_euclidean=log_euclidean_pair(a, b).trace(),
-        root_product=float(np.trace(sqrt_entries(a) @ sqrt_entries(b)).real),
-        product_root=fidelity(a, b),
-    )
+    kinds = (DistanceKind.D3, DistanceKind.D4, DistanceKind.D1, DistanceKind.D2)
+    return TraceChain(*(_mean_trace(kind, a, b) for kind in kinds))
 
 
 def d2_unitary(a: SpdMatrix, b: SpdMatrix) -> tuple[float, np.ndarray]:

@@ -28,7 +28,6 @@ from .errors import NotPositiveDefiniteError
 from .linalg import (
     HermitianMatrix,
     MatrixLike,
-    _trusted_hermitian,
     hermitian_part,
 )
 from .sampling import make_rng
@@ -130,13 +129,6 @@ def _vector_anchor_data(params: CexParams):
     return inst, grad_a, grad_b, _power_value(inst.anchor_a, p), _power_value(
         inst.anchor_b, p
     )
-
-
-def composed_cost_vector(params: CexParams, x: np.ndarray) -> float:
-    """The composed cost ``sum |g(x)_i|^p`` at a point ``x``."""
-    inst = build_vector_instance(params)
-    return _power_value(inst.shift + inst.linear_map @ np.asarray(x, dtype=float),
-                        params.exponent)
 
 
 def psibar_vector(params: CexParams, x: np.ndarray) -> float:
@@ -244,9 +236,9 @@ def matrix_maps(params: CexParams, x: MatrixLike) -> MatrixMaps:
     if arr.shape != (2, 2):
         raise ValueError(f"the matrix construction is 2x2, got shape {arr.shape}")
     return MatrixMaps(
-        forward=_trusted_hermitian(_forward(params, arr)),
-        inverse=_trusted_hermitian(_inverse(params, arr)),
-        affine=_trusted_hermitian(_affine(params, arr)),
+        forward=HermitianMatrix(hermitian_part(_forward(params, arr))),
+        inverse=HermitianMatrix(hermitian_part(_inverse(params, arr))),
+        affine=HermitianMatrix(hermitian_part(_affine(params, arr))),
     )
 
 
@@ -267,7 +259,7 @@ def grad_schatten_p(x: MatrixLike, p: float) -> HermitianMatrix:
             f"smallest eigenvalue is {lam[0]:.6e}"
         )
     mapped = p * np.clip(lam, 0.0, None) ** (p - 1.0)
-    return _trusted_hermitian((vectors * mapped) @ vectors.conj().T)
+    return HermitianMatrix(hermitian_part((vectors * mapped) @ vectors.conj().T))
 
 
 def _grad_trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
@@ -306,7 +298,7 @@ def grad_composed_cost_matrix(params: CexParams, x: MatrixLike) -> HermitianMatr
     cone endomorphism is self-adjoint for the trace pairing)."""
     arr = hermitian_part(x)
     inner = _grad_trace_abs_power(_affine(params, arr), params.exponent)
-    return _trusted_hermitian(_forward(params, inner))
+    return HermitianMatrix(hermitian_part(_forward(params, inner)))
 
 
 def psibar_matrix(params: CexParams, x: MatrixLike) -> float:
@@ -382,7 +374,7 @@ def verify_matrix_cex(
 
     grad_zero = _forward(params, p * np.eye(2)) - centre
     coeff = params.gradient_coefficient
-    grad_zero_h = _trusted_hermitian(grad_zero)
+    grad_zero_h = HermitianMatrix(hermitian_part(grad_zero))
     eigs = np.linalg.eigvalsh(grad_zero)
     gradient_pd = bool(eigs[0] > 0.0)
 

@@ -5,6 +5,10 @@ are computed through the eigendecomposition: the matrices handled here are
 small and Hermitian, so the spectral mapping is exact up to roundoff and its
 eigensystem can be reused for divided-difference derivatives.
 
+Where SPD-ness is checked: ``SpdMatrix(...)`` (user input, CLI files,
+congruence means returned as values) runs a checked eigensolve; spectral
+results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` (see :class:`SpdMatrix`).
+
 Values are immutable after construction and every operation is a pure
 function, so everything in this module is safe for concurrent use.
 """
@@ -73,8 +77,9 @@ class HermitianMatrix:
 
     The constructor checks ``M[i, j] == conj(M[j, i])`` up to an absolute
     defect of ``HERMITIAN_ATOL`` and then symmetrises exactly, so roundoff
-    drift at the boundary of validity is removed.  Entries are frozen after
-    construction.
+    drift at the boundary of validity is removed.  Products that are Hermitian
+    by algebra go through :func:`hermitian_part` first, so their roundoff
+    cannot trip the absolute check.  Entries are frozen after construction.
     """
 
     __slots__ = ("_entries", "_eig")
@@ -120,7 +125,12 @@ class SpdMatrix:
 
     The positive-definiteness threshold is relative to the spectral radius
     (``SPD_RTOL * max(1, |lambda|_max)``) so the check is scale invariant.
-    The eigendecomposition computed for the check is kept for reuse.
+    The constructor checks the spectrum of a checked :func:`eigh` and keeps
+    it for reuse.  Spectral results ``V f(Lambda) V*`` (:func:`sqrtm`,
+    :func:`invm`, :func:`expm`, ...) are checked on ``f(Lambda)`` instead,
+    without an eigensolve, and their eigen cache is left empty: a later
+    ``.eig()`` runs the checked :func:`eigh` of the entries, bit for bit what
+    the constructor would have cached, so reports stay byte-identical.
     """
 
     __slots__ = ("_base",)
@@ -128,15 +138,7 @@ class SpdMatrix:
     def __init__(self, base: MatrixLike):
         if not isinstance(base, HermitianMatrix):
             base = HermitianMatrix(base)
-        eig = base.eig()
-        radius = float(np.max(np.abs(eig.eigenvalues)))
-        threshold = SPD_RTOL * max(1.0, radius)
-        smallest = float(eig.eigenvalues[0])
-        if smallest <= threshold:
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite: smallest eigenvalue "
-                f"{smallest:.6e} is not above the threshold {threshold:.1e}"
-            )
+        _check_positive(base.eig().eigenvalues)
         self._base = base
 
     @property
@@ -159,6 +161,18 @@ class SpdMatrix:
 
     def __repr__(self) -> str:
         return f"SpdMatrix(dim={self.dim})"
+
+
+def _check_positive(spectrum: np.ndarray) -> None:
+    """Raise unless all of ``spectrum``, in any order, is above the threshold."""
+    radius = float(np.max(np.abs(spectrum)))
+    threshold = SPD_RTOL * max(1.0, radius)
+    smallest = float(np.min(spectrum))
+    if smallest <= threshold:
+        raise NotPositiveDefiniteError(
+            f"matrix is not positive definite: smallest eigenvalue "
+            f"{smallest:.6e} is not above the threshold {threshold:.1e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -237,32 +251,33 @@ def apply_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> Herm
         raise SpectralDomainError(
             f"scalar function is undefined at eigenvalue {offender!r}"
         )
-    return _trusted_hermitian(eig.synthesize(mapped))
+    return HermitianMatrix(hermitian_part(eig.synthesize(mapped)))
 
 
-def _trusted_hermitian(arr: np.ndarray) -> HermitianMatrix:
-    # For products that are Hermitian by algebra; symmetrising first keeps the
-    # constructor's absolute tolerance check from tripping on roundoff.
-    return HermitianMatrix((arr + arr.conj().T) / 2)
-
-
-def _trusted_spd(arr: np.ndarray) -> SpdMatrix:
-    return SpdMatrix(_trusted_hermitian(arr))
+def _spd_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> SpdMatrix:
+    """``V f(Lambda) V*`` as an SPD value checked on ``f(Lambda)`` (see
+    :class:`SpdMatrix`)."""
+    if not isinstance(h, (HermitianMatrix, SpdMatrix)):
+        h = HermitianMatrix(h)
+    result = SpdMatrix.__new__(SpdMatrix)
+    result._base = apply_spectral(f, h)
+    _check_positive(f(h.eig().eigenvalues))
+    return result
 
 
 def sqrtm(a: SpdMatrix) -> SpdMatrix:
     """Positive-definite square root ``A^{1/2}``."""
-    return SpdMatrix(apply_spectral(np.sqrt, a))
+    return _spd_spectral(np.sqrt, a)
 
 
 def inv_sqrtm(a: SpdMatrix) -> SpdMatrix:
     """Positive-definite inverse square root ``A^{-1/2}``."""
-    return SpdMatrix(apply_spectral(lambda x: 1.0 / np.sqrt(x), a))
+    return _spd_spectral(lambda x: 1.0 / np.sqrt(x), a)
 
 
 def invm(a: SpdMatrix) -> SpdMatrix:
     """Inverse ``A^{-1}`` of a positive definite matrix."""
-    return SpdMatrix(apply_spectral(lambda x: 1.0 / x, a))
+    return _spd_spectral(lambda x: 1.0 / x, a)
 
 
 def logm(a: SpdMatrix) -> HermitianMatrix:
@@ -272,12 +287,7 @@ def logm(a: SpdMatrix) -> HermitianMatrix:
 
 def expm(h: MatrixLike) -> SpdMatrix:
     """Matrix exponential of a Hermitian matrix, always positive definite."""
-    return SpdMatrix(apply_spectral(np.exp, h))
-
-
-def powm(a: SpdMatrix, t: float) -> SpdMatrix:
-    """Real matrix power ``A^t`` of a positive definite matrix."""
-    return SpdMatrix(apply_spectral(lambda x: x**t, a))
+    return _spd_spectral(np.exp, h)
 
 
 def sqrt_entries(a: SpdMatrix) -> np.ndarray:
@@ -303,7 +313,7 @@ def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """
     _require_same_dim(a, b)
     root, inv_root = sqrt_pair_entries(a)
-    inner = sqrt_entries(_trusted_spd(root @ b.entries @ root))
+    inner = sqrt_entries(SpdMatrix(hermitian_part(root @ b.entries @ root)))
     return root @ inner @ inv_root
 
 
@@ -328,7 +338,7 @@ def congruence(k: MatrixLike, a: SpdMatrix) -> SpdMatrix:
             f"congruence factor is numerically singular "
             f"(sigma_min/sigma_max = {singular_values[-1] / singular_values[0]:.3e})"
         )
-    return _trusted_spd(karr @ a.entries @ karr.conj().T)
+    return SpdMatrix(hermitian_part(karr @ a.entries @ karr.conj().T))
 
 
 def identity(dim: int) -> SpdMatrix:

@@ -15,9 +15,9 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import (
     SpdMatrix,
-    _trusted_hermitian,
-    _trusted_spd,
     apply_spectral,
+    expm,
+    hermitian_part,
     logm,
     sqrt_entries,
     sqrt_pair_entries,
@@ -79,7 +79,7 @@ def arithmetic_mean(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     """Weighted arithmetic mean ``sum_j w_j A_j``."""
     check_family(mats, w)
     acc = sum(wj * a.entries for wj, a in zip(w.weights, mats))
-    return _trusted_spd(acc)
+    return SpdMatrix(hermitian_part(acc))
 
 
 def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
@@ -93,10 +93,16 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
         raise ValueError(f"geometric-mean parameter must lie in [0, 1], got {t}")
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return SpdMatrix(geometric_mean_entries(a, b, t))
+
+
+def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
+    """Hermitian array of ``A #_t B`` for callers that need no validated
+    value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
     root, inv_root = sqrt_pair_entries(a)
-    middle = _trusted_spd(inv_root @ b.entries @ inv_root)
+    middle = SpdMatrix(hermitian_part(inv_root @ b.entries @ inv_root))
     powered = apply_spectral(lambda x: x**t, middle).entries
-    return _trusted_spd(root @ powered @ root)
+    return hermitian_part(root @ powered @ root)
 
 
 def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
@@ -108,8 +114,7 @@ def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    avg = (logm(a).entries + logm(b).entries) / 2
-    return _trusted_spd(apply_spectral(np.exp, _trusted_hermitian(avg)).entries)
+    return expm((logm(a).entries + logm(b).entries) / 2)
 
 
 def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
@@ -120,8 +125,7 @@ def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix
     weighted geometric mean of the spectra.
     """
     check_family(mats, w)
-    acc = sum(wj * logm(a).entries for wj, a in zip(w.weights, mats))
-    return _trusted_spd(apply_spectral(np.exp, _trusted_hermitian(acc)).entries)
+    return expm(sum(wj * logm(a).entries for wj, a in zip(w.weights, mats)))
 
 
 def fidelity(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -152,4 +156,4 @@ def q_half(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     """
     check_family(mats, w)
     acc = sum(wj * sqrt_entries(a) for wj, a in zip(w.weights, mats))
-    return _trusted_spd(acc @ acc)
+    return SpdMatrix(hermitian_part(acc @ acc))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SpdMatrix, _trusted_hermitian, _trusted_spd
+from .linalg import HermitianMatrix, SpdMatrix, hermitian_part
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -23,7 +23,7 @@ def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool =
     g = rng.standard_normal((dim, dim))
     if complex_entries:
         g = g + 1j * rng.standard_normal((dim, dim))
-    return _trusted_hermitian((g + g.conj().T) / 2)
+    return HermitianMatrix(hermitian_part(g))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -61,14 +61,7 @@ def random_spd(
     basis = random_unitary(rng, dim) if complex_entries else random_orthogonal(rng, dim)
     half = np.sqrt(cond)
     lam = np.exp(rng.uniform(np.log(scale / half), np.log(scale * half), dim))
-    return _trusted_spd((basis * lam) @ basis.conj().T)
-
-
-def random_psd(rng: np.random.Generator, dim: int, scale: float = 1.0):
-    """Random positive semidefinite matrix ``G G*`` (Wishart style), rescaled."""
-    g = rng.standard_normal((dim, dim))
-    w = g @ g.T
-    return _trusted_hermitian(w * (scale / max(np.linalg.norm(w), 1e-300)))
+    return SpdMatrix(hermitian_part((basis * lam) @ basis.conj().T))
 
 
 def random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:

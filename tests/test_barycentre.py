@@ -7,6 +7,7 @@ from helmat.barycentre import (
     WASSERSTEIN,
     PowerMean,
     SolverConfig,
+    _picard_sum,
     closed_form_m2,
     fixed_point_residual,
     mean_map,
@@ -15,7 +16,7 @@ from helmat.barycentre import (
     solve,
 )
 from helmat.calculus import fd_directional, grad_phi3
-from helmat.errors import UnsupportedObjectiveError
+from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm
 from helmat.means import WeightVector, geometric_mean, q_half
 from helmat.sampling import make_rng, random_invertible, random_spd
@@ -57,6 +58,46 @@ def test_mean_map_commuting_collapse():
         np.diag(dx ** (1 - t) * da**t),
         rtol=1e-11,
     )
+
+
+def test_mean_map_entries_are_the_picard_term():
+    rng = make_rng(4)
+    x, a = random_spd(rng, 4, complex_entries=True), random_spd(rng, 4, cond=50.0)
+    for kind in ALL_KINDS:
+        term = _picard_sum(kind, x, [a], np.ones(1))
+        assert np.array_equal(mean_map(kind, x, a).entries, term), kind
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+def test_solve_makes_m_plus_one_eigensolves_per_picard_step(kind, eigensolves):
+    rng = make_rng(5)
+    m = 4
+    mats = [random_spd(rng, 5, cond=30.0) for _ in range(m)]
+    w = WeightVector(rng.uniform(0.5, 2.0, m))
+    eigensolves.clear()
+    _, report = solve(kind, mats, w)
+    assert report.converged
+    # one per term G(X, A_j) plus one for the new iterate, for each of the
+    # iterations + 1 Picard sums (the first iterate is the arithmetic mean)
+    assert len(eigensolves) == (report.iterations + 1) * (m + 1)
+
+
+def test_solve_rejects_x0_of_wrong_dimension():
+    rng = make_rng(6)
+    mats = [random_spd(rng, 3) for _ in range(3)]
+    x0 = random_spd(rng, 4)
+    for kind in ALL_KINDS:
+        with pytest.raises(DimensionMismatchError):
+            solve(kind, mats, WeightVector.uniform(3), x0=x0)
+
+
+def test_fixed_point_residual_rejects_candidate_of_wrong_dimension():
+    rng = make_rng(7)
+    mats = [random_spd(rng, 3) for _ in range(3)]
+    x = random_spd(rng, 2)
+    for kind in ALL_KINDS:
+        with pytest.raises(DimensionMismatchError):
+            fixed_point_residual(kind, x, mats, WeightVector.uniform(3))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)

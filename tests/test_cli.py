@@ -1,10 +1,13 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import helmat
 from helmat.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
@@ -283,10 +286,14 @@ def test_cli_usage_errors(capsys):
 def test_installed_entry_point_smoke(tmp_path):
     a = tmp_path / "a.json"
     write_matrix_file(a, np.diag([1.0, 2.0]))
+    # the child imports the same helmat as this process, installed or not
+    package_root = str(Path(helmat.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "helmat.cli", "dist", "d4", str(a), str(a)],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     report = json.loads(proc.stdout)

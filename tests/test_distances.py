@@ -199,3 +199,13 @@ def test_distance_dimension_mismatch():
     rng = make_rng(9)
     with pytest.raises(DimensionMismatchError):
         distance(DistanceKind.D1, random_spd(rng, 2), random_spd(rng, 3))
+
+
+def test_distance_eigensolves_with_warm_caches(eigensolves):
+    rng = make_rng(8)
+    a = random_spd(rng, 5, cond=100.0, complex_entries=True)
+    b = random_spd(rng, 5, cond=100.0, complex_entries=True)
+    for kind, expected in zip(ALL_KINDS, (0, 1, 1, 1)):
+        eigensolves.clear()
+        distance(kind, a, b)
+        assert len(eigensolves) == expected, kind

@@ -20,12 +20,20 @@ from helmat.linalg import (
     expm,
     frobenius_inner,
     frobenius_norm,
+    hermitian_part,
     inv_sqrtm,
+    invm,
     logm,
     product_sqrt,
     sqrtm,
 )
-from helmat.sampling import make_rng, random_hermitian, random_invertible, random_spd
+from helmat.sampling import (
+    make_rng,
+    random_hermitian,
+    random_invertible,
+    random_orthogonal,
+    random_spd,
+)
 
 
 def test_hermitian_construction_symmetrizes():
@@ -123,6 +131,27 @@ def test_exp_log_roundtrip():
         a = random_spd(rng, 4, cond=cond)
         back = expm(logm(a))
         assert np.linalg.norm(back.entries - a.entries) <= 1e-9 * frobenius_norm(a)
+
+
+def test_expm_rejects_spectrum_below_relative_threshold():
+    q = random_orthogonal(make_rng(9), 3)
+    h = (q * np.array([-40.0, 0.0, 1.0])) @ q.T
+    # exp(-40) ~ 4e-18 is below SPD_RTOL * e, so the result is not SPD
+    with pytest.raises(NotPositiveDefiniteError):
+        expm(h)
+
+
+@pytest.mark.parametrize("fn", [invm, inv_sqrtm], ids=lambda f: f.__name__)
+def test_decreasing_spectral_maps_accept_ill_conditioned_input(fn):
+    q = random_orthogonal(make_rng(10), 5)
+    a = SpdMatrix(hermitian_part((q * np.logspace(-4, 4, 5)) @ q.T))
+    result = fn(a)
+    values = result.eig().eigenvalues
+    assert np.all(np.diff(values) > 0)
+    # the eigensystem is that of a fresh checked eigh of the entries
+    assert np.array_equal(values, eigh(result.entries).eigenvalues)
+    power = -1.0 if fn is invm else -0.5
+    assert_allclose(values, np.logspace(-4, 4, 5)[::-1] ** power, rtol=1e-6)
 
 
 def test_product_sqrt_identity_and_commuting():
