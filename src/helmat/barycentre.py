@@ -36,7 +36,6 @@ from .means import (
     WeightVector,
     arithmetic_mean,
     check_family,
-    geometric_mean,
     geometric_mean_entries,
     log_euclidean_pair,
 )
@@ -278,11 +277,13 @@ def closed_form_m2(kind: MeanKind, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     ``t = 1/2``: ``(A + B + 2 (A # B)) / 4``.  No closed form is known for
     the log-Euclidean kind (see :func:`refute_d4_guess`).
     """
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if isinstance(kind, Wasserstein):
         cross = product_sqrt(a, b)
         return SpdMatrix(hermitian_part((a.entries + b.entries + cross + cross.conj().T) / 4.0))
     if isinstance(kind, PowerMean) and kind.t == 0.5:
-        mid = geometric_mean(a, b).entries
+        mid = geometric_mean_entries(a, b, 0.5)
         return SpdMatrix(hermitian_part((a.entries + b.entries + 2.0 * mid) / 4.0))
     raise UnsupportedObjectiveError(
         f"no closed form for the two-point barycentre of kind {kind!r}"
@@ -294,17 +295,17 @@ class D4GuessReport:
     """Evidence that the natural log-Euclidean two-point guess fails.
 
     ``candidate`` is ``(A + B + 2 exp((log A + log B)/2)) / 4`` — the shape
-    a closed form analogous to the other kinds would take.  ``refuted``
-    records that its fixed-point residual exceeds ``1e-6`` of its norm.  On
-    (numerically) commuting inputs the residual vanishes identically and the
-    check is flagged inconclusive instead.
+    a closed form analogous to the other kinds would take.  ``residual`` and
+    ``relative_residual`` are the absolute and relative residuals of the
+    log-Euclidean fixed-point equation at the candidate.  ``refuted``
+    records that the relative residual exceeds ``1e-6``.  On (numerically)
+    commuting inputs the residual vanishes identically and the check is
+    flagged inconclusive instead.
     """
 
     candidate: SpdMatrix
     residual: float
     relative_residual: float
-    solution_distance: float
-    solver: SolverReport
     inconclusive: bool
 
     @property
@@ -315,8 +316,8 @@ class D4GuessReport:
 def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     """Test the would-be closed form of the log-Euclidean two-point barycentre.
 
-    Evaluates the fixed-point residual of the candidate and, for reference,
-    its distance to the true barycentre computed by :func:`solve`.
+    Evaluates :func:`fixed_point_residual` of the candidate with equal
+    weights.
     """
     commutator = a.entries @ b.entries - b.entries @ a.entries
     comm_scale = max(
@@ -327,23 +328,12 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     candidate = SpdMatrix(hermitian_part(
         (a.entries + b.entries + 2.0 * log_euclidean_pair(a, b).entries) / 4.0
     ))
-    pulled = 0.5 * (
-        log_euclidean_pair(candidate, a).entries
-        + log_euclidean_pair(candidate, b).entries
-    )
-    residual = float(np.linalg.norm(candidate.entries - pulled))
-    relative = residual / float(np.linalg.norm(candidate.entries))
-
-    weights = WeightVector.uniform(2)
-    solution, report = solve(LOG_EUCLIDEAN, [a, b], weights)
-    distance_to_solution = float(
-        np.linalg.norm(candidate.entries - solution.entries)
+    relative = fixed_point_residual(
+        LOG_EUCLIDEAN, candidate, [a, b], WeightVector.uniform(2)
     )
     return D4GuessReport(
         candidate=candidate,
-        residual=residual,
+        residual=relative * float(np.linalg.norm(candidate.entries)),
         relative_residual=relative,
-        solution_distance=distance_to_solution,
-        solver=report,
         inconclusive=inconclusive,
     )

@@ -19,8 +19,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InternalConsistencyError, SpectralDomainError
-from .linalg import HermitianMatrix, SpdMatrix, apply_spectral, hermitian_part, logm
+from .errors import DimensionMismatchError, InternalConsistencyError, SpectralDomainError
+from .linalg import (
+    HermitianMatrix,
+    SpdMatrix,
+    _spd_spectral,
+    apply_spectral,
+    hermitian_part,
+    logm,
+)
 from .means import (
     WeightVector,
     arithmetic_mean,
@@ -120,7 +127,7 @@ def bregman_tracial(m: MotherFunction, a: SpdMatrix, b: SpdMatrix) -> float:
     are clamped to zero.
     """
     if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     psi_a = apply_spectral(m.psi, a).trace()
     psi_b = apply_spectral(m.psi, b).trace()
     slope_b = apply_spectral(m.dpsi, b).entries
@@ -139,7 +146,7 @@ def relative_entropy(a: SpdMatrix, b: SpdMatrix) -> float:
     Nonnegative whenever ``tr A == tr B``; jointly convex in ``(A, B)``.
     """
     if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
     diff = logm(a).entries - logm(b).entries
     return float(np.trace(a.entries @ diff).real)
 
@@ -185,7 +192,7 @@ def left_barycentre(
             f"averaged gradient spectrum [{spectrum[0]:.6e}, {spectrum[-1]:.6e}] "
             f"leaves the image interval ({lo}, {hi}) of {m.name!r}"
         )
-    return SpdMatrix(apply_spectral(m.inv_dpsi, averaged))
+    return _spd_spectral(m.inv_dpsi, averaged)
 
 
 def variance(m: MotherFunction, mats: Sequence[SpdMatrix], w: WeightVector) -> float:

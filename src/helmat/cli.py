@@ -20,6 +20,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import barycentre, distances, means
+from .distances import DistanceKind
 from .errors import HelmatError
 from .linalg import SpdMatrix
 from .matio import (
@@ -35,13 +36,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_INPUT_ERROR = 3
-
-_DIST_KINDS = {
-    "d1": distances.DistanceKind.D1,
-    "d2": distances.DistanceKind.D2,
-    "d3": distances.DistanceKind.D3,
-    "d4": distances.DistanceKind.D4,
-}
 
 _BARY_KINDS = {
     "wasserstein": lambda t: barycentre.WASSERSTEIN,
@@ -134,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dist = sub.add_parser("dist", help="distance and squared divergence "
                                          "between two matrix files")
-    p_dist.add_argument("kind", choices=[*_DIST_KINDS, "hellinger"])
+    p_dist.add_argument("kind", choices=[*(k.value for k in DistanceKind), "hellinger"])
     p_dist.add_argument("file_a")
     p_dist.add_argument("file_b")
     p_dist.add_argument("--via-unitary", action="store_true",
@@ -183,7 +177,7 @@ def _cmd_dist(args) -> tuple[dict, int, str]:
         outputs = {"distance": _sig12(value), "divergence": _sig12(value * value)}
         summary = f"hellinger({args.file_a}, {args.file_b}) = {value:.6g}"
     else:
-        kind = _DIST_KINDS[args.kind]
+        kind = DistanceKind(args.kind)
         a = _load_spd(args.file_a)
         b = _load_spd(args.file_b)
         if args.via_unitary:

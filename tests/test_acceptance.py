@@ -1,27 +1,21 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
-lines; tolerances and sample counts are pinned here and nowhere else.
+lines.  Criteria 1-3 and 7-10 pin a seed and sample count and report rows
+of the matching :mod:`helmat.suites` suite, which holds their tolerances;
+criteria 4-6 pin their own tolerances and sample counts here.
 """
 
 import numpy as np
 import pytest
 
-from helmat import barycentre, bregman, calculus, distances, legendre_cex, means
+from helmat import barycentre, calculus, distances, legendre_cex, means, suites
 from helmat.barycentre import LOG_EUCLIDEAN, WASSERSTEIN, PowerMean
 from helmat.distances import DistanceKind
 from helmat.errors import NotPositiveDefiniteError
-from helmat.linalg import SpdMatrix, frobenius_inner, frobenius_norm, sqrt_entries
+from helmat.linalg import SpdMatrix, frobenius_inner, frobenius_norm
 from helmat.means import WeightVector
-from helmat.sampling import make_rng, random_hermitian, random_spd, random_unitary
-from helmat.suites import (
-    D3_TRIANGLE_REFERENCE,
-    D3_TRIANGLE_TRIPLE,
-    D4_TRIANGLE_REFERENCE,
-    D4_TRIANGLE_TRIPLE,
-    REFERENCE_TOL,
-    generic_noncommuting_pair,
-)
+from helmat.sampling import make_rng, random_hermitian, random_spd
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -30,52 +24,39 @@ def _report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
-def _triangle(kind, triple, reference):
-    a, b, c = (SpdMatrix(m) for m in triple)
-    direct = distances.distance(kind, a, b)
-    detour = distances.distance(kind, a, c) + distances.distance(kind, c, b)
-    ok = (
-        abs(direct - reference[0]) <= REFERENCE_TOL
-        and abs(detour - reference[1]) <= REFERENCE_TOL
-        and direct > detour
-    )
-    detail = (
-        f"direct {direct:.5f} (ref {reference[0]}), "
-        f"detour {detour:.5f} (ref {reference[1]}), violation={direct > detour}"
-    )
-    return ok, detail
+def _report_rows(num: int, name: str, result, rows, extra=(True, "")) -> None:
+    """Report criterion ``num`` as the named rows of a suite result: it
+    passes if every row is present and passed, and ``extra[0]`` holds."""
+    found = {check.name: check for check in result.checks}
+    ok = extra[0] and all(row in found and found[row].passed for row in rows)
+    details = [
+        f"{row} {'PASS' if found[row].passed else 'FAIL'} ({found[row].detail})"
+        if row in found else f"{row} MISSING"
+        for row in rows
+    ]
+    _report(num, name, ok, f"{result.suite}: " + "; ".join(details) + extra[1])
 
 
-def test_criterion_01_d3_triangle_counterexample():
-    ok, detail = _triangle(DistanceKind.D3, D3_TRIANGLE_TRIPLE, D3_TRIANGLE_REFERENCE)
-    _report(1, "d3 triangle counterexample", ok, detail)
+@pytest.fixture(scope="module")
+def counterexamples():
+    return suites.counterexamples_suite(310, 1000)
 
 
-def test_criterion_02_d4_triangle_counterexample():
-    ok, detail = _triangle(DistanceKind.D4, D4_TRIANGLE_TRIPLE, D4_TRIANGLE_REFERENCE)
-    _report(2, "d4 triangle counterexample", ok, detail)
+def test_criterion_01_d3_triangle_counterexample(counterexamples):
+    _report_rows(1, "d3 triangle counterexample", counterexamples, [
+        "d3-triangle-direct-value", "d3-triangle-detour-value", "d3-triangle-violation",
+    ])
+
+
+def test_criterion_02_d4_triangle_counterexample(counterexamples):
+    _report_rows(2, "d4 triangle counterexample", counterexamples, [
+        "d4-triangle-direct-value", "d4-triangle-detour-value", "d4-triangle-violation",
+    ])
 
 
 def test_criterion_03_trace_chain_and_ordering():
-    rng = make_rng(303)
-    min_chain = np.inf
-    min_order = np.inf
-    for _ in range(1000):
-        dim = int(rng.integers(2, 7))
-        cond = 10.0 ** rng.uniform(0.0, 4.0)
-        a = random_spd(rng, dim, cond=cond)
-        b = random_spd(rng, dim, cond=cond)
-        chain = distances.trace_chain(a, b)
-        min_chain = min(min_chain, float(np.min(np.diff(chain))))
-        squares = [
-            distances.divergence(k, a, b)
-            for k in (DistanceKind.D3, DistanceKind.D4, DistanceKind.D1, DistanceKind.D2)
-        ]
-        min_order = min(min_order, float(np.min(-np.diff(squares))))
-    ok = min_chain >= -1e-10 and min_order >= -1e-10
-    _report(3, "trace chain and ordering", ok,
-            f"1000 pairs, dims 2-6, cond <= 1e4; min chain gap {min_chain:.2e}, "
-            f"min ordering gap {min_order:.2e} (tolerance -1e-10)")
+    _report_rows(3, "trace chain and ordering", suites.trace_chain_suite(303, 1000),
+                 ["trace-chain-monotone", "squared-distance-ordering"])
 
 
 def test_criterion_04_divergence_axioms():
@@ -333,175 +314,32 @@ def test_criterion_06_barycentre_fixed_points():
 
 
 def test_criterion_07_m2_closed_forms_and_refuted_guess():
-    rng = make_rng(307)
-    w2 = WeightVector.uniform(2)
-    worst_wass = 0.0
-    worst_power = 0.0
-    min_guess_residual = np.inf
-    for _ in range(100):
-        dim = int(rng.integers(2, 5))
-        a, b = generic_noncommuting_pair(rng, dim)
-        cf_w = barycentre.closed_form_m2(WASSERSTEIN, a, b)
-        worst_wass = max(
-            worst_wass, barycentre.fixed_point_residual(WASSERSTEIN, cf_w, [a, b], w2)
-        )
-        cf_p = barycentre.closed_form_m2(PowerMean(0.5), a, b)
-        worst_power = max(
-            worst_power,
-            barycentre.fixed_point_residual(PowerMean(0.5), cf_p, [a, b], w2),
-        )
-        # the would-be log-Euclidean analogue of those closed forms
-        candidate = SpdMatrix(
-            (a.entries + b.entries
-             + 2.0 * means.log_euclidean_pair(a, b).entries) / 4.0
-        )
-        min_guess_residual = min(
-            min_guess_residual,
-            barycentre.fixed_point_residual(LOG_EUCLIDEAN, candidate, [a, b], w2),
-        )
-    pinned = barycentre.refute_d4_guess(
-        SpdMatrix(D3_TRIANGLE_TRIPLE[0]), SpdMatrix(D3_TRIANGLE_TRIPLE[1])
-    )
-    ok = (
-        worst_wass <= 1e-8
-        and worst_power <= 1e-8
-        and min_guess_residual > 1e-6
-        and pinned.refuted
-    )
-    _report(7, "m=2 closed forms and refuted analogue", ok,
-            f"wasserstein residual {worst_wass:.2e}, power-half residual "
-            f"{worst_power:.2e} (<=1e-8, 100 pairs); log-euclidean analogue "
-            f"residual >= {min_guess_residual:.2e} on every non-commuting pair "
-            f"(>1e-6), pinned pair refuted={pinned.refuted}")
+    _report_rows(7, "m=2 closed forms and refuted analogue",
+                 suites.d4_guess_suite(307, 1000), [
+                     "wasserstein-closed-form", "power-half-closed-form",
+                     "log-euclidean-guess-refuted",
+                 ])
 
 
 def test_criterion_08_bregman_suite():
-    rng = make_rng(308)
-    worst_right = 0.0
-    worst_left = 0.0
-    worst_var = 0.0
-    worst_min = 0.0
-    worst_scalar = 0.0
-    for _ in range(25):
-        dim = int(rng.integers(2, 5))
-        m = int(rng.integers(2, 6))
-        mats = [random_spd(rng, dim, cond=20.0) for _ in range(m)]
-        w = WeightVector(rng.uniform(0.5, 2.0, m))
-
-        r_ent = bregman.right_barycentre(bregman.ENTROPY, mats, w)
-        r_sq = bregman.right_barycentre(bregman.SQUARE, mats, w)
-        arith = means.arithmetic_mean(mats, w)
-        worst_right = max(
-            worst_right,
-            frobenius_norm(r_ent.entries - r_sq.entries),
-            frobenius_norm(r_ent.entries - arith.entries),
-        )
-        left = bregman.left_barycentre(bregman.ENTROPY, mats, w)
-        log_euc = means.log_euclidean_multi(mats, w)
-        worst_left = max(worst_left, frobenius_norm(left.entries - log_euc.entries))
-
-        spread = bregman.variance(bregman.ENTROPY, mats, w)
-        worst_var = max(worst_var, abs(spread - (arith.trace() - log_euc.trace())))
-
-        a, b = mats[0], mats[1]
-        worst_min = max(
-            worst_min,
-            abs(bregman.phi4_via_min(a, b)
-                - distances.divergence(DistanceKind.D4, a, b)),
-        )
-
-        scalars = rng.uniform(0.2, 5.0, m)
-        ones = [SpdMatrix(np.array([[s]])) for s in scalars]
-        for mother in (bregman.ENTROPY, bregman.SQUARE, bregman.power_mother(1.5)):
-            left_scalar = bregman.left_barycentre(mother, ones, w)
-            closed = mother.inv_dpsi(float(np.sum(w.weights * mother.dpsi(scalars))))
-            worst_scalar = max(
-                worst_scalar, abs(float(left_scalar.entries[0, 0].real) - closed)
-            )
-    ok = (
-        worst_right <= 1e-12
-        and worst_left <= 1e-10
-        and worst_var <= 1e-10
-        and worst_min <= 1e-9
-        and worst_scalar <= 1e-12
-    )
-    _report(8, "bregman barycentre identities", ok,
-            f"right-vs-arithmetic {worst_right:.2e} (<=1e-12), "
-            f"entropy-left-vs-log-euclidean {worst_left:.2e} (<=1e-10), "
-            f"variance identity {worst_var:.2e} (<=1e-10), "
-            f"min-characterisation {worst_min:.2e} (<=1e-9), "
-            f"scalar quasi-arithmetic {worst_scalar:.2e} (<=1e-12)")
+    _report_rows(8, "bregman barycentre identities", suites.bregman_suite(308, 2500), [
+        "right-barycentre-arithmetic", "left-barycentre-log-euclidean",
+        "variance-trace-identity", "d4-square-as-minimum", "scalar-quasi-arithmetic",
+    ])
 
 
 def test_criterion_09_boundary_counterexample():
-    params = legendre_cex.CexParams()
-    coeff = params.gradient_coefficient
-    grad0 = legendre_cex.grad_psibar_vector(params, np.zeros(2))
-    closed_err = float(np.max(np.abs(grad0 - coeff)))
-    h = 1e-6
-    fd_err = 0.0
-    for i in range(2):
-        e = np.zeros(2)
-        e[i] = h
-        slope = (
-            legendre_cex.psibar_vector(params, e)
-            - legendre_cex.psibar_vector(params, -e)
-        ) / (2 * h)
-        fd_err = max(fd_err, abs(slope - grad0[i]))
-
-    vec = legendre_cex.verify_vector_strictness(params, 1000, seed=309)
-    mat = legendre_cex.verify_matrix_cex(params, 1000, seed=309)
-    ok = (
-        abs(coeff - 0.744324) <= 1e-6
-        and closed_err <= 1e-9
-        and fd_err <= 1e-6
-        and vec.passed
-        and vec.min_gap > 0.0
-        and mat.gradient_is_positive_definite
-        and mat.min_gap > 0.0
-        and not mat.failures
-        and mat.min_grid_residual > 0.0
-    )
-    _report(9, "boundary-minimum counterexample", ok,
-            f"gradient at zero {coeff:.6f} (closed-form dev {closed_err:.2e}, "
-            f"FD dev {fd_err:.2e}); orthant min gap {vec.min_gap:.2e} "
-            f"(1000 samples), PSD min gap {mat.min_gap:.2e} (1000 samples), "
-            f"grid stationarity residual >= {mat.min_grid_residual:.3f} "
-            f"over {mat.grid_size} points")
+    coeff = legendre_cex.CexParams().gradient_coefficient
+    pinned = (abs(coeff - 0.744324) <= 1e-6,
+              f"; gradient at zero {coeff:.6f} (pinned 0.744324)")
+    _report_rows(9, "boundary-minimum counterexample",
+                 suites.legendre_cex_suite(309, 1000), [
+                     "vector-gradient-at-zero", "vector-strict-minimum",
+                     "matrix-gradient-positive", "matrix-strict-minimum",
+                     "matrix-stationarity-unsolvable",
+                 ], extra=pinned)
 
 
-def test_criterion_10_metric_sanity():
-    rng = make_rng(310)
-    worst_violation = -np.inf
-    for _ in range(1000):
-        dim = int(rng.integers(2, 5))
-        a, b, c = (random_spd(rng, dim, cond=50.0) for _ in range(3))
-        for kind in (DistanceKind.D1, DistanceKind.D2):
-            violation = (
-                distances.distance(kind, a, b)
-                - distances.distance(kind, a, c)
-                - distances.distance(kind, c, b)
-            )
-            worst_violation = max(worst_violation, violation)
-
-    worst_gap = 0.0
-    for _ in range(20):
-        dim = int(rng.integers(2, 5))
-        a, b = random_spd(rng, dim), random_spd(rng, dim)
-        value, _ = distances.d2_unitary(a, b)
-        worst_gap = max(
-            worst_gap, abs(value - distances.distance(DistanceKind.D2, a, b))
-        )
-    a, b = random_spd(rng, 3), random_spd(rng, 3)
-    value, _ = distances.d2_unitary(a, b)
-    root_a, root_b = sqrt_entries(a), sqrt_entries(b)
-    beaten = sum(
-        1
-        for _ in range(500)
-        if np.linalg.norm(root_a - root_b @ random_unitary(rng, 3)) < value - 1e-12
-    )
-    ok = worst_violation <= 1e-10 and worst_gap <= 1e-9 and beaten == 0
-    _report(10, "metric sanity of d1/d2", ok,
-            f"max triangle violation {worst_violation:.2e} (<=1e-10, 1000 triples), "
-            f"max |unitary-min - d2| {worst_gap:.2e} (<=1e-9), "
-            f"random unitaries beating the polar factor: {beaten}/500")
+def test_criterion_10_metric_sanity(counterexamples):
+    _report_rows(10, "metric sanity of d1/d2", counterexamples,
+                 ["d1-d2-triangle-holds", "d2-unitary-minimum"])

@@ -18,7 +18,7 @@ from helmat.bregman import (
 )
 from helmat.calculus import fd_directional
 from helmat.distances import DistanceKind, divergence
-from helmat.errors import SpectralDomainError
+from helmat.errors import DimensionMismatchError, SpectralDomainError
 from helmat.linalg import SpdMatrix, frobenius_norm
 from helmat.means import WeightVector, arithmetic_mean, log_euclidean_multi
 from helmat.sampling import make_rng, random_spd
@@ -111,6 +111,15 @@ def test_bregman_tracial_diagonal_reduces_to_scalar_sum():
         assert matrix_value == pytest.approx(scalar_value, rel=1e-10, abs=1e-12)
 
 
+def test_pairwise_divergences_reject_mixed_dimensions():
+    rng = make_rng(40)
+    a, b = random_spd(rng, 2), random_spd(rng, 3)
+    with pytest.raises(DimensionMismatchError):
+        bregman_tracial(ENTROPY, a, b)
+    with pytest.raises(DimensionMismatchError):
+        relative_entropy(a, b)
+
+
 def test_relative_entropy_examples():
     rng = make_rng(3)
     a = random_spd(rng, 3)
@@ -185,6 +194,15 @@ def test_left_barycentre_entropy_is_log_euclidean():
     assert frobenius_norm(
         left_barycentre(ENTROPY, [mats[0], mats[0]], w).entries - mats[0].entries
     ) <= 1e-11
+
+
+def test_left_barycentre_makes_one_eigensolve(eigensolves):
+    rng = make_rng(41)
+    a, b = random_spd(rng, 4), random_spd(rng, 4)
+    eigensolves.clear()
+    left_barycentre(ENTROPY, [a, b], WeightVector(np.array([0.3, 0.7])))
+    # the averaged gradient's; the result is checked on its spectrum
+    assert len(eigensolves) == 1
 
 
 def test_left_barycentre_square_is_arithmetic():
