@@ -12,10 +12,19 @@ type).  For the Wasserstein and log-Euclidean kinds this fixed point is the
 barycentre, the minimiser of ``sum_j w_j d^2(X, A_j)``.  For the power mean
 at ``t = 1/2`` it is the Lim-Palfia power mean, which equals the minimiser
 of the d3^2 objective only on commuting families (see :func:`objective`).
-The solver runs plain Picard iteration of this equation, starting
-from the arithmetic mean, with damping as a safety net; existence and
-uniqueness of the fixed point are known, convergence of Picard is not
-guaranteed, so non-convergence is a reportable outcome rather than an error.
+The solver iterates this equation from the arithmetic mean.  Plain Picard
+iteration contracts only at rate ``1 - t`` for the power mean (Lim and
+Palfia), about 40 steps at ``t = 1/2``, so by default each step mixes the
+last Picard images by Anderson acceleration (Walker and Ni), about 12 steps;
+a mixed iterate that is not SPD or leaves the spectral bracket of the inputs
+is replaced by the Picard image.  Damping is a further safety net.
+Existence and uniqueness of the fixed point are known, convergence of the
+iteration is not guaranteed, so non-convergence is a reportable outcome
+rather than an error.
+
+The factors of ``G`` that depend on ``X`` alone are formed once per step,
+and those that depend on ``A_j`` alone once per solve; :func:`mean_map`,
+:func:`fixed_point_residual` and :func:`solve` share that one kernel.
 
 Each solve call is single threaded with a fixed left-to-right summation
 order, which makes results deterministic; distinct calls are independent and
@@ -24,19 +33,36 @@ safe to run concurrently.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalConsistencyError, UnsupportedObjectiveError
+from .errors import (
+    DimensionMismatchError,
+    HermitianError,
+    InternalConsistencyError,
+    NotPositiveDefiniteError,
+    UnsupportedObjectiveError,
+)
 from .distances import DistanceKind, divergence
-from .linalg import SpdMatrix, hermitian_part, product_sqrt, sqrt_entries, sqrtm
+from .linalg import (
+    SpdMatrix,
+    hermitian_part,
+    logm,
+    product_sqrt,
+    sqrt_entries,
+    sqrt_pair_entries,
+    sqrtm,
+)
 from .means import (
     WeightVector,
     arithmetic_mean,
     check_family,
     geometric_mean_entries,
+    geometric_mean_from_roots,
+    log_euclidean_from_logs,
     log_euclidean_pair,
 )
 
@@ -84,11 +110,17 @@ LOG_EUCLIDEAN = LogEuclidean()
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the Picard iteration."""
+    """Knobs of the fixed-point iteration (see :func:`solve`).
+
+    ``damping`` is the Picard step ``eta``.  ``memory`` is the number of
+    residual differences Anderson mixing keeps; ``memory=0`` turns mixing
+    off and gives plain damped Picard iteration.
+    """
 
     tol: float = 1e-12
     max_iter: int = 500
     damping: float = 1.0
+    memory: int = 5
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -97,6 +129,8 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
+        if self.memory < 0 or int(self.memory) != self.memory:
+            raise ValueError(f"memory must be a nonnegative integer, got {self.memory}")
 
 
 @dataclass(frozen=True)
@@ -107,7 +141,10 @@ class SolverReport:
     input spectra; every iterate is expected to stay inside it, and
     ``bracket_ok`` records whether that held (violations abort the solve for
     the log-Euclidean kind, where the containment is a proven property of
-    the iteration map, and are merely monitored for the other kinds).
+    the iteration map, and are merely monitored for the other kinds).  Only
+    the start and Picard images are checked this way: a mixed iterate
+    outside the bracket is never taken.  ``fallbacks`` counts the steps whose
+    mixed iterate was rejected for the Picard image.
     """
 
     iterations: int
@@ -115,6 +152,7 @@ class SolverReport:
     converged: bool
     spectral_bounds: tuple[float, float]
     bracket_ok: bool = True
+    fallbacks: int = 0
 
 
 def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
@@ -125,22 +163,43 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     """
     if x.dim != a.dim:
         raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {a.dim}")
-    return SpdMatrix(_mean_map_entries(kind, x, a))
+    return SpdMatrix(
+        _mean_map_entries(kind, _x_factors(kind, x), _a_factors(kind, [a])[0])
+    )
 
 
-def _mean_map_entries(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> np.ndarray:
+def _x_factors(kind: MeanKind, x: SpdMatrix):
+    """The factors of ``G(X, .)`` that depend on ``X`` alone: ``X^{1/2}``
+    (Wasserstein), ``(X^{1/2}, X^{-1/2})`` (power mean) or ``log X``."""
     if isinstance(kind, Wasserstein):
-        root = sqrt_entries(x)
-        return sqrtm(SpdMatrix(hermitian_part(root @ a.entries @ root))).entries
+        return sqrt_entries(x)
     if isinstance(kind, PowerMean):
-        return geometric_mean_entries(x, a, kind.t)
+        return sqrt_pair_entries(x)
     if isinstance(kind, LogEuclidean):
-        return log_euclidean_pair(x, a).entries
+        return logm(x).entries
     raise TypeError(f"unknown mean kind {kind!r}")
 
 
-def _picard_sum(kind: MeanKind, x: SpdMatrix, mats, weights) -> np.ndarray:
-    return sum(wj * _mean_map_entries(kind, x, aj) for wj, aj in zip(weights, mats))
+def _a_factors(kind: MeanKind, mats: Sequence[SpdMatrix]) -> list[np.ndarray]:
+    """The factors of ``G(., A_j)`` that depend on ``A_j`` alone: ``log A_j``
+    for the log-Euclidean kind, the entries of ``A_j`` otherwise."""
+    if isinstance(kind, LogEuclidean):
+        return [logm(a).entries for a in mats]
+    return [a.entries for a in mats]
+
+
+def _mean_map_entries(kind: MeanKind, x_side, a_side: np.ndarray) -> np.ndarray:
+    """``G(X, A)`` from the factors of :func:`_x_factors` and :func:`_a_factors`."""
+    if isinstance(kind, Wasserstein):
+        return sqrtm(SpdMatrix(hermitian_part(x_side @ a_side @ x_side))).entries
+    if isinstance(kind, PowerMean):
+        return geometric_mean_from_roots(*x_side, a_side, kind.t)
+    return log_euclidean_from_logs(x_side, a_side).entries
+
+
+def _picard_sum(kind: MeanKind, x: SpdMatrix, a_sides, weights) -> np.ndarray:
+    x_side = _x_factors(kind, x)
+    return sum(wj * _mean_map_entries(kind, x_side, aj) for wj, aj in zip(weights, a_sides))
 
 
 def _require_dim(x: SpdMatrix, dim: int) -> None:
@@ -154,8 +213,59 @@ def fixed_point_residual(
     """Relative residual ``||X - sum_j w_j G(X, A_j)||_F / ||X||_F`` of the
     defining equation at a candidate ``X``."""
     _require_dim(x, check_family(mats, w))
-    summed = _picard_sum(kind, x, mats, w.weights)
+    summed = _picard_sum(kind, x, _a_factors(kind, mats), w.weights)
     return float(np.linalg.norm(x.entries - summed) / np.linalg.norm(x.entries))
+
+
+class _AndersonHistory:
+    """The last ``memory`` differences of the residuals ``f = T(X) - X`` and
+    of the images ``g = T(X)`` of a fixed-point map ``T``.
+
+    ``propose`` returns the Anderson (type II) iterate ``g - dG gamma``, with
+    ``gamma`` the real least-squares solution of ``dF gamma ~ f`` over the
+    real view of the entries, so a mix of Hermitian matrices stays
+    Hermitian.  ``gamma`` comes from the k-by-k Gram system through a
+    rank-tolerant solve: for small matrices the history spans fewer real
+    dimensions than its length and the Gram matrix is singular.
+    """
+
+    def __init__(self, memory: int):
+        self.df: deque[np.ndarray] = deque(maxlen=memory)
+        self.dg: deque[np.ndarray] = deque(maxlen=memory)
+        self.last: tuple[np.ndarray, np.ndarray] | None = None
+
+    def clear(self) -> None:
+        """Drop the differences; the latest residual stays as the base."""
+        self.df.clear()
+        self.dg.clear()
+
+    def propose(self, x: np.ndarray, g: np.ndarray, restart: bool) -> np.ndarray | None:
+        """Record ``(f, g)`` at ``x`` and return the mixed iterate, or
+        ``None`` while there is no difference to mix (restart clears first)."""
+        f = np.ravel(g - x).view(np.float64)
+        if restart or self.last is None:
+            self.clear()
+        else:
+            self.df.append(f - self.last[0])
+            self.dg.append(g - self.last[1])
+        self.last = (f, g)
+        if not self.df:
+            return None
+        # dot products one pair at a time: no stacked copy of the history
+        gram = np.array([[np.dot(u, v) for v in self.df] for u in self.df])
+        gamma = np.linalg.lstsq(gram, [np.dot(u, f) for u in self.df], rcond=None)[0]
+        return g - sum(c * dg for c, dg in zip(gamma, self.dg))
+
+
+def _bracketed(proposal: np.ndarray, lower: float, upper: float) -> SpdMatrix | None:
+    """``proposal`` as the next iterate, or ``None`` if it is not SPD or its
+    spectrum leaves ``[lower, upper]``."""
+    try:
+        candidate = SpdMatrix(hermitian_part(proposal))
+    except (NotPositiveDefiniteError, HermitianError):
+        return None
+    spectrum = candidate.eig().eigenvalues
+    return candidate if lower <= spectrum[0] and spectrum[-1] <= upper else None
 
 
 def solve(
@@ -167,11 +277,19 @@ def solve(
 ) -> tuple[SpdMatrix, SolverReport]:
     """Solve the fixed-point equation ``X = sum_j w_j G(X, A_j)``.
 
-    Starts at the weighted arithmetic mean (or ``x0``), iterates
-    ``X <- (1 - eta) X + eta sum_j w_j G(X, A_j)``, and stops when the
-    relative residual of the defining equation drops below ``cfg.tol``.  If
-    the residual grows for five consecutive iterations the damping ``eta``
-    is halved, down to 1/16.  On ``max_iter`` exhaustion the last iterate is
+    Starts at the weighted arithmetic mean (or ``x0``) and stops when the
+    relative residual of the defining equation at the current iterate drops
+    below ``cfg.tol``.  Each step forms the damped Picard image
+    ``T(X) = (1 - eta) X + eta sum_j w_j G(X, A_j)``; with ``cfg.memory = 0``
+    that image is the next iterate.  Otherwise the next iterate is the
+    Anderson mix of the last ``cfg.memory`` images (see
+    :class:`_AndersonHistory`), unless the mix is not SPD or its spectrum
+    leaves the bracket ``[alpha, beta]`` of the inputs: then the step falls
+    back to the Picard image, which is counted in ``fallbacks``.  A
+    fallback, a residual that grew and a change of ``eta`` each restart the
+    mixing history.  If the residual grows for five consecutive iterations
+    ``eta`` is halved, down to 1/16.  A step costs m + 1 eigensolves, plus
+    one per fallback.  On ``max_iter`` exhaustion the last iterate is
     returned with ``converged=False`` diagnostics rather than an exception.
     """
     cfg = cfg or SolverConfig()
@@ -181,6 +299,8 @@ def solve(
     beta = max(float(a.eig().eigenvalues[-1]) for a in mats)
     lower = alpha * (1.0 - _BRACKET_SLACK)
     upper = beta * (1.0 + _BRACKET_SLACK)
+    a_sides = _a_factors(kind, mats)
+    history = _AndersonHistory(cfg.memory)
 
     damping = cfg.damping
     consecutive_growth = 0
@@ -188,6 +308,7 @@ def solve(
     bracket_ok = True
     residual = np.inf
     iterations = 0
+    fallbacks = 0
 
     for iterations in range(cfg.max_iter + 1):
         spectrum = current.eig().eigenvalues
@@ -198,7 +319,7 @@ def solve(
                     f"iterate spectrum [{spectrum[0]:.6e}, {spectrum[-1]:.6e}] left "
                     f"the bracket [{alpha:.6e}, {beta:.6e}] at iteration {iterations}"
                 )
-        summed = _picard_sum(kind, current, mats, w.weights)
+        summed = _picard_sum(kind, current, a_sides, w.weights)
         residual = float(
             np.linalg.norm(current.entries - summed) / np.linalg.norm(current.entries)
         )
@@ -209,10 +330,14 @@ def solve(
                 converged=True,
                 spectral_bounds=(alpha, beta),
                 bracket_ok=bracket_ok,
+                fallbacks=fallbacks,
             )
         if iterations == cfg.max_iter:
             break
-        if residual > previous_residual:
+        # growth restarts the mixing history; so does a halving of eta (a
+        # new map T), which only ever follows growth
+        grew = residual > previous_residual
+        if grew:
             consecutive_growth += 1
             if consecutive_growth >= 5:
                 damping = max(damping / 2.0, 1.0 / 16.0)
@@ -221,7 +346,12 @@ def solve(
             consecutive_growth = 0
         previous_residual = residual
         stepped = (1.0 - damping) * current.entries + damping * summed
-        current = SpdMatrix(hermitian_part(stepped))
+        proposal = history.propose(current.entries, stepped, restart=grew)
+        mixed = None if proposal is None else _bracketed(proposal, lower, upper)
+        if proposal is not None and mixed is None:
+            fallbacks += 1
+            history.clear()
+        current = mixed if mixed is not None else SpdMatrix(hermitian_part(stepped))
 
     return current, SolverReport(
         iterations=iterations,
@@ -229,6 +359,7 @@ def solve(
         converged=False,
         spectral_bounds=(alpha, beta),
         bracket_ok=bracket_ok,
+        fallbacks=fallbacks,
     )
 
 

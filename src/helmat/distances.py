@@ -76,6 +76,10 @@ class TraceChain(NamedTuple):
     product_root: float    # tr((A B)^{1/2})
 
 
+#: The distance kind of each :class:`TraceChain` field, in field order.
+_CHAIN_KINDS = (DistanceKind.D3, DistanceKind.D4, DistanceKind.D1, DistanceKind.D2)
+
+
 def hellinger(p: ProbabilityVector, q: ProbabilityVector) -> float:
     """Hellinger distance ``(1/sqrt 2) ||sqrt p - sqrt q||_2`` between
     probability vectors.  Zero exactly when ``p == q``; at most one."""
@@ -108,7 +112,18 @@ def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    radicand = a.trace() + b.trace() - 2.0 * _mean_trace(kind, a, b)
+    return _clamped_square(kind, a, b, _mean_trace(kind, a, b))
+
+
+def chain_divergences(a: SpdMatrix, b: SpdMatrix, chain: TraceChain) -> list[float]:
+    """The four squared distances, in the order of :class:`TraceChain`
+    (``d3^2, d4^2, d1^2, d2^2``), from the traces of ``trace_chain(a, b)``;
+    each equals :func:`divergence` of its kind."""
+    return [_clamped_square(kind, a, b, tr) for kind, tr in zip(_CHAIN_KINDS, chain)]
+
+
+def _clamped_square(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix, mean_trace: float) -> float:
+    radicand = a.trace() + b.trace() - 2.0 * mean_trace
     if radicand < -RADICAND_CLAMP:
         raise InternalConsistencyError(
             f"{kind.value} squared came out {radicand:.3e} < {-RADICAND_CLAMP:.1e}; "
@@ -130,8 +145,7 @@ def trace_chain(a: SpdMatrix, b: SpdMatrix) -> TraceChain:
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    kinds = (DistanceKind.D3, DistanceKind.D4, DistanceKind.D1, DistanceKind.D2)
-    return TraceChain(*(_mean_trace(kind, a, b) for kind in kinds))
+    return TraceChain(*(_mean_trace(kind, a, b) for kind in _CHAIN_KINDS))
 
 
 def d2_unitary(a: SpdMatrix, b: SpdMatrix) -> tuple[float, np.ndarray]:

@@ -99,8 +99,15 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
 def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
     value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
-    root, inv_root = sqrt_pair_entries(a)
-    middle = SpdMatrix(hermitian_part(inv_root @ b.entries @ inv_root))
+    return geometric_mean_from_roots(*sqrt_pair_entries(a), b.entries, t)
+
+
+def geometric_mean_from_roots(
+    root: np.ndarray, inv_root: np.ndarray, b: np.ndarray, t: float
+) -> np.ndarray:
+    """:func:`geometric_mean_entries` given the arrays ``A^{1/2}``,
+    ``A^{-1/2}`` and ``B``, for callers that pair one ``A`` with many ``B``."""
+    middle = SpdMatrix(hermitian_part(inv_root @ b @ inv_root))
     powered = apply_spectral(lambda x: x**t, middle).entries
     return hermitian_part(root @ powered @ root)
 
@@ -114,7 +121,12 @@ def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return expm((logm(a).entries + logm(b).entries) / 2)
+    return log_euclidean_from_logs(logm(a).entries, logm(b).entries)
+
+
+def log_euclidean_from_logs(log_a: np.ndarray, log_b: np.ndarray) -> SpdMatrix:
+    """:func:`log_euclidean_pair` given the arrays ``log A`` and ``log B``."""
+    return expm((log_a + log_b) / 2)
 
 
 def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:

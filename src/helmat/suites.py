@@ -151,7 +151,7 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
                     D4_TRIANGLE_TRIPLE, D4_TRIANGLE_REFERENCE)
 
     rng = make_rng(seed)
-    worst = 0.0
+    worst = -np.inf
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
         a, b, c = (random_spd(rng, dim, cond=50.0) for _ in range(3))
@@ -203,10 +203,7 @@ def trace_chain_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         b = random_spd(rng, dim, cond=cond)
         chain = distances.trace_chain(a, b)
         min_chain_gap = min(min_chain_gap, float(np.min(np.diff(chain))))
-        squares = [
-            distances.divergence(k, a, b)
-            for k in (DistanceKind.D3, DistanceKind.D4, DistanceKind.D1, DistanceKind.D2)
-        ]
+        squares = distances.chain_divergences(a, b, chain)
         min_order_gap = min(min_order_gap, float(np.min(-np.diff(squares))))
     result.add(
         "trace-chain-monotone",

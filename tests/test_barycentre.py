@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +9,9 @@ from helmat.barycentre import (
     WASSERSTEIN,
     PowerMean,
     SolverConfig,
+    _AndersonHistory,
+    _a_factors,
+    _bracketed,
     _picard_sum,
     closed_form_m2,
     fixed_point_residual,
@@ -17,8 +22,8 @@ from helmat.barycentre import (
 )
 from helmat.calculus import fd_directional, grad_phi3
 from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
-from helmat.linalg import SpdMatrix, congruence, frobenius_norm
-from helmat.means import WeightVector, geometric_mean, q_half
+from helmat.linalg import SpdMatrix, congruence, frobenius_norm, hermitian_part
+from helmat.means import WeightVector, arithmetic_mean, geometric_mean, q_half
 from helmat.sampling import make_rng, random_invertible, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE, generic_noncommuting_pair
 
@@ -64,7 +69,7 @@ def test_mean_map_entries_are_the_picard_term():
     rng = make_rng(4)
     x, a = random_spd(rng, 4, complex_entries=True), random_spd(rng, 4, cond=50.0)
     for kind in ALL_KINDS:
-        term = _picard_sum(kind, x, [a], np.ones(1))
+        term = _picard_sum(kind, x, _a_factors(kind, [a]), np.ones(1))
         assert np.array_equal(mean_map(kind, x, a).entries, term), kind
 
 
@@ -74,12 +79,165 @@ def test_solve_makes_m_plus_one_eigensolves_per_picard_step(kind, eigensolves):
     m = 4
     mats = [random_spd(rng, 5, cond=30.0) for _ in range(m)]
     w = WeightVector(rng.uniform(0.5, 2.0, m))
+    for memory in (0, 5):
+        eigensolves.clear()
+        _, report = solve(kind, mats, w, SolverConfig(memory=memory))
+        assert report.converged
+        # one per term G(X, A_j) plus one for the new iterate, for each of the
+        # iterations + 1 Picard sums (the first iterate is the arithmetic
+        # mean), plus one for each rejected mixed iterate
+        assert len(eigensolves) == (report.iterations + 1) * (m + 1) + report.fallbacks
+
+
+def test_solver_config_rejects_invalid_memory():
+    with pytest.raises(ValueError):
+        SolverConfig(memory=-1)
+    with pytest.raises(ValueError):
+        SolverConfig(memory=2.5)
+
+
+def _plain_picard(kind, mats, w, tol=1e-12):
+    """Undamped Picard iteration from the arithmetic mean, written out with
+    the public ``mean_map``; returns the solution and its step count."""
+    current = arithmetic_mean(mats, w)
+    for iterations in range(501):
+        summed = sum(wj * mean_map(kind, current, aj).entries for wj, aj in zip(w.weights, mats))
+        residual = np.linalg.norm(current.entries - summed) / np.linalg.norm(current.entries)
+        if residual <= tol:
+            return current, iterations
+        # the damped step at eta = 1, formed term for term as solve forms it
+        current = SpdMatrix(hermitian_part(0.0 * current.entries + 1.0 * summed))
+    raise AssertionError("plain Picard did not converge")
+
+
+# (iterations, final_residual, sha256 prefix of the solution's bytes) of
+# plain Picard iteration on the family of the test below
+PICARD_PINNED = {
+    "Wasserstein()": (45, 9.200511088844864e-13, "0a2628603e99e045"),
+    "PowerMean(t=0.5)": (37, 7.576566322692223e-13, "9779b24e8129b36a"),
+    "PowerMean(t=0.3)": (71, 8.831229139938074e-13, "aaaead5d23d83717"),
+    "LogEuclidean()": (37, 7.754638320883334e-13, "ef232fbfeaed9501"),
+}
+
+
+@pytest.mark.parametrize("kind", (WASSERSTEIN, PowerMean(0.5), PowerMean(0.3), LOG_EUCLIDEAN),
+                         ids=repr)
+def test_memory_zero_is_plain_picard(kind):
+    rng = make_rng(20)
+    mats = [random_spd(rng, 5, cond=30.0, complex_entries=True) for _ in range(4)]
+    w = WeightVector(rng.uniform(0.5, 2.0, 4))
+    x, report = solve(kind, mats, w, SolverConfig(memory=0))
+    reference, steps = _plain_picard(kind, mats, w)
+    assert np.array_equal(x.entries, reference.entries)
+    iterations, final_residual, digest = PICARD_PINNED[repr(kind)]
+    assert report.iterations == steps == iterations
+    assert report.final_residual == final_residual
+    assert hashlib.sha256(x.entries.tobytes()).hexdigest()[:16] == digest
+    assert report.converged and report.bracket_ok and report.fallbacks == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+def test_mixing_halves_the_step_count(kind):
+    rng = make_rng(21)
+    m = 6
+    mats = [random_spd(rng, 8, cond=50.0) for _ in range(m)]
+    w = WeightVector(rng.uniform(0.5, 2.0, m))
+    x_plain, plain = solve(kind, mats, w, SolverConfig(memory=0))
+    x_mixed, mixed = solve(kind, mats, w)
+    assert plain.converged and mixed.converged
+    assert mixed.final_residual <= 1e-12 and mixed.bracket_ok
+    assert 2 * mixed.iterations <= plain.iterations
+    gap = frobenius_norm(x_mixed.entries - x_plain.entries)
+    assert gap <= 1e-10 * frobenius_norm(x_plain)
+
+
+def test_mixing_converges_where_picard_stalls(eigensolves):
+    # A pinned ill-conditioned Wasserstein family (d = 13, cond 1e4) on which
+    # plain Picard iteration is still at residual ~1e-9 after 500 steps.
+    rng = make_rng(0)
+    mats = [random_spd(rng, 13, cond=1e4) for _ in range(2)]
+    w = WeightVector.uniform(2)
+    _, plain = solve(WASSERSTEIN, mats, w, SolverConfig(max_iter=500, memory=0))
+    assert not plain.converged
     eigensolves.clear()
-    _, report = solve(kind, mats, w)
-    assert report.converged
-    # one per term G(X, A_j) plus one for the new iterate, for each of the
-    # iterations + 1 Picard sums (the first iterate is the arithmetic mean)
-    assert len(eigensolves) == (report.iterations + 1) * (m + 1)
+    x, mixed = solve(WASSERSTEIN, mats, w, SolverConfig(max_iter=500))
+    assert mixed.converged and mixed.final_residual <= 1e-12
+    # a mixed iterate was rejected, at the price of one eigensolve
+    assert mixed.fallbacks >= 1
+    assert len(eigensolves) == (mixed.iterations + 1) * 3 + mixed.fallbacks
+    assert fixed_point_residual(WASSERSTEIN, x, mats, w) <= 1e-12
+
+
+def test_mixing_on_a_2x2_pair_with_a_singular_gram_system():
+    # at d = 2 a Hermitian residual spans 3 real dimensions (4 for complex
+    # ones), fewer than the memory of 5: the Gram matrix becomes singular
+    a = SpdMatrix(D3_TRIANGLE_TRIPLE[0])
+    b = SpdMatrix(D3_TRIANGLE_TRIPLE[1])
+    w = WeightVector.uniform(2)
+    for kind in ALL_KINDS:
+        x, report = solve(kind, [a, b], w)
+        assert report.converged, kind
+        assert fixed_point_residual(kind, x, [a, b], w) <= 1e-12
+
+
+def _alvarez_esteban(mats, w, tol=1e-14, max_iter=200):
+    """The Wasserstein barycentre by the Alvarez-Esteban, del Barrio,
+    Cuesta-Albertos and Matran iteration
+    ``X <- X^{-1/2} (sum_j w_j (X^{1/2} A_j X^{1/2})^{1/2})^2 X^{-1/2}``,
+    on bare numpy arrays."""
+
+    def power(h, p):
+        values, vectors = np.linalg.eigh((h + h.conj().T) / 2)
+        return (vectors * values**p) @ vectors.conj().T
+
+    x = sum(wj * a for wj, a in zip(w.weights, mats))
+    for _ in range(max_iter):
+        root, inv_root = power(x, 0.5), power(x, -0.5)
+        inner = sum(wj * power(root @ a @ root, 0.5) for wj, a in zip(w.weights, mats))
+        new = inv_root @ inner @ inner @ inv_root
+        new = (new + new.conj().T) / 2
+        if np.linalg.norm(new - x) <= tol * np.linalg.norm(x):
+            return new
+        x = new
+    raise AssertionError("the Alvarez-Esteban iteration did not converge")
+
+
+def test_wasserstein_barycentre_matches_alvarez_esteban_iteration():
+    rng = make_rng(22)
+    for dim, m, complex_entries in ((3, 3, False), (6, 4, True), (10, 5, False)):
+        mats = [random_spd(rng, dim, cond=40.0, complex_entries=complex_entries)
+                for _ in range(m)]
+        w = WeightVector(rng.uniform(0.5, 2.0, m))
+        x, report = solve(WASSERSTEIN, mats, w)
+        assert report.converged
+        reference = _alvarez_esteban([a.entries for a in mats], w)
+        gap = np.linalg.norm(x.entries - reference)
+        assert gap <= 1e-10 * np.linalg.norm(reference)
+
+
+def test_rejected_mixed_iterates_are_not_taken():
+    rng = make_rng(23)
+    a = random_spd(rng, 3, cond=10.0)
+    lower, upper = a.eig().eigenvalues[[0, -1]]
+    assert _bracketed(a.entries, lower, upper) is not None
+    assert _bracketed(a.entries, lower * 1.01, upper) is None
+    assert _bracketed(a.entries, lower, upper * 0.99) is None
+    assert _bracketed(-a.entries, -np.inf, np.inf) is None
+    assert _bracketed(np.full((3, 3), np.nan), -np.inf, np.inf) is None
+
+
+def test_anderson_history_mixes_hermitian_matrices_with_real_weights():
+    rng = make_rng(24)
+    history = _AndersonHistory(memory=2)
+    points = [random_spd(rng, 3, complex_entries=True).entries for _ in range(4)]
+    images = [random_spd(rng, 3, complex_entries=True).entries for _ in range(4)]
+    assert history.propose(points[0], images[0], restart=False) is None
+    for x, g in zip(points[1:], images[1:]):
+        proposal = history.propose(x, g, restart=False)
+        assert np.max(np.abs(proposal - proposal.conj().T)) <= 1e-12
+    assert len(history.df) == 2  # the memory bounds the history
+    assert history.propose(points[0], images[0], restart=True) is None
+    assert not history.df and not history.dg
 
 
 def test_solve_rejects_x0_of_wrong_dimension():

@@ -6,6 +6,7 @@ from helmat.calculus import fd_directional
 from helmat.distances import (
     DistanceKind,
     ProbabilityVector,
+    chain_divergences,
     d2_unitary,
     distance,
     divergence,
@@ -21,6 +22,7 @@ from helmat.suites import (
     D4_TRIANGLE_REFERENCE,
     D4_TRIANGLE_TRIPLE,
     REFERENCE_TOL,
+    counterexamples_suite,
 )
 
 ALL_KINDS = (DistanceKind.D1, DistanceKind.D2, DistanceKind.D3, DistanceKind.D4)
@@ -111,6 +113,27 @@ def test_trace_chain_examples():
     b = random_spd(rng, 3)
     generic = trace_chain(a, b)
     assert np.all(np.diff(generic) > 0.0)  # strictly increasing off the commuting case
+
+
+def test_chain_divergences_are_the_divergences():
+    rng = make_rng(4)
+    kinds = (DistanceKind.D3, DistanceKind.D4, DistanceKind.D1, DistanceKind.D2)
+    for _ in range(20):
+        dim = int(rng.integers(2, 6))
+        a = random_spd(rng, dim, cond=100.0, complex_entries=True)
+        b = random_spd(rng, dim, cond=100.0)
+        expected = [divergence(k, a, b) for k in kinds]
+        assert chain_divergences(a, b, trace_chain(a, b)) == expected
+    # the clamp applies as in divergence: equal inputs give exact zeros
+    assert chain_divergences(a, a, trace_chain(a, a)) == [0.0] * 4
+
+
+def test_triangle_row_reports_the_worst_violation():
+    # every sampled violation is negative, and the row prints the largest
+    # of them rather than a floor of zero
+    row = {c.name: c for c in counterexamples_suite(310, 20).checks}["d1-d2-triangle-holds"]
+    assert row.passed
+    assert float(row.detail.rsplit(" ", 1)[1]) < 0.0
 
 
 def test_triangle_inequality_for_d1_d2():
