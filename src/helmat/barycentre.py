@@ -14,10 +14,10 @@ at ``t = 1/2`` it is the Lim-Palfia power mean, which equals the minimiser
 of the d3^2 objective only on commuting families (see :func:`objective`).
 The solver iterates this equation from the arithmetic mean.  Plain Picard
 iteration contracts only at rate ``1 - t`` for the power mean (Lim and
-Palfia), about 40 steps at ``t = 1/2``, so by default each step mixes the
-last Picard images by Anderson acceleration (Walker and Ni), about 12 steps;
-a mixed iterate that is not SPD or leaves the spectral bracket of the inputs
-is replaced by the Picard image.  Damping is a further safety net.
+Palfia), about 40 steps at ``t = 1/2``, so each step mixes the last Picard
+images by Anderson acceleration (Walker and Ni), about 12 steps; a mixed
+iterate that is not SPD or leaves the spectral bracket of the inputs is
+replaced by the Picard image.  Damping is a further safety net.
 Existence and uniqueness of the fixed point are known, convergence of the
 iteration is not guaranteed, so non-convergence is a reportable outcome
 rather than an error.
@@ -49,6 +49,7 @@ from .errors import (
 from .distances import DistanceKind, divergence
 from .linalg import (
     SpdMatrix,
+    expm,
     hermitian_part,
     logm,
     product_sqrt,
@@ -58,16 +59,18 @@ from .linalg import (
 )
 from .means import (
     WeightVector,
+    _geometric_mean_from_roots,
     arithmetic_mean,
     check_family,
     geometric_mean_entries,
-    geometric_mean_from_roots,
-    log_euclidean_from_logs,
     log_euclidean_pair,
 )
 
 #: Relative slack allowed on the spectral bracket of the iterates.
 _BRACKET_SLACK = 1e-9
+
+#: Residual differences Anderson mixing keeps (see :class:`_AndersonHistory`).
+_ANDERSON_MEMORY = 5
 
 #: Relative commutator size below which the log-Euclidean guess holds
 #: trivially and its refutation is inconclusive.
@@ -112,15 +115,12 @@ LOG_EUCLIDEAN = LogEuclidean()
 class SolverConfig:
     """Knobs of the fixed-point iteration (see :func:`solve`).
 
-    ``damping`` is the Picard step ``eta``.  ``memory`` is the number of
-    residual differences Anderson mixing keeps; ``memory=0`` turns mixing
-    off and gives plain damped Picard iteration.
+    ``damping`` is the Picard step ``eta``.
     """
 
     tol: float = 1e-12
     max_iter: int = 500
     damping: float = 1.0
-    memory: int = 5
 
     def __post_init__(self):
         if not self.tol > 0.0:
@@ -129,8 +129,6 @@ class SolverConfig:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
             raise ValueError(f"damping must lie in (0, 1], got {self.damping}")
-        if self.memory < 0 or int(self.memory) != self.memory:
-            raise ValueError(f"memory must be a nonnegative integer, got {self.memory}")
 
 
 @dataclass(frozen=True)
@@ -193,8 +191,8 @@ def _mean_map_entries(kind: MeanKind, x_side, a_side: np.ndarray) -> np.ndarray:
     if isinstance(kind, Wasserstein):
         return sqrtm(SpdMatrix(hermitian_part(x_side @ a_side @ x_side))).entries
     if isinstance(kind, PowerMean):
-        return geometric_mean_from_roots(*x_side, a_side, kind.t)
-    return log_euclidean_from_logs(x_side, a_side).entries
+        return _geometric_mean_from_roots(*x_side, a_side, kind.t)
+    return expm((x_side + a_side) / 2).entries
 
 
 def _picard_sum(kind: MeanKind, x: SpdMatrix, a_sides, weights) -> np.ndarray:
@@ -229,7 +227,7 @@ class _AndersonHistory:
     dimensions than its length and the Gram matrix is singular.
     """
 
-    def __init__(self, memory: int):
+    def __init__(self, memory: int = _ANDERSON_MEMORY):
         self.df: deque[np.ndarray] = deque(maxlen=memory)
         self.dg: deque[np.ndarray] = deque(maxlen=memory)
         self.last: tuple[np.ndarray, np.ndarray] | None = None
@@ -280,14 +278,12 @@ def solve(
     Starts at the weighted arithmetic mean (or ``x0``) and stops when the
     relative residual of the defining equation at the current iterate drops
     below ``cfg.tol``.  Each step forms the damped Picard image
-    ``T(X) = (1 - eta) X + eta sum_j w_j G(X, A_j)``; with ``cfg.memory = 0``
-    that image is the next iterate.  Otherwise the next iterate is the
-    Anderson mix of the last ``cfg.memory`` images (see
-    :class:`_AndersonHistory`), unless the mix is not SPD or its spectrum
-    leaves the bracket ``[alpha, beta]`` of the inputs: then the step falls
-    back to the Picard image, which is counted in ``fallbacks``.  A
-    fallback, a residual that grew and a change of ``eta`` each restart the
-    mixing history.  If the residual grows for five consecutive iterations
+    ``T(X) = (1 - eta) X + eta sum_j w_j G(X, A_j)``.  The next iterate is
+    the Anderson mix of the recent images (see :class:`_AndersonHistory`),
+    unless the mix is not SPD or its spectrum leaves the bracket
+    ``[alpha, beta]`` of the inputs: then the step falls back to the Picard
+    image, which is counted in ``fallbacks``.  A fallback, a residual that
+    grew and a change of ``eta`` each restart the mixing history.  If the residual grows for five consecutive iterations
     ``eta`` is halved, down to 1/16.  A step costs m + 1 eigensolves, plus
     one per fallback.  On ``max_iter`` exhaustion the last iterate is
     returned with ``converged=False`` diagnostics rather than an exception.
@@ -300,7 +296,7 @@ def solve(
     lower = alpha * (1.0 - _BRACKET_SLACK)
     upper = beta * (1.0 + _BRACKET_SLACK)
     a_sides = _a_factors(kind, mats)
-    history = _AndersonHistory(cfg.memory)
+    history = _AndersonHistory()
 
     damping = cfg.damping
     consecutive_growth = 0

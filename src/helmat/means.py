@@ -99,10 +99,10 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
 def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
     value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
-    return geometric_mean_from_roots(*sqrt_pair_entries(a), b.entries, t)
+    return _geometric_mean_from_roots(*sqrt_pair_entries(a), b.entries, t)
 
 
-def geometric_mean_from_roots(
+def _geometric_mean_from_roots(
     root: np.ndarray, inv_root: np.ndarray, b: np.ndarray, t: float
 ) -> np.ndarray:
     """:func:`geometric_mean_entries` given the arrays ``A^{1/2}``,
@@ -121,12 +121,7 @@ def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return log_euclidean_from_logs(logm(a).entries, logm(b).entries)
-
-
-def log_euclidean_from_logs(log_a: np.ndarray, log_b: np.ndarray) -> SpdMatrix:
-    """:func:`log_euclidean_pair` given the arrays ``log A`` and ``log B``."""
-    return expm((log_a + log_b) / 2)
+    return expm((logm(a).entries + logm(b).entries) / 2)
 
 
 def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
