@@ -9,6 +9,12 @@ Where SPD-ness is checked: ``SpdMatrix(...)`` (user input, CLI files,
 congruence means returned as values) runs a checked eigensolve; spectral
 results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` (see :class:`SpdMatrix`).
 
+Real input stays real: entries are float64 when the caller gives real (or
+integer) arrays and complex128 when the caller gives a complex dtype, and
+every kernel (``eigh``, ``@`` and elementwise maps) keeps that dtype, so
+real matrices never pay for complex arithmetic.  A mix of real and complex
+operands is promoted by numpy itself.
+
 Values are immutable after construction and every operation is a pure
 function, so everything in this module is safe for concurrent use.
 """
@@ -29,9 +35,10 @@ from .errors import (
     SpectralDomainError,
 )
 
-#: Absolute tolerance on the Hermitian defect accepted at construction.
-HERMITIAN_ATOL = 1e-12
-#: Relative eigenvalue threshold below which a matrix is rejected as not SPD.
+#: Hermitian defect accepted at construction, relative to the largest entry.
+HERMITIAN_RTOL = 1e-12
+#: Eigenvalue threshold, relative to the spectral radius, at or below which a
+#: matrix is rejected as not SPD.
 SPD_RTOL = 1e-12
 #: Tolerance on the eigendecomposition invariants (reconstruction, unitarity).
 EIG_RECONSTRUCTION_TOL = 1e-10
@@ -40,12 +47,15 @@ MatrixLike = Union["HermitianMatrix", "SpdMatrix", np.ndarray]
 
 
 def as_array(value: MatrixLike) -> np.ndarray:
-    """Return the raw complex square array behind ``value``."""
+    """Return the raw square array behind ``value``: complex128 if its dtype
+    is complex, float64 otherwise.  The imaginary part is not scanned, so a
+    complex array with zero imaginary part stays complex."""
     if isinstance(value, SpdMatrix):
         return value.base.entries
     if isinstance(value, HermitianMatrix):
         return value.entries
-    arr = np.asarray(value, dtype=np.complex128)
+    arr = np.asarray(value)
+    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -73,13 +83,14 @@ def frobenius_norm(value: MatrixLike) -> float:
 
 
 class HermitianMatrix:
-    """An n-by-n complex Hermitian matrix value.
+    """An n-by-n Hermitian matrix value: real symmetric (float64) or complex
+    Hermitian (complex128), as :func:`as_array` gives it.
 
-    The constructor checks ``M[i, j] == conj(M[j, i])`` up to an absolute
-    defect of ``HERMITIAN_ATOL`` and then symmetrises exactly, so roundoff
-    drift at the boundary of validity is removed.  Products that are Hermitian
-    by algebra go through :func:`hermitian_part` first, so their roundoff
-    cannot trip the absolute check.  Entries are frozen after construction.
+    The constructor checks ``M[i, j] == conj(M[j, i])`` up to a defect of
+    ``HERMITIAN_RTOL * max |M[i, j]|`` and then symmetrises exactly, so
+    roundoff drift at the boundary of validity is removed.  The tolerance is
+    relative, so a matrix is accepted or rejected alike at every scale.
+    Entries are frozen after construction.
     """
 
     __slots__ = ("_entries", "_eig")
@@ -89,10 +100,11 @@ class HermitianMatrix:
         if not np.all(np.isfinite(arr)):
             raise HermitianError("matrix entries must be finite")
         defect = float(np.max(np.abs(arr - arr.conj().T)))
-        if defect > HERMITIAN_ATOL:
+        tolerance = HERMITIAN_RTOL * float(np.max(np.abs(arr)))
+        if defect > tolerance:
             raise HermitianError(
                 f"matrix is not Hermitian: max |M[i,j] - conj(M[j,i])| = {defect:.3e} "
-                f"exceeds {HERMITIAN_ATOL:.1e}"
+                f"exceeds {tolerance:.1e} = {HERMITIAN_RTOL:.0e} * max |M[i,j]|"
             )
         sym = (arr + arr.conj().T) / 2
         sym.flags.writeable = False
@@ -124,7 +136,9 @@ class SpdMatrix:
     """A Hermitian matrix with strictly positive spectrum.
 
     The positive-definiteness threshold is relative to the spectral radius
-    (``SPD_RTOL * max(1, |lambda|_max)``) so the check is scale invariant.
+    (``SPD_RTOL * |lambda|_max``), so the check is scale invariant: for every
+    ``s > 0``, ``s A`` is accepted when ``A`` is, up to roundoff at the
+    threshold itself.
     The constructor checks the spectrum of a checked :func:`eigh` and keeps
     it for reuse.  Spectral results ``V f(Lambda) V*`` (:func:`sqrtm`,
     :func:`invm`, :func:`expm`, ...) are checked on ``f(Lambda)`` instead,
@@ -166,7 +180,7 @@ class SpdMatrix:
 def _check_positive(spectrum: np.ndarray) -> None:
     """Raise unless all of ``spectrum``, in any order, is above the threshold."""
     radius = float(np.max(np.abs(spectrum)))
-    threshold = SPD_RTOL * max(1.0, radius)
+    threshold = SPD_RTOL * radius
     smallest = float(np.min(spectrum))
     if smallest <= threshold:
         raise NotPositiveDefiniteError(

@@ -1,10 +1,12 @@
 """JSON matrix files for the command-line interface.
 
 A matrix file is a single JSON object with a ``dim`` field, a ``dim x dim``
-``real`` array, and an optional ``imag`` array (defaulting to zeros).
-Numbers are written with Python's shortest round-trip decimal form (at most
-17 significant digits), so a write/read cycle reproduces the entries
-bit-exactly.
+``real`` array, and an optional ``imag`` array (defaulting to zeros).  A file
+without a nonzero ``imag`` entry reads as a float64 array, and the library
+then computes in real arithmetic; any nonzero ``imag`` entry makes it
+complex128.  Numbers are written with Python's shortest round-trip decimal
+form (at most 17 significant digits), so a write/read cycle reproduces the
+entries bit-exactly.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import HelmatError
+from .linalg import as_array
 
 
 class MatrixFileError(HelmatError, ValueError):
@@ -36,7 +39,8 @@ def _as_grid(name: str, payload, dim: int, path: str) -> np.ndarray:
 
 
 def matrix_from_payload(payload: dict, path: str = "<memory>") -> np.ndarray:
-    """Decode a matrix-file JSON object into a complex square array."""
+    """Decode a matrix-file JSON object into a square array: float64 when
+    ``imag`` is absent or all zero, complex128 otherwise."""
     if not isinstance(payload, dict):
         raise MatrixFileError(f"{path}: expected a JSON object at the top level")
     dim = payload.get("dim")
@@ -45,16 +49,16 @@ def matrix_from_payload(payload: dict, path: str = "<memory>") -> np.ndarray:
     if "real" not in payload:
         raise MatrixFileError(f"{path}: missing required field 'real'")
     real = _as_grid("real", payload["real"], dim, path)
-    if payload.get("imag") is not None:
-        imag = _as_grid("imag", payload["imag"], dim, path)
-    else:
-        imag = np.zeros((dim, dim))
-    return real + 1j * imag
+    if payload.get("imag") is None:
+        return real
+    imag = _as_grid("imag", payload["imag"], dim, path)
+    return real + 1j * imag if np.any(imag != 0.0) else real
 
 
 def matrix_to_payload(matrix: np.ndarray) -> dict:
-    """Encode a complex square array as a matrix-file JSON object."""
-    arr = np.asarray(matrix, dtype=np.complex128)
+    """Encode a real or complex square array as a matrix-file JSON object;
+    ``imag`` is written only when some entry of it is nonzero."""
+    arr = as_array(matrix)
     payload = {"dim": int(arr.shape[0]), "real": arr.real.tolist()}
     if np.any(arr.imag != 0.0):
         payload["imag"] = arr.imag.tolist()

@@ -15,14 +15,15 @@ settings.load_profile("numeric")
 @pytest.fixture
 def eigensolves(monkeypatch):
     """Log of LAPACK eigensolves (``eigh`` and ``eigvalsh``) made while the
-    test runs, as ``helmat.linalg`` and ``helmat.means`` look them up."""
+    test runs, as ``helmat.linalg`` and ``helmat.means`` look them up: one
+    ``(name, dtype)`` entry per call, ``dtype`` that of the decomposed array."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
+        def counted(a, *args, _name=name, _original=original, **kwargs):
+            calls.append((_name, np.asarray(a).dtype))
+            return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls

@@ -18,6 +18,7 @@ from helmat.cli import (
 from helmat.matio import (
     MatrixFileError,
     matrix_from_payload,
+    matrix_to_payload,
     read_matrix_file,
     write_matrix_file,
 )
@@ -48,7 +49,37 @@ def test_matrix_file_roundtrip_bit_exact(tmp_path):
     path = tmp_path / "m.json"
     write_matrix_file(path, a)
     back = read_matrix_file(path)
+    assert back.dtype == np.complex128
     assert np.array_equal(back, a)  # bit-exact, not just close
+
+
+def test_real_matrix_file_roundtrip_bit_exact_without_imag(tmp_path):
+    a = random_spd(make_rng(0), 4).entries
+    path = tmp_path / "m.json"
+    write_matrix_file(path, a)
+    assert "imag" not in json.loads(path.read_text())
+    # the bytes are those of the same matrix written as a complex array
+    assert matrix_to_payload(a) == matrix_to_payload(a.astype(np.complex128))
+    back = read_matrix_file(path)
+    assert back.dtype == np.float64
+    assert np.array_equal(back, a)
+
+
+def test_readme_matrix_file_reads_as_float64(tmp_path):
+    path = tmp_path / "a.json"
+    path.write_text('{"dim": 2, "real": [[2.0, 5.0], [5.0, 17.0]], '
+                    '"imag": [[0.0, 0.0], [0.0, 0.0]]}')
+    back = read_matrix_file(path)
+    assert back.dtype == np.float64
+    assert np.array_equal(back, [[2.0, 5.0], [5.0, 17.0]])
+
+
+def test_matrix_file_with_nonzero_imag_reads_as_complex():
+    back = matrix_from_payload(
+        {"dim": 2, "real": [[2.0, 1.0], [1.0, 3.0]], "imag": [[0.0, 0.5], [-0.5, 0.0]]}
+    )
+    assert back.dtype == np.complex128
+    assert np.array_equal(back, [[2.0, 1.0 + 0.5j], [1.0 - 0.5j, 3.0]])
 
 
 def test_matrix_file_parse_errors(tmp_path):

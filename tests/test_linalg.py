@@ -67,6 +67,48 @@ def test_spd_rejects_indefinite():
         SpdMatrix(np.zeros((2, 2)))
 
 
+def test_hermitian_tolerance_is_relative_at_large_scale():
+    q = random_orthogonal(make_rng(0), 6)
+    # Q Lambda Q^T left unsymmetrised: its roundoff defect is ~1e-16 of the
+    # largest entry, but 1e6 times that is far above 1e-12 in absolute terms
+    m = 1e6 * ((q * np.linspace(0.5, 2.0, 6)) @ q.T)
+    assert np.max(np.abs(m - m.T)) > 1e-12
+    values = SpdMatrix(m).eig().eigenvalues
+    assert_allclose(values, 1e6 * np.linspace(0.5, 2.0, 6), rtol=1e-12)
+
+
+def test_hermitian_rejects_tiny_non_hermitian_matrix():
+    with pytest.raises(HermitianError):
+        HermitianMatrix(1e-13 * np.array([[1.0, 2.0], [0.5, 3.0]]))
+
+
+def _spd_verdict(m: np.ndarray) -> bool:
+    try:
+        SpdMatrix(m)
+    except NotPositiveDefiniteError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "spectrum, accepted",
+    [
+        (np.linspace(0.72, 1.19, 4), True),
+        (np.linspace(0.43, 0.80, 4), True),
+        (np.array([1e-11, 0.5, 1.0]), True),
+        (np.array([1e-13, 0.5, 1.0]), False),
+        (np.array([0.0, 0.5, 1.0]), False),
+        (np.array([-0.1, 0.5, 1.0]), False),
+    ],
+)
+def test_spd_verdict_is_scale_invariant(spectrum, accepted):
+    q = random_orthogonal(make_rng(11), spectrum.size)
+    a = hermitian_part((q * spectrum) @ q.T)
+    assert _spd_verdict(a) is accepted
+    for s in 10.0 ** np.arange(-12, 13):
+        assert _spd_verdict(s * a) is accepted, s
+
+
 def test_eigh_diagonal():
     eig = eigh(HermitianMatrix(np.diag([1.0, 4.0])))
     assert_allclose(eig.eigenvalues, [1.0, 4.0])
