@@ -21,6 +21,7 @@ function, so everything in this module is safe for concurrent use.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -55,7 +56,7 @@ def as_array(value: MatrixLike) -> np.ndarray:
     if isinstance(value, HermitianMatrix):
         return value.entries
     arr = np.asarray(value)
-    arr = arr.astype(np.complex128 if np.iscomplexobj(arr) else np.float64, copy=False)
+    arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -97,16 +98,18 @@ class HermitianMatrix:
 
     def __init__(self, entries: MatrixLike):
         arr = as_array(entries)
-        if not np.all(np.isfinite(arr)):
+        # a NaN or infinite entry makes the largest magnitude non-finite
+        scale = float(np.abs(arr).max())
+        if not math.isfinite(scale):
             raise HermitianError("matrix entries must be finite")
-        defect = float(np.max(np.abs(arr - arr.conj().T)))
-        tolerance = HERMITIAN_RTOL * float(np.max(np.abs(arr)))
-        if defect > tolerance:
+        adjoint = arr.conj().T
+        defect = float(np.abs(arr - adjoint).max())
+        if defect > HERMITIAN_RTOL * scale:
             raise HermitianError(
                 f"matrix is not Hermitian: max |M[i,j] - conj(M[j,i])| = {defect:.3e} "
-                f"exceeds {tolerance:.1e} = {HERMITIAN_RTOL:.0e} * max |M[i,j]|"
+                f"exceeds {HERMITIAN_RTOL * scale:.1e} = {HERMITIAN_RTOL:.0e} * max |M[i,j]|"
             )
-        sym = (arr + arr.conj().T) / 2
+        sym = (arr + adjoint) / 2
         sym.flags.writeable = False
         self._entries = sym
         self._eig: EigenDecomposition | None = None
@@ -179,9 +182,8 @@ class SpdMatrix:
 
 def _check_positive(spectrum: np.ndarray) -> None:
     """Raise unless all of ``spectrum``, in any order, is above the threshold."""
-    radius = float(np.max(np.abs(spectrum)))
-    threshold = SPD_RTOL * radius
-    smallest = float(np.min(spectrum))
+    threshold = SPD_RTOL * float(np.abs(spectrum).max())
+    smallest = float(spectrum.min())
     if smallest <= threshold:
         raise NotPositiveDefiniteError(
             f"matrix is not positive definite: smallest eigenvalue "
