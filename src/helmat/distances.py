@@ -12,6 +12,13 @@ choice of matrix geometric mean ``G``:
 
 ``D3`` and ``D4`` violate the triangle inequality, but their squares are
 divergences, so they still serve as distance measures.
+
+The four mean traces and the clamped squares are written once over arrays.
+:func:`distance`, :func:`divergence`, :func:`trace_chain` and
+:func:`chain_divergences` run them on two :class:`~helmat.linalg.SpdMatrix`
+values; :func:`divergences` and :func:`trace_chains` run them on two
+:class:`~helmat.linalg.SpdStack` stacks of one dimension and give one value
+per pair, bit for bit what the pair gives alone.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
-from .linalg import SpdMatrix, sqrt_entries
-from .means import fidelity, geometric_mean_entries, log_euclidean_pair
+from .linalg import SpdMatrix, _any, _first_failure, _trace, sqrt_entries
+from .means import Operand, _fidelities, _log_euclidean_entries, geometric_mean_entries
 
 #: Radicand magnitude at or below which the squared distance is reported as
 #: exactly zero.  At binary64 the trace formula cannot resolve squared
@@ -89,17 +96,35 @@ def hellinger(p: ProbabilityVector, q: ProbabilityVector) -> float:
     return float(np.linalg.norm(diff) / np.sqrt(2.0))
 
 
-def _mean_trace(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
+def _mean_trace(kind: DistanceKind, a: Operand, b: Operand) -> np.ndarray:
     if kind is DistanceKind.D1:
-        return float(np.trace(sqrt_entries(a) @ sqrt_entries(b)).real)
+        return _trace(sqrt_entries(a) @ sqrt_entries(b))
     if kind is DistanceKind.D2:
         # tr (AB)^{1/2} = tr (A^{1/2} B A^{1/2})^{1/2}, the fidelity.
-        return fidelity(a, b)
+        return _fidelities(a, b)
     if kind is DistanceKind.D3:
-        return float(np.trace(geometric_mean_entries(a, b, 0.5)).real)
+        return _trace(geometric_mean_entries(a, b, 0.5))
     if kind is DistanceKind.D4:
-        return log_euclidean_pair(a, b).trace()
+        return _trace(_log_euclidean_entries(a, b))
     raise ValueError(f"unknown distance kind {kind!r}")
+
+
+def _clamped_square(kind: DistanceKind, a: Operand, b: Operand, mean_trace) -> np.ndarray:
+    radicand = np.asarray(a.trace() + b.trace() - 2.0 * mean_trace)
+    low = radicand < -RADICAND_CLAMP
+    if _any(low):
+        index, where = _first_failure(low)
+        raise InternalConsistencyError(
+            f"{where}{kind.value} squared came out {radicand[index]:.3e} < "
+            f"{-RADICAND_CLAMP:.1e}; inputs are likely far outside the supported "
+            "numerical range"
+        )
+    return np.where(radicand > RADICAND_CLAMP, radicand, 0.0)
+
+
+def _require_same_dim(a: Operand, b: Operand) -> None:
+    if a.dim != b.dim:
+        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
 
 def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
@@ -110,26 +135,24 @@ def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
     anything below ``-RADICAND_CLAMP`` raises
     :class:`InternalConsistencyError`.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
+    return float(_clamped_square(kind, a, b, _mean_trace(kind, a, b)))
+
+
+def divergences(kind: DistanceKind, a: Operand, b: Operand) -> np.ndarray:
+    """:func:`divergence` of each pair ``(A_i, B_i)`` of two stacks; a
+    failing pair raises the error of :func:`divergence` and is named."""
+    _require_same_dim(a, b)
     return _clamped_square(kind, a, b, _mean_trace(kind, a, b))
 
 
 def chain_divergences(a: SpdMatrix, b: SpdMatrix, chain: TraceChain) -> list[float]:
     """The four squared distances, in the order of :class:`TraceChain`
     (``d3^2, d4^2, d1^2, d2^2``), from the traces of ``trace_chain(a, b)``;
-    each equals :func:`divergence` of its kind."""
-    return [_clamped_square(kind, a, b, tr) for kind, tr in zip(_CHAIN_KINDS, chain)]
-
-
-def _clamped_square(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix, mean_trace: float) -> float:
-    radicand = a.trace() + b.trace() - 2.0 * mean_trace
-    if radicand < -RADICAND_CLAMP:
-        raise InternalConsistencyError(
-            f"{kind.value} squared came out {radicand:.3e} < {-RADICAND_CLAMP:.1e}; "
-            "inputs are likely far outside the supported numerical range"
-        )
-    return radicand if radicand > RADICAND_CLAMP else 0.0
+    each equals :func:`divergence` of its kind.  On two stacks, with the
+    traces of ``trace_chains(a, b)``, each entry holds one value per pair."""
+    squares = [_clamped_square(kind, a, b, tr) for kind, tr in zip(_CHAIN_KINDS, chain)]
+    return [float(s) if s.ndim == 0 else s for s in squares]
 
 
 def distance(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
@@ -143,8 +166,14 @@ def trace_chain(a: SpdMatrix, b: SpdMatrix) -> TraceChain:
     The returned values are weakly increasing; on a commuting pair all four
     collapse to ``sum_i sqrt(alpha_i beta_i)``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
+    return TraceChain(*(float(_mean_trace(kind, a, b)) for kind in _CHAIN_KINDS))
+
+
+def trace_chains(a: Operand, b: Operand) -> TraceChain:
+    """:func:`trace_chain` of each pair ``(A_i, B_i)`` of two stacks, as
+    one array of traces per field."""
+    _require_same_dim(a, b)
     return TraceChain(*(_mean_trace(kind, a, b) for kind in _CHAIN_KINDS))
 
 
@@ -156,8 +185,7 @@ def d2_unitary(a: SpdMatrix, b: SpdMatrix) -> tuple[float, np.ndarray]:
     (computed from its singular value decomposition).  The minimum value
     coincides with ``distance(D2, A, B)``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a, b)
     root_a = sqrt_entries(a)
     root_b = sqrt_entries(b)
     u_left, _, vh_right = np.linalg.svd(root_b @ root_a)

@@ -9,6 +9,18 @@ Where SPD-ness is checked: ``SpdMatrix(...)`` (user input, CLI files,
 congruence means returned as values) runs a checked eigensolve; spectral
 results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` (see :class:`SpdMatrix`).
 
+Every check and kernel is defined once, over stacks ``(..., n, n)``: the
+finite and Hermitian check with its symmetrisation, the checked eigensolve
+with its reconstruction and unitarity invariants, the SPD threshold, the
+synthesis ``V diag(f) V*`` and the spectral map.  The values
+:class:`HermitianMatrix` and :class:`SpdMatrix` run them on their n-by-n
+array, and :class:`SpdStack` runs them on k matrices of one dimension at
+once.  numpy's ``eigh``, ``qr``, ``@`` and reductions give each matrix of a
+stack the same bits as a call on that matrix alone, so a stack is checked
+and mapped exactly as its slices would be one by one.  A check that fails
+on a stack raises the error class of the single-matrix check and names the
+first failing slice.
+
 Real input stays real: entries are float64 when the caller gives real (or
 integer) arrays and complex128 when the caller gives a complex dtype, and
 every kernel (``eigh``, ``@`` and elementwise maps) keeps that dtype, so
@@ -21,7 +33,6 @@ function, so everything in this module is safe for concurrent use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -41,31 +52,42 @@ HERMITIAN_RTOL = 1e-12
 #: Eigenvalue threshold, relative to the spectral radius, at or below which a
 #: matrix is rejected as not SPD.
 SPD_RTOL = 1e-12
-#: Tolerance on the eigendecomposition invariants (reconstruction, unitarity).
+#: Tolerance on the eigendecomposition invariants: the reconstruction defect
+#: relative to the Frobenius norm of the matrix, and the unitarity defect.
 EIG_RECONSTRUCTION_TOL = 1e-10
 
 MatrixLike = Union["HermitianMatrix", "SpdMatrix", np.ndarray]
 
 
-def as_array(value: MatrixLike) -> np.ndarray:
-    """Return the raw square array behind ``value``: complex128 if its dtype
-    is complex, float64 otherwise.  The imaginary part is not scanned, so a
-    complex array with zero imaginary part stays complex."""
+def as_stack(value: MatrixLike) -> np.ndarray:
+    """The raw array behind ``value``, square in its last two axes, with any
+    number of leading axes: complex128 if its dtype is complex, float64
+    otherwise.  The imaginary part is not scanned, so a complex array with
+    zero imaginary part stays complex."""
     if isinstance(value, SpdMatrix):
         return value.base.entries
     if isinstance(value, HermitianMatrix):
         return value.entries
     arr = np.asarray(value)
     arr = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64, copy=False)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2] or arr.shape[-1] == 0:
+        raise DimensionMismatchError(f"expected square matrices, got shape {arr.shape}")
+    return arr
+
+
+def as_array(value: MatrixLike) -> np.ndarray:
+    """The raw square array behind ``value``, as :func:`as_stack` gives it,
+    for a single matrix."""
+    arr = as_stack(value)
+    if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     return arr
 
 
 def hermitian_part(value: MatrixLike) -> np.ndarray:
-    """Exact Hermitian part ``(M + M*)/2`` of a square array."""
-    arr = as_array(value)
-    return (arr + arr.conj().T) / 2
+    """Exact Hermitian part ``(M + M*)/2`` of each square matrix."""
+    arr = as_stack(value)
+    return (arr + _adjoint(arr)) / 2
 
 
 def frobenius_inner(a: MatrixLike, b: MatrixLike) -> complex:
@@ -83,6 +105,79 @@ def frobenius_norm(value: MatrixLike) -> float:
     return float(np.linalg.norm(as_array(value)))
 
 
+def _adjoint(arr: np.ndarray) -> np.ndarray:
+    return arr.conj().swapaxes(-1, -2)
+
+
+def _trace(arr: np.ndarray) -> np.ndarray:
+    """Real part of the trace of each matrix."""
+    return np.trace(arr, axis1=-2, axis2=-1).real
+
+
+def _frobenius(arr: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix."""
+    squares = arr.real * arr.real
+    if arr.dtype.kind == "c":
+        squares += arr.imag * arr.imag
+    return np.sqrt(squares.sum(axis=(-2, -1)))
+
+
+def _any(flags: np.ndarray) -> bool:
+    """Whether any flag is set: one per matrix, or a numpy scalar for a
+    single matrix, where the plain truth test is the cheap one."""
+    return bool(np.count_nonzero(flags)) if flags.ndim else bool(flags)
+
+
+def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
+    """Index of the first failing matrix, ``()`` for a single matrix, and the
+    message prefix that names it in a stack."""
+    index = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
+    index = tuple(int(i) for i in index)
+    if not index:
+        return index, ""
+    return index, f"slice {index[0] if len(index) == 1 else index}: "
+
+
+def _finite_scale(arr: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix.
+
+    Raises
+    ------
+    HermitianError
+        On a non-finite entry.
+    """
+    # a NaN or infinite entry makes the largest magnitude non-finite
+    scale = np.abs(arr).max(axis=(-2, -1))
+    infinite = ~(scale < np.inf)
+    if _any(infinite):
+        _, where = _first_failure(infinite)
+        raise HermitianError(f"{where}matrix entries must be finite")
+    return scale
+
+
+def _hermitian_checked(arr: np.ndarray) -> np.ndarray:
+    """Check that each matrix is finite and Hermitian up to a defect of
+    ``HERMITIAN_RTOL * max |M[i, j]|``, and return the exact Hermitian parts.
+
+    Raises
+    ------
+    HermitianError
+        On a non-finite entry or a larger defect.
+    """
+    scale = _finite_scale(arr)
+    adjoint = _adjoint(arr)
+    defect = np.abs(arr - adjoint).max(axis=(-2, -1))
+    bad = defect > HERMITIAN_RTOL * scale
+    if _any(bad):
+        index, where = _first_failure(bad)
+        limit = HERMITIAN_RTOL * scale[index]
+        raise HermitianError(
+            f"{where}matrix is not Hermitian: max |M[i,j] - conj(M[j,i])| = "
+            f"{defect[index]:.3e} exceeds {limit:.1e} = {HERMITIAN_RTOL:.0e} * max |M[i,j]|"
+        )
+    return (arr + adjoint) / 2
+
+
 class HermitianMatrix:
     """An n-by-n Hermitian matrix value: real symmetric (float64) or complex
     Hermitian (complex128), as :func:`as_array` gives it.
@@ -97,19 +192,7 @@ class HermitianMatrix:
     __slots__ = ("_entries", "_eig")
 
     def __init__(self, entries: MatrixLike):
-        arr = as_array(entries)
-        # a NaN or infinite entry makes the largest magnitude non-finite
-        scale = float(np.abs(arr).max())
-        if not math.isfinite(scale):
-            raise HermitianError("matrix entries must be finite")
-        adjoint = arr.conj().T
-        defect = float(np.abs(arr - adjoint).max())
-        if defect > HERMITIAN_RTOL * scale:
-            raise HermitianError(
-                f"matrix is not Hermitian: max |M[i,j] - conj(M[j,i])| = {defect:.3e} "
-                f"exceeds {HERMITIAN_RTOL * scale:.1e} = {HERMITIAN_RTOL:.0e} * max |M[i,j]|"
-            )
-        sym = (arr + adjoint) / 2
+        sym = _hermitian_checked(as_array(entries))
         sym.flags.writeable = False
         self._entries = sym
         self._eig: EigenDecomposition | None = None
@@ -129,10 +212,19 @@ class HermitianMatrix:
         return self._eig
 
     def trace(self) -> float:
-        return float(np.trace(self._entries).real)
+        return float(_trace(self._entries))
 
     def __repr__(self) -> str:
         return f"HermitianMatrix(dim={self.dim})"
+
+
+def _hermitian_value(sym: np.ndarray) -> HermitianMatrix:
+    """Wrap an n-by-n array that is exactly Hermitian and checked finite."""
+    value = HermitianMatrix.__new__(HermitianMatrix)
+    sym.flags.writeable = False
+    value._entries = sym
+    value._eig = None
+    return value
 
 
 class SpdMatrix:
@@ -180,23 +272,58 @@ class SpdMatrix:
         return f"SpdMatrix(dim={self.dim})"
 
 
+class SpdStack:
+    """SPD matrices of one dimension as one array ``(..., n, n)`` (an n-by-n
+    array is the stack without leading axes), with their eigensystems.
+
+    The constructor runs the checks of :class:`SpdMatrix` on every matrix at
+    once and keeps the stacked eigensystem, so the array formulas of the
+    means and distances accept a stack wherever they accept an
+    :class:`SpdMatrix` and return one value per matrix.
+    """
+
+    __slots__ = ("entries", "_eig")
+
+    def __init__(self, arrays: MatrixLike):
+        self.entries = _hermitian_checked(as_stack(arrays))
+        self._eig = _checked_eigh(self.entries)
+        _check_positive(self._eig.eigenvalues)
+
+    @property
+    def dim(self) -> int:
+        return self.entries.shape[-1]
+
+    def eig(self) -> "EigenDecomposition":
+        return self._eig
+
+    def trace(self) -> np.ndarray:
+        return _trace(self.entries)
+
+    def __repr__(self) -> str:
+        return f"SpdStack(shape={self.entries.shape})"
+
+
 def _check_positive(spectrum: np.ndarray) -> None:
-    """Raise unless all of ``spectrum``, in any order, is above the threshold."""
-    threshold = SPD_RTOL * float(np.abs(spectrum).max())
-    smallest = float(spectrum.min())
-    if smallest <= threshold:
+    """Raise unless every spectrum (last axis, in any order) is above the
+    threshold."""
+    threshold = SPD_RTOL * np.abs(spectrum).max(axis=-1)
+    smallest = spectrum.min(axis=-1)
+    bad = smallest <= threshold
+    if _any(bad):
+        index, where = _first_failure(bad)
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: smallest eigenvalue "
-            f"{smallest:.6e} is not above the threshold {threshold:.1e}"
+            f"{where}matrix is not positive definite: smallest eigenvalue "
+            f"{smallest[index]:.6e} is not above the threshold {threshold[index]:.1e}"
         )
 
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Spectrum and unitary eigenbasis of a Hermitian matrix.
+    """Spectra and unitary eigenbases of Hermitian matrices.
 
-    ``eigenvalues`` are real and ascending; ``eigenvectors`` holds the
-    corresponding orthonormal eigenvectors as columns.
+    ``eigenvalues`` are real and ascending along the last axis;
+    ``eigenvectors`` holds the corresponding orthonormal eigenvectors as
+    columns.  Leading axes, if any, index the matrices of a stack.
     """
 
     eigenvalues: np.ndarray
@@ -204,12 +331,38 @@ class EigenDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def synthesize(self, values: np.ndarray) -> np.ndarray:
         """Assemble ``V diag(values) V*`` in this eigenbasis."""
         v = self.eigenvectors
-        return (v * np.asarray(values)) @ v.conj().T
+        return (v * np.asarray(values)[..., None, :]) @ _adjoint(v)
+
+
+def _checked_eigh(arr: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of each Hermitian matrix of ``arr``, checked
+    against the reconstruction and unitarity invariants; see :func:`eigh`."""
+    try:
+        values, vectors = np.linalg.eigh(arr)
+    except np.linalg.LinAlgError as exc:
+        raise EigenDecompositionError(f"eigensolver failed to converge: {exc}") from exc
+    eig = EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
+    recon = _frobenius(eig.synthesize(values) - arr)
+    bad = recon > EIG_RECONSTRUCTION_TOL * _frobenius(arr)
+    if _any(bad):
+        index, where = _first_failure(bad)
+        raise EigenDecompositionError(
+            f"{where}eigendecomposition reconstruction defect {recon[index]:.3e} "
+            "exceeds tolerance"
+        )
+    unit = _frobenius(_adjoint(vectors) @ vectors - np.eye(eig.dim))
+    bad = unit > EIG_RECONSTRUCTION_TOL
+    if _any(bad):
+        index, where = _first_failure(bad)
+        raise EigenDecompositionError(
+            f"{where}eigenvector matrix is not unitary: defect {unit[index]:.3e}"
+        )
+    return eig
 
 
 def eigh(h: MatrixLike) -> EigenDecomposition:
@@ -219,28 +372,45 @@ def eigh(h: MatrixLike) -> EigenDecomposition:
     ------
     EigenDecompositionError
         If the eigensolver does not converge or the factorisation fails the
-        reconstruction/unitarity invariants.  Never fails silently.
+        invariants: a reconstruction defect ``||V Lambda V* - H||_F`` above
+        ``EIG_RECONSTRUCTION_TOL * ||H||_F`` (relative, so the check is the
+        same at every scale) or a unitarity defect ``||V* V - I||_F`` above
+        ``EIG_RECONSTRUCTION_TOL``.  Never fails silently.
     """
     if not isinstance(h, (HermitianMatrix, SpdMatrix)):
         h = HermitianMatrix(h)
-    arr = h.entries
-    try:
-        values, vectors = np.linalg.eigh(arr)
-    except np.linalg.LinAlgError as exc:
-        raise EigenDecompositionError(f"eigensolver failed to converge: {exc}") from exc
-    eig = EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-    scale = max(1.0, float(np.linalg.norm(arr)))
-    recon = np.linalg.norm(eig.synthesize(values) - arr)
-    if recon > EIG_RECONSTRUCTION_TOL * scale:
-        raise EigenDecompositionError(
-            f"eigendecomposition reconstruction defect {recon:.3e} exceeds tolerance"
+    return _checked_eigh(h.entries)
+
+
+def _spectral(
+    f: Callable[[np.ndarray], np.ndarray], eig: EigenDecomposition, positive: bool = False
+) -> np.ndarray:
+    """``V f(Lambda) V*`` for each eigensystem of ``eig``, made exactly
+    Hermitian and checked finite; with ``positive``, ``f(Lambda)`` must also
+    pass the SPD threshold.
+
+    Raises
+    ------
+    SpectralDomainError
+        If ``f`` is undefined (non-finite) at some eigenvalue, naming the
+        offending eigenvalue.
+    """
+    with np.errstate(all="ignore"):
+        mapped = np.asarray(f(eig.eigenvalues), dtype=float)
+    if mapped.shape != eig.eigenvalues.shape:
+        raise SpectralDomainError("scalar function must map the spectrum elementwise")
+    bad = ~np.isfinite(mapped)
+    if _any(bad):
+        index, where = _first_failure(bad.any(axis=-1))
+        offender = float(eig.eigenvalues[index][np.argmax(bad[index])])
+        raise SpectralDomainError(
+            f"{where}scalar function is undefined at eigenvalue {offender!r}"
         )
-    unit = np.linalg.norm(vectors.conj().T @ vectors - np.eye(eig.dim))
-    if unit > EIG_RECONSTRUCTION_TOL:
-        raise EigenDecompositionError(
-            f"eigenvector matrix is not unitary: defect {unit:.3e}"
-        )
-    return eig
+    entries = hermitian_part(eig.synthesize(mapped))
+    _finite_scale(entries)
+    if positive:
+        _check_positive(mapped)
+    return entries
 
 
 def apply_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> HermitianMatrix:
@@ -256,18 +426,7 @@ def apply_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> Herm
     """
     if not isinstance(h, (HermitianMatrix, SpdMatrix)):
         h = HermitianMatrix(h)
-    eig = h.eig()
-    with np.errstate(all="ignore"):
-        mapped = np.asarray(f(eig.eigenvalues), dtype=float)
-    if mapped.shape != eig.eigenvalues.shape:
-        raise SpectralDomainError("scalar function must map the spectrum elementwise")
-    bad = ~np.isfinite(mapped)
-    if np.any(bad):
-        offender = float(eig.eigenvalues[np.argmax(bad)])
-        raise SpectralDomainError(
-            f"scalar function is undefined at eigenvalue {offender!r}"
-        )
-    return HermitianMatrix(hermitian_part(eig.synthesize(mapped)))
+    return _hermitian_value(_spectral(f, h.eig()))
 
 
 def _spd_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> SpdMatrix:
@@ -275,10 +434,14 @@ def _spd_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> SpdMa
     :class:`SpdMatrix`)."""
     if not isinstance(h, (HermitianMatrix, SpdMatrix)):
         h = HermitianMatrix(h)
-    result = SpdMatrix.__new__(SpdMatrix)
-    result._base = apply_spectral(f, h)
-    _check_positive(f(h.eig().eigenvalues))
-    return result
+    return _spd_value(_spectral(f, h.eig(), positive=True))
+
+
+def _spd_value(sym: np.ndarray) -> SpdMatrix:
+    """Wrap an n-by-n array whose checks have passed as an SPD value."""
+    value = SpdMatrix.__new__(SpdMatrix)
+    value._base = _hermitian_value(sym)
+    return value
 
 
 def sqrtm(a: SpdMatrix) -> SpdMatrix:
@@ -306,13 +469,13 @@ def expm(h: MatrixLike) -> SpdMatrix:
     return _spd_spectral(np.exp, h)
 
 
-def sqrt_entries(a: SpdMatrix) -> np.ndarray:
+def sqrt_entries(a: SpdMatrix | SpdStack) -> np.ndarray:
     """Raw array of ``A^{1/2}``, reusing the cached eigensystem (no rewrap)."""
     eig = a.eig()
     return eig.synthesize(np.sqrt(eig.eigenvalues))
 
 
-def sqrt_pair_entries(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_pair_entries(a: SpdMatrix | SpdStack) -> tuple[np.ndarray, np.ndarray]:
     """Raw arrays of ``A^{1/2}`` and ``A^{-1/2}`` from one eigensystem."""
     eig = a.eig()
     roots = np.sqrt(eig.eigenvalues)

@@ -4,24 +4,38 @@ Covers the means the Hellinger-type distances are built from: the arithmetic
 mean, the Pusz-Woronowicz geometric mean and its weighted version, the
 log-Euclidean mean (pairwise and weighted m-fold), the fidelity functional,
 and the half-power mean.
+
+The pair means behind the distances (``A #_t B``, the log-Euclidean pair
+mean and the fidelity) are each written once over arrays: their operands
+may be :class:`~helmat.linalg.SpdMatrix` values or
+:class:`~helmat.linalg.SpdStack` stacks, and a stack gives one result per
+matrix, bit for bit what each pair would give alone.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import (
     SpdMatrix,
-    apply_spectral,
+    SpdStack,
+    _any,
+    _checked_eigh,
+    _first_failure,
+    _hermitian_checked,
+    _spd_value,
+    _spectral,
     expm,
     hermitian_part,
     logm,
     sqrt_entries,
     sqrt_pair_entries,
 )
+
+Operand = Union[SpdMatrix, SpdStack]
 
 
 class WeightVector:
@@ -96,7 +110,7 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     return SpdMatrix(geometric_mean_entries(a, b, t))
 
 
-def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
+def geometric_mean_entries(a: Operand, b: Operand, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
     value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
     return _geometric_mean_from_roots(*sqrt_pair_entries(a), b.entries, t)
@@ -107,8 +121,8 @@ def _geometric_mean_from_roots(
 ) -> np.ndarray:
     """:func:`geometric_mean_entries` given the arrays ``A^{1/2}``,
     ``A^{-1/2}`` and ``B``, for callers that pair one ``A`` with many ``B``."""
-    middle = SpdMatrix(hermitian_part(inv_root @ b @ inv_root))
-    powered = apply_spectral(lambda x: x**t, middle).entries
+    middle = SpdStack(hermitian_part(inv_root @ b @ inv_root))
+    powered = _spectral(lambda x: x**t, middle.eig())
     return hermitian_part(root @ powered @ root)
 
 
@@ -121,7 +135,14 @@ def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return expm((logm(a).entries + logm(b).entries) / 2)
+    return _spd_value(_log_euclidean_entries(a, b))
+
+
+def _log_euclidean_entries(a: Operand, b: Operand) -> np.ndarray:
+    """Hermitian array of :func:`log_euclidean_pair`, checked as
+    :func:`~helmat.linalg.expm` checks its result; dimensions are unchecked."""
+    half_sum = (_spectral(np.log, a.eig()) + _spectral(np.log, b.eig())) / 2
+    return _spectral(np.exp, _checked_eigh(_hermitian_checked(half_sum)), positive=True)
 
 
 def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
@@ -143,16 +164,30 @@ def fidelity(a: SpdMatrix, b: SpdMatrix) -> float:
     """
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    return float(_fidelities(a, b))
+
+
+def _fidelities(a: Operand, b: Operand) -> np.ndarray:
+    """:func:`fidelity` of each pair of matrices; dimensions are unchecked.
+
+    Raises
+    ------
+    InternalConsistencyError
+        If ``A^{1/2} B A^{1/2}`` has an eigenvalue below ``-1e-10`` times
+        its spectral radius: a congruence of an SPD matrix is SPD, so only
+        roundoff may push an eigenvalue below zero.
+    """
     root = sqrt_entries(a)
     inner = root @ b.entries @ root
-    lam = np.linalg.eigvalsh((inner + inner.conj().T) / 2)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] < -1e-10 * scale:
+    lam = np.linalg.eigvalsh(hermitian_part(inner))
+    bad = lam[..., 0] < -1e-10 * np.abs(lam).max(axis=-1)
+    if _any(bad):
+        index, where = _first_failure(bad)
         raise InternalConsistencyError(
-            f"congruence of an SPD matrix produced eigenvalue {lam[0]:.3e}"
+            f"{where}congruence of an SPD matrix produced eigenvalue {lam[index][0]:.3e}"
         )
     # eigenvalues can round to ~ -1e-16 when the inputs are nearly singular
-    return float(np.sum(np.sqrt(np.clip(lam, 0.0, None))))
+    return np.sqrt(np.clip(lam, 0.0, None)).sum(axis=-1)
 
 
 def q_half(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:

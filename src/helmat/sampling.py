@@ -4,13 +4,24 @@ All randomness in the package flows through one generator family:
 NumPy's ``Generator`` over the PCG64 bit generator, seeded through
 ``numpy.random.SeedSequence(seed)``.  Given a seed, every sampler below is
 deterministic, which makes the verification suites byte-reproducible.
+
+A random SPD matrix is made in two steps.  :func:`draw_spd` takes all its
+random numbers from the generator, in this order: the Gaussian block
+(``dim x dim`` standard normals, then as many again for the imaginary part
+of a complex matrix), then the ``dim`` uniforms of the log-spectrum.
+:func:`build_spd` turns draws into validated matrices and takes no random
+numbers: the QR factor of the block with its sign (or phase) fix is the Haar
+basis ``Q``, and ``Q diag(lam) Q*`` is checked as :class:`SpdMatrix` checks
+it.  :func:`random_spd` is one draw and one build; a caller that wants many
+matrices can draw them all, in its own order, and build each dimension as
+one stack, with the same bits per matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HermitianMatrix, SpdMatrix, hermitian_part
+from .linalg import HermitianMatrix, SpdMatrix, SpdStack, _adjoint, hermitian_part
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -30,16 +41,52 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Ginibre matrix with the
     R-diagonal phase fix."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    return _haar_basis(g)
 
 
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed real orthogonal matrix."""
-    g = rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diag(r))
+    return _haar_basis(rng.standard_normal((dim, dim)))
+
+
+def _haar_basis(gaussian: np.ndarray) -> np.ndarray:
+    """Q of ``gaussian = QR`` with the diagonal of R made positive (real) or
+    of unit phase (complex), for each matrix of a stack."""
+    q, r = np.linalg.qr(gaussian)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    phase = d / np.abs(d) if np.iscomplexobj(d) else np.sign(d)
+    return q * phase[..., None, :]
+
+
+def draw_spd(
+    rng: np.random.Generator,
+    dim: int,
+    cond: float = 10.0,
+    scale: float = 1.0,
+    complex_entries: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The random numbers of one :func:`random_spd`: the Gaussian block of
+    its basis and its spectrum, drawn log-uniformly from
+    ``[scale/sqrt(cond), scale*sqrt(cond)]``."""
+    if cond < 1.0:
+        raise ValueError("condition number must be at least 1")
+    gaussian = rng.standard_normal((dim, dim))
+    if complex_entries:
+        gaussian = gaussian + 1j * rng.standard_normal((dim, dim))
+    half = np.sqrt(cond)
+    spectrum = np.exp(rng.uniform(np.log(scale / half), np.log(scale * half), dim))
+    return gaussian, spectrum
+
+
+def build_spd(gaussians: np.ndarray, spectra: np.ndarray) -> SpdStack:
+    """Validated ``Q diag(lam) Q*`` for a stack of draws of one dimension:
+    ``gaussians`` is ``(k, n, n)`` and ``spectra`` is ``(k, n)``."""
+    return SpdStack(_spd_entries(gaussians, spectra))
+
+
+def _spd_entries(gaussian: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
+    basis = _haar_basis(gaussian)
+    return hermitian_part((basis * spectrum[..., None, :]) @ _adjoint(basis))
 
 
 def random_spd(
@@ -56,12 +103,7 @@ def random_spd(
     bounds the realized condition number.  Spectra of independent draws are
     distinct almost surely (no pinned eigenvalues).
     """
-    if cond < 1.0:
-        raise ValueError("condition number must be at least 1")
-    basis = random_unitary(rng, dim) if complex_entries else random_orthogonal(rng, dim)
-    half = np.sqrt(cond)
-    lam = np.exp(rng.uniform(np.log(scale / half), np.log(scale * half), dim))
-    return SpdMatrix(hermitian_part((basis * lam) @ basis.conj().T))
+    return SpdMatrix(_spd_entries(*draw_spd(rng, dim, cond, scale, complex_entries)))
 
 
 def random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:

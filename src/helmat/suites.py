@@ -4,20 +4,28 @@ Each suite runs a batch of numerical checks and returns a table of
 pass/fail rows with a short witness string per row.  Results are
 deterministic for a fixed ``(seed, samples)`` pair: all randomness flows
 through the package PRNG (see :mod:`helmat.sampling`).
+
+The sampled loops of the counterexamples and trace-chain suites draw every
+sample first, in sample order, and then evaluate one stack per dimension
+(:func:`_stacks_by_dim`).  Each matrix of a stack gets the bits it would get
+alone, and a row reports a minimum or maximum over all samples, so the rows
+do not depend on the grouping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import barycentre, bregman, calculus, distances, legendre_cex, means
 from .distances import DistanceKind
-from .linalg import SpdMatrix, frobenius_norm, sqrt_entries
+from .linalg import SpdMatrix, SpdStack, frobenius_norm, sqrt_entries
 from .means import WeightVector
 from .sampling import (
+    build_spd,
+    draw_spd,
     make_rng,
     random_hermitian,
     random_orthogonal,
@@ -119,6 +127,22 @@ def generic_noncommuting_pair(
             return a, b
 
 
+def _stacks_by_dim(
+    samples: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
+) -> Iterator[list[SpdStack]]:
+    """Build sampled draws (each sample a sequence of :func:`draw_spd`
+    results) one dimension at a time: for each dimension, in order of first
+    appearance, one stack per position in the sample."""
+    groups: dict[int, list] = {}
+    for sample in samples:
+        groups.setdefault(sample[0][1].size, []).append(sample)
+    for group in groups.values():
+        yield [
+            build_spd(np.array([g for g, _ in draws]), np.array([lam for _, lam in draws]))
+            for draws in zip(*group)
+        ]
+
+
 def _triangle_check(result: SuiteResult, label: str, kind: DistanceKind,
                     triple, reference) -> None:
     a, b, c = (SpdMatrix(m) for m in triple)
@@ -151,17 +175,19 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
                     D4_TRIANGLE_TRIPLE, D4_TRIANGLE_REFERENCE)
 
     rng = make_rng(seed)
-    worst = -np.inf
+    triples = []
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
-        a, b, c = (random_spd(rng, dim, cond=50.0) for _ in range(3))
+        triples.append([draw_spd(rng, dim, cond=50.0) for _ in range(3)])
+    worst = -np.inf
+    for a, b, c in _stacks_by_dim(triples):
         for kind in (DistanceKind.D1, DistanceKind.D2):
             violation = (
-                distances.distance(kind, a, b)
-                - distances.distance(kind, a, c)
-                - distances.distance(kind, c, b)
+                np.sqrt(distances.divergences(kind, a, b))
+                - np.sqrt(distances.divergences(kind, a, c))
+                - np.sqrt(distances.divergences(kind, c, b))
             )
-            worst = max(worst, violation)
+            worst = max(worst, float(violation.max()))
     result.add(
         "d1-d2-triangle-holds",
         worst <= 1e-10,
@@ -194,17 +220,18 @@ def trace_chain_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     """Weak monotonicity of the four mean traces and of the squared distances."""
     result = SuiteResult("trace-chain")
     rng = make_rng(seed)
-    min_chain_gap = np.inf
-    min_order_gap = np.inf
+    pairs = []
     for _ in range(samples):
         dim = int(rng.integers(2, 7))
         cond = 10.0 ** rng.uniform(0.0, 4.0)
-        a = random_spd(rng, dim, cond=cond)
-        b = random_spd(rng, dim, cond=cond)
-        chain = distances.trace_chain(a, b)
-        min_chain_gap = min(min_chain_gap, float(np.min(np.diff(chain))))
+        pairs.append([draw_spd(rng, dim, cond=cond), draw_spd(rng, dim, cond=cond)])
+    min_chain_gap = np.inf
+    min_order_gap = np.inf
+    for a, b in _stacks_by_dim(pairs):
+        chain = distances.trace_chains(a, b)
+        min_chain_gap = min(min_chain_gap, float(np.diff(chain, axis=0).min()))
         squares = distances.chain_divergences(a, b, chain)
-        min_order_gap = min(min_order_gap, float(np.min(-np.diff(squares))))
+        min_order_gap = min(min_order_gap, float((-np.diff(squares, axis=0)).min()))
     result.add(
         "trace-chain-monotone",
         min_chain_gap >= -1e-10,

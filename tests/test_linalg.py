@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 
 from helmat.errors import (
     DimensionMismatchError,
+    EigenDecompositionError,
     HermitianError,
     NotPositiveDefiniteError,
     SingularMatrixError,
@@ -126,6 +127,23 @@ def test_eigh_reconstruction_random():
     eig = eigh(h)
     recon = eig.synthesize(eig.eigenvalues)
     assert np.linalg.norm(recon - h.entries) <= 1e-10 * max(1.0, frobenius_norm(h))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_eigh_reconstruction_check_is_relative(monkeypatch, scale):
+    # an eigensolver whose eigenvalues come out 50% too large must be caught
+    # at every scale, not only where the Frobenius norm exceeds one
+    q = random_orthogonal(make_rng(12), 2)
+    a = scale * hermitian_part((q * np.array([1.38, 3.62])) @ q.T)
+    original = np.linalg.eigh
+
+    def inflated(arr, *args, **kwargs):
+        values, vectors = original(arr, *args, **kwargs)
+        return 1.5 * values, vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", inflated)
+    with pytest.raises(EigenDecompositionError, match="reconstruction"):
+        SpdMatrix(a)
 
 
 def test_apply_spectral_examples():

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from helmat.calculus import fd_directional
 from helmat.distances import DistanceKind, divergence
-from helmat.errors import DimensionMismatchError
+from helmat.errors import DimensionMismatchError, InternalConsistencyError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm, sqrt_entries
 from helmat.means import (
     WeightVector,
@@ -145,6 +145,24 @@ def test_fidelity_examples():
     assert fidelity(a, a) == pytest.approx(a.trace(), rel=1e-12)
     b = random_spd(rng, 3)
     assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-10)
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_fidelity_negative_eigenvalue_check_is_relative(monkeypatch, scale):
+    # a congruence eigenvalue of -1e-3 times the spectral radius is no
+    # roundoff at any scale, also where the radius is far below one
+    rng = make_rng(13)
+    a, b = random_spd(rng, 3), random_spd(rng, 3)
+    a, b = SpdMatrix(scale * a.entries), SpdMatrix(scale * b.entries)
+    original = np.linalg.eigvalsh
+
+    def shifted(arr, *args, **kwargs):
+        values = original(arr, *args, **kwargs)
+        return values - (values[..., :1] + 1e-3 * values[..., -1:]) * (np.arange(3) == 0)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    with pytest.raises(InternalConsistencyError, match="eigenvalue"):
+        fidelity(a, b)
 
 
 def test_fidelity_near_pure_states():
