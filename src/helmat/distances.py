@@ -29,8 +29,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
-from .linalg import SpdMatrix, _any, _first_failure, _trace, sqrt_entries
-from .means import Operand, _fidelities, _log_euclidean_entries, geometric_mean_entries
+from .linalg import SpdMatrix, SpdOperand, _any, _first_failure, _trace, sqrt_entries
+from .means import _fidelities, _log_euclidean_entries, geometric_mean_entries
 
 #: Radicand magnitude at or below which the squared distance is reported as
 #: exactly zero.  At binary64 the trace formula cannot resolve squared
@@ -96,7 +96,7 @@ def hellinger(p: ProbabilityVector, q: ProbabilityVector) -> float:
     return float(np.linalg.norm(diff) / np.sqrt(2.0))
 
 
-def _mean_trace(kind: DistanceKind, a: Operand, b: Operand) -> np.ndarray:
+def _mean_trace(kind: DistanceKind, a: SpdOperand, b: SpdOperand) -> np.ndarray:
     if kind is DistanceKind.D1:
         return _trace(sqrt_entries(a) @ sqrt_entries(b))
     if kind is DistanceKind.D2:
@@ -109,7 +109,9 @@ def _mean_trace(kind: DistanceKind, a: Operand, b: Operand) -> np.ndarray:
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def _clamped_square(kind: DistanceKind, a: Operand, b: Operand, mean_trace) -> np.ndarray:
+def _clamped_square(
+    kind: DistanceKind, a: SpdOperand, b: SpdOperand, mean_trace: float | np.ndarray
+) -> np.ndarray:
     radicand = np.asarray(a.trace() + b.trace() - 2.0 * mean_trace)
     low = radicand < -RADICAND_CLAMP
     if _any(low):
@@ -122,7 +124,7 @@ def _clamped_square(kind: DistanceKind, a: Operand, b: Operand, mean_trace) -> n
     return np.where(radicand > RADICAND_CLAMP, radicand, 0.0)
 
 
-def _require_same_dim(a: Operand, b: Operand) -> None:
+def _require_same_dim(a: SpdOperand, b: SpdOperand) -> None:
     if a.dim != b.dim:
         raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
 
@@ -139,7 +141,7 @@ def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
     return float(_clamped_square(kind, a, b, _mean_trace(kind, a, b)))
 
 
-def divergences(kind: DistanceKind, a: Operand, b: Operand) -> np.ndarray:
+def divergences(kind: DistanceKind, a: SpdOperand, b: SpdOperand) -> np.ndarray:
     """:func:`divergence` of each pair ``(A_i, B_i)`` of two stacks; a
     failing pair raises the error of :func:`divergence` and is named."""
     _require_same_dim(a, b)
@@ -170,7 +172,7 @@ def trace_chain(a: SpdMatrix, b: SpdMatrix) -> TraceChain:
     return TraceChain(*(float(_mean_trace(kind, a, b)) for kind in _CHAIN_KINDS))
 
 
-def trace_chains(a: Operand, b: Operand) -> TraceChain:
+def trace_chains(a: SpdOperand, b: SpdOperand) -> TraceChain:
     """:func:`trace_chain` of each pair ``(A_i, B_i)`` of two stacks, as
     one array of traces per field."""
     _require_same_dim(a, b)

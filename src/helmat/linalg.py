@@ -57,9 +57,11 @@ SPD_RTOL = 1e-12
 EIG_RECONSTRUCTION_TOL = 1e-10
 
 MatrixLike = Union["HermitianMatrix", "SpdMatrix", np.ndarray]
+#: An operand of the array formulas: one SPD value, or a stack of them.
+SpdOperand = Union["SpdMatrix", "SpdStack"]
 
 
-def as_stack(value: MatrixLike) -> np.ndarray:
+def _as_stack(value: MatrixLike) -> np.ndarray:
     """The raw array behind ``value``, square in its last two axes, with any
     number of leading axes: complex128 if its dtype is complex, float64
     otherwise.  The imaginary part is not scanned, so a complex array with
@@ -76,9 +78,9 @@ def as_stack(value: MatrixLike) -> np.ndarray:
 
 
 def as_array(value: MatrixLike) -> np.ndarray:
-    """The raw square array behind ``value``, as :func:`as_stack` gives it,
+    """The raw square array behind ``value``, as :func:`_as_stack` gives it,
     for a single matrix."""
-    arr = as_stack(value)
+    arr = _as_stack(value)
     if arr.ndim != 2:
         raise DimensionMismatchError(f"expected a square matrix, got shape {arr.shape}")
     return arr
@@ -86,7 +88,7 @@ def as_array(value: MatrixLike) -> np.ndarray:
 
 def hermitian_part(value: MatrixLike) -> np.ndarray:
     """Exact Hermitian part ``(M + M*)/2`` of each square matrix."""
-    arr = as_stack(value)
+    arr = _as_stack(value)
     return (arr + _adjoint(arr)) / 2
 
 
@@ -285,7 +287,7 @@ class SpdStack:
     __slots__ = ("entries", "_eig")
 
     def __init__(self, arrays: MatrixLike):
-        self.entries = _hermitian_checked(as_stack(arrays))
+        self.entries = _hermitian_checked(_as_stack(arrays))
         self._eig = _checked_eigh(self.entries)
         _check_positive(self._eig.eigenvalues)
 
@@ -469,13 +471,13 @@ def expm(h: MatrixLike) -> SpdMatrix:
     return _spd_spectral(np.exp, h)
 
 
-def sqrt_entries(a: SpdMatrix | SpdStack) -> np.ndarray:
+def sqrt_entries(a: SpdOperand) -> np.ndarray:
     """Raw array of ``A^{1/2}``, reusing the cached eigensystem (no rewrap)."""
     eig = a.eig()
     return eig.synthesize(np.sqrt(eig.eigenvalues))
 
 
-def sqrt_pair_entries(a: SpdMatrix | SpdStack) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_pair_entries(a: SpdOperand) -> tuple[np.ndarray, np.ndarray]:
     """Raw arrays of ``A^{1/2}`` and ``A^{-1/2}`` from one eigensystem."""
     eig = a.eig()
     roots = np.sqrt(eig.eigenvalues)

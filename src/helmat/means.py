@@ -14,13 +14,14 @@ matrix, bit for bit what each pair would give alone.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import (
     SpdMatrix,
+    SpdOperand,
     SpdStack,
     _any,
     _checked_eigh,
@@ -34,8 +35,6 @@ from .linalg import (
     sqrt_entries,
     sqrt_pair_entries,
 )
-
-Operand = Union[SpdMatrix, SpdStack]
 
 
 class WeightVector:
@@ -110,7 +109,7 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     return SpdMatrix(geometric_mean_entries(a, b, t))
 
 
-def geometric_mean_entries(a: Operand, b: Operand, t: float) -> np.ndarray:
+def geometric_mean_entries(a: SpdOperand, b: SpdOperand, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
     value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
     return _geometric_mean_from_roots(*sqrt_pair_entries(a), b.entries, t)
@@ -138,7 +137,7 @@ def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     return _spd_value(_log_euclidean_entries(a, b))
 
 
-def _log_euclidean_entries(a: Operand, b: Operand) -> np.ndarray:
+def _log_euclidean_entries(a: SpdOperand, b: SpdOperand) -> np.ndarray:
     """Hermitian array of :func:`log_euclidean_pair`, checked as
     :func:`~helmat.linalg.expm` checks its result; dimensions are unchecked."""
     half_sum = (_spectral(np.log, a.eig()) + _spectral(np.log, b.eig())) / 2
@@ -167,7 +166,7 @@ def fidelity(a: SpdMatrix, b: SpdMatrix) -> float:
     return float(_fidelities(a, b))
 
 
-def _fidelities(a: Operand, b: Operand) -> np.ndarray:
+def _fidelities(a: SpdOperand, b: SpdOperand) -> np.ndarray:
     """:func:`fidelity` of each pair of matrices; dimensions are unchecked.
 
     Raises
