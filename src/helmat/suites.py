@@ -7,7 +7,7 @@ through the package PRNG (see :mod:`helmat.sampling`).
 
 The sampled loops of the counterexamples and trace-chain suites draw every
 sample first, in sample order, and then evaluate one stack per dimension
-(:func:`_stacks_by_dim`).  Each matrix of a stack gets the bits it would get
+(:class:`_DrawsByDim`).  Each matrix of a stack gets the bits it would get
 alone, and a row reports a minimum or maximum over all samples, so the rows
 do not depend on the grouping.
 """
@@ -127,20 +127,34 @@ def generic_noncommuting_pair(
             return a, b
 
 
-def _stacks_by_dim(
-    samples: Sequence[Sequence[tuple[np.ndarray, np.ndarray]]],
-) -> Iterator[list[SpdStack]]:
-    """Build sampled draws (each sample a sequence of :func:`draw_spd`
-    results) one dimension at a time: for each dimension, in order of first
-    appearance, one stack per position in the sample."""
-    groups: dict[int, list] = {}
-    for sample in samples:
-        groups.setdefault(sample[0][1].size, []).append(sample)
-    for group in groups.values():
-        yield [
-            build_spd(np.array([g for g, _ in draws]), np.array([lam for _, lam in draws]))
-            for draws in zip(*group)
-        ]
+class _DrawsByDim:
+    """The draws of a sampled suite, grouped by dimension in sample order.
+
+    Each sample is a fixed number of real :func:`draw_spd` results of one
+    dimension.  A group keeps its draws as raw float64 bytes, not as arrays:
+    a thousand samples would otherwise hold thousands of small arrays.
+    """
+
+    def __init__(self) -> None:
+        self._groups: dict[int, bytearray] = {}
+        self._per_sample = 0
+
+    def add(self, draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
+        group = self._groups.setdefault(draws[0][1].size, bytearray())
+        self._per_sample = len(draws)
+        for gaussian, spectrum in draws:
+            group += gaussian.tobytes()
+            group += spectrum.tobytes()
+
+    def stacks(self) -> Iterator[list[SpdStack]]:
+        """For each dimension, in order of first appearance, one stack per
+        position in the sample."""
+        for dim, group in self._groups.items():
+            rows = np.frombuffer(group).reshape(-1, self._per_sample, dim * dim + dim)
+            yield [
+                build_spd(rows[:, j, : dim * dim].reshape(-1, dim, dim), rows[:, j, dim * dim :])
+                for j in range(self._per_sample)
+            ]
 
 
 def _triangle_check(result: SuiteResult, label: str, kind: DistanceKind,
@@ -175,12 +189,12 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
                     D4_TRIANGLE_TRIPLE, D4_TRIANGLE_REFERENCE)
 
     rng = make_rng(seed)
-    triples = []
+    triples = _DrawsByDim()
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
-        triples.append([draw_spd(rng, dim, cond=50.0) for _ in range(3)])
+        triples.add([draw_spd(rng, dim, cond=50.0) for _ in range(3)])
     worst = -np.inf
-    for a, b, c in _stacks_by_dim(triples):
+    for a, b, c in triples.stacks():
         for kind in (DistanceKind.D1, DistanceKind.D2):
             violation = (
                 np.sqrt(distances.divergences(kind, a, b))
@@ -220,14 +234,14 @@ def trace_chain_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     """Weak monotonicity of the four mean traces and of the squared distances."""
     result = SuiteResult("trace-chain")
     rng = make_rng(seed)
-    pairs = []
+    pairs = _DrawsByDim()
     for _ in range(samples):
         dim = int(rng.integers(2, 7))
         cond = 10.0 ** rng.uniform(0.0, 4.0)
-        pairs.append([draw_spd(rng, dim, cond=cond), draw_spd(rng, dim, cond=cond)])
+        pairs.add([draw_spd(rng, dim, cond=cond), draw_spd(rng, dim, cond=cond)])
     min_chain_gap = np.inf
     min_order_gap = np.inf
-    for a, b in _stacks_by_dim(pairs):
+    for a, b in pairs.stacks():
         chain = distances.trace_chains(a, b)
         min_chain_gap = min(min_chain_gap, float(np.diff(chain, axis=0).min()))
         squares = distances.chain_divergences(a, b, chain)
