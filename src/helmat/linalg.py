@@ -113,15 +113,13 @@ def _adjoint(arr: np.ndarray) -> np.ndarray:
 
 def _trace(arr: np.ndarray) -> np.ndarray:
     """Real part of the trace of each matrix."""
-    return np.trace(arr, axis1=-2, axis2=-1).real
+    return arr.trace(axis1=-2, axis2=-1).real
 
 
-def _frobenius(arr: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix."""
-    squares = arr.real * arr.real
-    if arr.dtype.kind == "c":
-        squares += arr.imag * arr.imag
-    return np.sqrt(squares.sum(axis=(-2, -1)))
+def _frobenius_sq(arr: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix."""
+    squares = (arr * arr.conj()).real if arr.dtype.kind == "c" else arr * arr
+    return np.add.reduce(squares, axis=(-2, -1))
 
 
 def _any(flags: np.ndarray) -> bool:
@@ -149,7 +147,7 @@ def _finite_scale(arr: np.ndarray) -> np.ndarray:
         On a non-finite entry.
     """
     # a NaN or infinite entry makes the largest magnitude non-finite
-    scale = np.abs(arr).max(axis=(-2, -1))
+    scale = np.maximum.reduce(np.abs(arr), axis=(-2, -1))
     infinite = ~(scale < np.inf)
     if _any(infinite):
         _, where = _first_failure(infinite)
@@ -168,7 +166,7 @@ def _hermitian_checked(arr: np.ndarray) -> np.ndarray:
     """
     scale = _finite_scale(arr)
     adjoint = _adjoint(arr)
-    defect = np.abs(arr - adjoint).max(axis=(-2, -1))
+    defect = np.maximum.reduce(np.abs(arr - adjoint), axis=(-2, -1))
     bad = defect > HERMITIAN_RTOL * scale
     if _any(bad):
         index, where = _first_failure(bad)
@@ -308,8 +306,8 @@ class SpdStack:
 def _check_positive(spectrum: np.ndarray) -> None:
     """Raise unless every spectrum (last axis, in any order) is above the
     threshold."""
-    threshold = SPD_RTOL * np.abs(spectrum).max(axis=-1)
-    smallest = spectrum.min(axis=-1)
+    threshold = SPD_RTOL * np.maximum.reduce(np.abs(spectrum), axis=-1)
+    smallest = np.minimum.reduce(spectrum, axis=-1)
     bad = smallest <= threshold
     if _any(bad):
         index, where = _first_failure(bad)
@@ -338,7 +336,7 @@ class EigenDecomposition:
     def synthesize(self, values: np.ndarray) -> np.ndarray:
         """Assemble ``V diag(values) V*`` in this eigenbasis."""
         v = self.eigenvectors
-        return (v * np.asarray(values)[..., None, :]) @ _adjoint(v)
+        return (v * values[..., None, :]) @ _adjoint(v)
 
 
 def _checked_eigh(arr: np.ndarray) -> EigenDecomposition:
@@ -349,20 +347,21 @@ def _checked_eigh(arr: np.ndarray) -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigensolver failed to converge: {exc}") from exc
     eig = EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-    recon = _frobenius(eig.synthesize(values) - arr)
-    bad = recon > EIG_RECONSTRUCTION_TOL * _frobenius(arr)
+    # squared Frobenius norms against the squared tolerance
+    recon = _frobenius_sq(eig.synthesize(values) - arr)
+    bad = recon > EIG_RECONSTRUCTION_TOL**2 * _frobenius_sq(arr)
     if _any(bad):
         index, where = _first_failure(bad)
         raise EigenDecompositionError(
-            f"{where}eigendecomposition reconstruction defect {recon[index]:.3e} "
+            f"{where}eigendecomposition reconstruction defect {np.sqrt(recon[index]):.3e} "
             "exceeds tolerance"
         )
-    unit = _frobenius(_adjoint(vectors) @ vectors - np.eye(eig.dim))
-    bad = unit > EIG_RECONSTRUCTION_TOL
+    unit = _frobenius_sq(_adjoint(vectors) @ vectors - np.eye(eig.dim))
+    bad = unit > EIG_RECONSTRUCTION_TOL**2
     if _any(bad):
         index, where = _first_failure(bad)
         raise EigenDecompositionError(
-            f"{where}eigenvector matrix is not unitary: defect {unit[index]:.3e}"
+            f"{where}eigenvector matrix is not unitary: defect {np.sqrt(unit[index]):.3e}"
         )
     return eig
 

@@ -179,7 +179,7 @@ def _fidelities(a: SpdOperand, b: SpdOperand) -> np.ndarray:
     root = sqrt_entries(a)
     inner = root @ b.entries @ root
     lam = np.linalg.eigvalsh(hermitian_part(inner))
-    bad = lam[..., 0] < -1e-10 * np.abs(lam).max(axis=-1)
+    bad = lam[..., 0] < -1e-10 * np.maximum.reduce(np.abs(lam), axis=-1)
     if _any(bad):
         index, where = _first_failure(bad)
         raise InternalConsistencyError(
