@@ -148,7 +148,9 @@ def divergences(kind: DistanceKind, a: SpdOperand, b: SpdOperand) -> np.ndarray:
     return _clamped_square(kind, a, b, _mean_trace(kind, a, b))
 
 
-def chain_divergences(a: SpdMatrix, b: SpdMatrix, chain: TraceChain) -> list[float]:
+def chain_divergences(
+    a: SpdOperand, b: SpdOperand, chain: TraceChain
+) -> list[float] | list[np.ndarray]:
     """The four squared distances, in the order of :class:`TraceChain`
     (``d3^2, d4^2, d1^2, d2^2``), from the traces of ``trace_chain(a, b)``;
     each equals :func:`divergence` of its kind.  On two stacks, with the

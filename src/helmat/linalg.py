@@ -129,13 +129,10 @@ def _any(flags: np.ndarray) -> bool:
 
 
 def _first_failure(bad: np.ndarray) -> tuple[tuple[int, ...], str]:
-    """Index of the first failing matrix, ``()`` for a single matrix, and the
-    message prefix that names it in a stack."""
-    index = np.unravel_index(int(np.argmax(bad)), np.shape(bad))
-    index = tuple(int(i) for i in index)
-    if not index:
-        return index, ""
-    return index, f"slice {index[0] if len(index) == 1 else index}: "
+    """Index of the first failing matrix and the message prefix that names
+    it: ``()`` and no prefix for a single matrix."""
+    index = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), np.shape(bad)))
+    return index, (f"slice {', '.join(map(str, index))}: " if index else "")
 
 
 def _finite_scale(arr: np.ndarray) -> np.ndarray:
