@@ -40,7 +40,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import (
-    DimensionMismatchError,
     HermitianError,
     InternalConsistencyError,
     NotPositiveDefiniteError,
@@ -49,6 +48,7 @@ from .errors import (
 from .distances import DistanceKind, divergence
 from .linalg import (
     SpdMatrix,
+    _require_same_dim,
     expm,
     hermitian_part,
     logm,
@@ -159,8 +159,7 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     Idempotent (``G(A, A) = A``); on commuting pairs all three kinds with
     ``t = 1/2`` reduce to the entrywise root ``sqrt(x_i a_i)``.
     """
-    if x.dim != a.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {x.dim} vs {a.dim}")
+    _require_same_dim(x.dim, a.dim)
     return SpdMatrix(
         _mean_map_entries(kind, _x_factors(kind, x), _a_factors(kind, [a])[0])
     )
@@ -200,17 +199,12 @@ def _picard_sum(kind: MeanKind, x: SpdMatrix, a_sides, weights) -> np.ndarray:
     return sum(wj * _mean_map_entries(kind, x_side, aj) for wj, aj in zip(weights, a_sides))
 
 
-def _require_dim(x: SpdMatrix, dim: int) -> None:
-    if x.dim != dim:
-        raise DimensionMismatchError(f"candidate has dimension {x.dim}, the family {dim}")
-
-
 def fixed_point_residual(
     kind: MeanKind, x: SpdMatrix, mats: Sequence[SpdMatrix], w: WeightVector
 ) -> float:
     """Relative residual ``||X - sum_j w_j G(X, A_j)||_F / ||X||_F`` of the
     defining equation at a candidate ``X``."""
-    _require_dim(x, check_family(mats, w))
+    _require_same_dim(x.dim, check_family(mats, w))
     summed = _picard_sum(kind, x, _a_factors(kind, mats), w.weights)
     return float(np.linalg.norm(x.entries - summed) / np.linalg.norm(x.entries))
 
@@ -290,7 +284,7 @@ def solve(
     """
     cfg = cfg or SolverConfig()
     current = x0 if x0 is not None else arithmetic_mean(mats, w)
-    _require_dim(current, check_family(mats, w))
+    _require_same_dim(current.dim, check_family(mats, w))
     alpha = min(float(a.eig().eigenvalues[0]) for a in mats)
     beta = max(float(a.eig().eigenvalues[-1]) for a in mats)
     lower = alpha * (1.0 - _BRACKET_SLACK)
@@ -404,8 +398,7 @@ def closed_form_m2(kind: MeanKind, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     ``t = 1/2``: ``(A + B + 2 (A # B)) / 4``.  No closed form is known for
     the log-Euclidean kind (see :func:`refute_d4_guess`).
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a.dim, b.dim)
     if isinstance(kind, Wasserstein):
         cross = product_sqrt(a, b)
         return SpdMatrix(hermitian_part((a.entries + b.entries + cross + cross.conj().T) / 4.0))
@@ -446,6 +439,7 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     Evaluates :func:`fixed_point_residual` of the candidate with equal
     weights.
     """
+    _require_same_dim(a.dim, b.dim)
     commutator = a.entries @ b.entries - b.entries @ a.entries
     comm_scale = max(
         np.linalg.norm(a.entries) * np.linalg.norm(b.entries), 1e-300

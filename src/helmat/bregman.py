@@ -19,10 +19,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalConsistencyError, SpectralDomainError
+from .errors import InternalConsistencyError, SpectralDomainError
 from .linalg import (
     HermitianMatrix,
     SpdMatrix,
+    _require_same_dim,
     _spd_spectral,
     apply_spectral,
     hermitian_part,
@@ -126,8 +127,7 @@ def bregman_tracial(m: MotherFunction, a: SpdMatrix, b: SpdMatrix) -> float:
     Nonnegative, and zero exactly when ``A == B``; roundoff-scale negatives
     are clamped to zero.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a.dim, b.dim)
     psi_a = apply_spectral(m.psi, a).trace()
     psi_b = apply_spectral(m.psi, b).trace()
     slope_b = apply_spectral(m.dpsi, b).entries
@@ -145,8 +145,7 @@ def relative_entropy(a: SpdMatrix, b: SpdMatrix) -> float:
 
     Nonnegative whenever ``tr A == tr B``; jointly convex in ``(A, B)``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a.dim, b.dim)
     diff = logm(a).entries - logm(b).entries
     return float(np.trace(a.entries @ diff).real)
 

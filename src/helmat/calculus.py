@@ -25,6 +25,7 @@ from .linalg import (
     HermitianMatrix,
     MatrixLike,
     SpdMatrix,
+    _require_same_dim,
     apply_spectral,
     as_array,
     hermitian_part,
@@ -120,8 +121,10 @@ def frechet(
     ``name`` is one of ``sqrt``, ``log``, ``exp``, ``pow_t`` (the latter with
     exponent ``t``).  Linear in ``Y``; Hermitian for Hermitian ``Y``.
     """
+    yarr = as_array(y)
+    _require_same_dim(x.dim, len(yarr))
     kernel = divided_difference_kernel(name, x.eig(), t)
-    return HermitianMatrix(hermitian_part(kernel.apply(y)))
+    return HermitianMatrix(hermitian_part(kernel.apply(yarr)))
 
 
 def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -131,9 +134,11 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     ``A^{1/2} Dsqrt(M)(A^{-1/2} Y A^{-1/2}) A^{1/2}`` with
     ``M = A^{-1/2} X A^{-1/2}``.  At ``X = A`` this is ``Y / 2``.
     """
+    yarr = as_array(y)
+    _require_same_dim(a.dim, x.dim, len(yarr))
     root, inv_root = sqrt_pair_entries(a)
     middle = SpdMatrix(hermitian_part(inv_root @ x.entries @ inv_root))
-    pushed = hermitian_part(inv_root @ as_array(y) @ inv_root)
+    pushed = hermitian_part(inv_root @ yarr @ inv_root)
     kernel = divided_difference_kernel("sqrt", middle.eig())
     return HermitianMatrix(hermitian_part(root @ kernel.apply(pushed) @ root))
 
@@ -150,11 +155,12 @@ def frechet_geometric_quadrature(
     with ``dnu = (1/pi) lam^{1/2} dlam`` by adaptive quadrature; used as an
     independent cross-check of :func:`frechet_geometric`.
     """
+    yarr = as_array(y)
+    _require_same_dim(a.dim, x.dim, len(yarr))
     measure = measure or IntegrationMeasure.half_power()
     a_inv = invm(a).entries
     xa = x.entries @ a_inv
     ax = a_inv @ x.entries
-    yarr = as_array(y)
     eye = np.eye(a.dim)
 
     def integrand(lam: float) -> np.ndarray:
@@ -175,6 +181,7 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     pairing.  Vanishes at ``X = A``; on commuting diagonal inputs it reduces
     to ``diag(1 - sqrt(a_i / x_i))``.
     """
+    _require_same_dim(a.dim, x.dim)
     _, inv_root = sqrt_pair_entries(a)
     middle = SpdMatrix(hermitian_part(inv_root @ x.entries @ inv_root))
     kernel = divided_difference_kernel("sqrt", middle.eig())
@@ -188,7 +195,8 @@ def hessian_phi3_diag(a: SpdMatrix, y: MatrixLike) -> float:
     Nonnegative for every Hermitian ``Y``; this is the quadratic form that
     makes ``Phi_3`` a divergence.
     """
-    yarr = hermitian_part(y)
+    yarr = hermitian_part(as_array(y))
+    _require_same_dim(a.dim, len(yarr))
     value = 0.5 * np.trace(yarr @ invm(a).entries @ yarr).real
     return float(value)
 

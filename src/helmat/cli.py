@@ -8,6 +8,13 @@ Every command writes a single JSON run report to standard output and a
 short human-readable summary to standard error.  Reports are deterministic
 for fixed inputs, flags and seed.  Exit codes: 0 success, 1 verification
 failure, 2 solver non-convergence, 3 input or parse error.
+
+Each input file is read once: its bytes are decoded and validated by the
+library value they describe (``SpdMatrix``, ``ProbabilityVector`` or
+``WeightVector``), and the report ``digest`` is the SHA-256 of the same
+bytes, so it describes exactly the matrices computed on.  The weights file
+is not part of the digest.  An invalid file exits 3 with an error that
+names it.
 """
 
 from __future__ import annotations
@@ -17,29 +24,34 @@ import hashlib
 import json
 import sys
 from dataclasses import asdict
-from pathlib import Path
 
 from . import barycentre, distances, means
-from .distances import DistanceKind
+from .distances import DistanceKind, ProbabilityVector
 from .errors import HelmatError
 from .linalg import SpdMatrix
-from .matio import (
-    MatrixFileError,
-    matrix_to_payload,
-    read_matrix_file,
-    read_weights_file,
-)
+from .matio import decode_json, matrix_from_payload, matrix_to_payload, read_json_file
 from .means import WeightVector
-from .suites import run_suite
+from .suites import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_INPUT_ERROR = 3
 
+#: ``mean`` kinds: the library function of each, given the family, the
+#: weights and ``--t``.
+_MEANS = {
+    "arith": lambda mats, w, t: means.arithmetic_mean(mats, w),
+    "geo": lambda mats, w, t: means.geometric_mean(*mats),
+    "geo-t": lambda mats, w, t: means.geometric_mean_t(*mats, t),
+    "logeuclid": lambda mats, w, t: means.log_euclidean_multi(mats, w),
+    "qhalf": lambda mats, w, t: means.q_half(mats, w),
+}
+
+#: ``bary`` kinds: the mean kind of each, given ``--t``.
 _BARY_KINDS = {
     "wasserstein": lambda t: barycentre.WASSERSTEIN,
-    "power-t": lambda t: barycentre.PowerMean(t),
+    "power-t": barycentre.PowerMean,
     "logeuclid-type": lambda t: barycentre.LOG_EUCLIDEAN,
 }
 
@@ -66,57 +78,25 @@ def _digest(parts: list[bytes]) -> str:
     return h.hexdigest()
 
 
-def _file_digest(paths: list[str]) -> str:
-    parts = []
-    for p in paths:
-        try:
-            parts.append(Path(p).read_bytes())
-        except OSError as exc:
-            raise MatrixFileError(f"{p}: cannot read file: {exc}") from exc
-    return _digest(parts)
+def _spd(payload) -> SpdMatrix:
+    return SpdMatrix(matrix_from_payload(payload))
 
 
-def _load_spd(path: str) -> SpdMatrix:
-    try:
-        return SpdMatrix(read_matrix_file(path))
-    except HelmatError as exc:
-        if isinstance(exc, MatrixFileError):
-            raise
-        raise MatrixFileError(f"{path}: {exc}") from exc
-
-
-def _load_probability(path: str) -> distances.ProbabilityVector:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise MatrixFileError(f"{path}: cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, list):
-        raise MatrixFileError(f"{path}: a probability vector is a JSON array")
-    try:
-        return distances.ProbabilityVector(payload)
-    except (ValueError, TypeError) as exc:
-        raise MatrixFileError(f"{path}: {exc}") from exc
+def _load(paths: list[str], build) -> tuple[list, str]:
+    """``build`` of each file's JSON, and the digest of the bytes parsed."""
+    loaded = [read_json_file(path, build) for path in paths]
+    return [value for value, _ in loaded], _digest([data for _, data in loaded])
 
 
 def _weights_for(args, count: int) -> WeightVector:
     if args.weights is None:
-        return WeightVector.uniform(count)
-    raw = args.weights
-    if raw.strip().startswith("["):
-        try:
-            values = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise MatrixFileError(f"inline weights: invalid JSON: {exc}") from exc
+        w = WeightVector.uniform(count)
+    elif args.weights.strip().startswith("["):
+        w = decode_json("inline weights", args.weights, WeightVector)
     else:
-        values = read_weights_file(raw)
-    try:
-        w = WeightVector(values)
-    except ValueError as exc:
-        raise MatrixFileError(f"weights: {exc}") from exc
+        w, _ = read_json_file(args.weights, WeightVector)
     if len(w) != count:
-        raise MatrixFileError(f"got {len(w)} weights for {count} matrices")
+        raise CliUsageError(f"got {len(w)} weights for {count} matrices")
     return w
 
 
@@ -136,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "minimisation instead of the trace formula")
 
     p_mean = sub.add_parser("mean", help="matrix mean of a family")
-    p_mean.add_argument("kind", choices=["arith", "geo", "geo-t", "logeuclid", "qhalf"])
+    p_mean.add_argument("kind", choices=list(_MEANS))
     p_mean.add_argument("files", nargs="+")
     p_mean.add_argument("--weights", default=None,
                         help="JSON file with an array of positive weights, "
@@ -151,17 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_bary.add_argument("--tol", type=float, default=1e-12)
     p_bary.add_argument("--max-iter", type=int, default=500)
     p_bary.add_argument("--damping", type=float, default=1.0)
-    p_bary.add_argument("--seed", type=int, default=42,
-                        help="accepted for report reproducibility; the "
-                             "solver itself is deterministic")
     p_bary.add_argument("--t", type=float, default=0.5,
                         help="power-mean parameter for power-t (default 0.5)")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", nargs="?", default="all",
-                          choices=["counterexamples", "trace-chain",
-                                   "divergence-axioms", "bregman",
-                                   "legendre-cex", "d4-guess", "all"])
+    p_verify.add_argument("suite", nargs="?", default="all", choices=[*SUITES, "all"])
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--samples", type=int, default=1000)
     return parser
@@ -170,50 +144,34 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_dist(args) -> tuple[dict, int, str]:
     if args.via_unitary and args.kind != "d2":
         raise CliUsageError("--via-unitary applies only to d2")
+    files = [args.file_a, args.file_b]
     if args.kind == "hellinger":
-        p = _load_probability(args.file_a)
-        q = _load_probability(args.file_b)
+        (p, q), digest = _load(files, ProbabilityVector)
         value = distances.hellinger(p, q)
-        outputs = {"distance": _sig12(value), "divergence": _sig12(value * value)}
-        summary = f"hellinger({args.file_a}, {args.file_b}) = {value:.6g}"
     else:
-        kind = DistanceKind(args.kind)
-        a = _load_spd(args.file_a)
-        b = _load_spd(args.file_b)
+        (a, b), digest = _load(files, _spd)
         if args.via_unitary:
             value, _ = distances.d2_unitary(a, b)
         else:
-            value = distances.distance(kind, a, b)
-        outputs = {"distance": _sig12(value), "divergence": _sig12(value * value)}
-        summary = f"{args.kind}({args.file_a}, {args.file_b}) = {value:.6g}"
+            value = distances.distance(DistanceKind(args.kind), a, b)
     report = {
-        "command": ["dist", args.kind, args.file_a, args.file_b]
+        "command": ["dist", args.kind, *files]
         + (["--via-unitary"] if args.via_unitary else []),
-        "inputs": {"files": [args.file_a, args.file_b],
-                   "digest": _file_digest([args.file_a, args.file_b])},
-        "outputs": outputs,
+        "inputs": {"files": files, "digest": digest},
+        "outputs": {"distance": _sig12(value), "divergence": _sig12(value * value)},
     }
-    return report, EXIT_OK, summary
+    return report, EXIT_OK, f"{args.kind}({args.file_a}, {args.file_b}) = {value:.6g}"
 
 
 def _cmd_mean(args) -> tuple[dict, int, str]:
-    mats = [_load_spd(f) for f in args.files]
+    mats, digest = _load(args.files, _spd)
     if args.kind in ("geo", "geo-t") and len(mats) != 2:
         raise CliUsageError(f"mean {args.kind} needs exactly two matrices")
     w = _weights_for(args, len(mats))
-    if args.kind == "arith":
-        result = means.arithmetic_mean(mats, w)
-    elif args.kind == "geo":
-        result = means.geometric_mean(mats[0], mats[1])
-    elif args.kind == "geo-t":
-        result = means.geometric_mean_t(mats[0], mats[1], args.t)
-    elif args.kind == "logeuclid":
-        result = means.log_euclidean_multi(mats, w)
-    else:
-        result = means.q_half(mats, w)
+    result = _MEANS[args.kind](mats, w, args.t)
     report = {
         "command": ["mean", args.kind, *args.files],
-        "inputs": {"files": list(args.files), "digest": _file_digest(args.files),
+        "inputs": {"files": list(args.files), "digest": digest,
                    "weights": [float(x) for x in w.weights]},
         "outputs": {"matrix": matrix_to_payload(result.entries)},
     }
@@ -221,7 +179,7 @@ def _cmd_mean(args) -> tuple[dict, int, str]:
 
 
 def _cmd_bary(args) -> tuple[dict, int, str]:
-    mats = [_load_spd(f) for f in args.files]
+    mats, digest = _load(args.files, _spd)
     w = _weights_for(args, len(mats))
     kind = _BARY_KINDS[args.kind](args.t)
     cfg = barycentre.SolverConfig(tol=args.tol, max_iter=args.max_iter,
@@ -230,10 +188,10 @@ def _cmd_bary(args) -> tuple[dict, int, str]:
     code = EXIT_OK if solver_report.converged else EXIT_NOT_CONVERGED
     report = {
         "command": ["bary", args.kind, *args.files],
-        "inputs": {"files": list(args.files), "digest": _file_digest(args.files),
+        "inputs": {"files": list(args.files), "digest": digest,
                    "weights": [float(x) for x in w.weights],
                    "tol": args.tol, "max_iter": args.max_iter,
-                   "damping": args.damping, "seed": args.seed,
+                   "damping": args.damping,
                    "t": args.t if args.kind == "power-t" else None},
         "outputs": {"matrix": matrix_to_payload(solution.entries)},
         "solver": {
@@ -287,16 +245,15 @@ _HANDLERS = {
     "verify": _cmd_verify,
 }
 
+#: Built once per process: building it costs about as much as a small ``dist``.
+_PARSER = build_parser()
+
 
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         report, code, summary = _HANDLERS[args.command](args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (MatrixFileError, HelmatError, ValueError) as exc:
+    except (CliUsageError, HelmatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     json.dump(report, sys.stdout, indent=2)

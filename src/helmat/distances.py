@@ -29,7 +29,15 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionMismatchError, InternalConsistencyError
-from .linalg import SpdMatrix, SpdOperand, _any, _first_failure, _trace, sqrt_entries
+from .linalg import (
+    SpdMatrix,
+    SpdOperand,
+    _any,
+    _first_failure,
+    _require_same_dim,
+    _trace,
+    sqrt_entries,
+)
 from .means import _fidelities, _log_euclidean_entries, geometric_mean_entries
 
 #: Radicand magnitude at or below which the squared distance is reported as
@@ -124,11 +132,6 @@ def _clamped_square(
     return np.where(radicand > RADICAND_CLAMP, radicand, 0.0)
 
 
-def _require_same_dim(a: SpdOperand, b: SpdOperand) -> None:
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-
-
 def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
     """Squared distance ``tr(A) + tr(B) - 2 tr G(A, B)``.
 
@@ -137,14 +140,14 @@ def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
     anything below ``-RADICAND_CLAMP`` raises
     :class:`InternalConsistencyError`.
     """
-    _require_same_dim(a, b)
+    _require_same_dim(a.dim, b.dim)
     return float(_clamped_square(kind, a, b, _mean_trace(kind, a, b)))
 
 
 def divergences(kind: DistanceKind, a: SpdOperand, b: SpdOperand) -> np.ndarray:
     """:func:`divergence` of each pair ``(A_i, B_i)`` of two stacks; a
     failing pair raises the error of :func:`divergence` and is named."""
-    _require_same_dim(a, b)
+    _require_same_dim(a.dim, b.dim)
     return _clamped_square(kind, a, b, _mean_trace(kind, a, b))
 
 
@@ -170,14 +173,14 @@ def trace_chain(a: SpdMatrix, b: SpdMatrix) -> TraceChain:
     The returned values are weakly increasing; on a commuting pair all four
     collapse to ``sum_i sqrt(alpha_i beta_i)``.
     """
-    _require_same_dim(a, b)
+    _require_same_dim(a.dim, b.dim)
     return TraceChain(*(float(_mean_trace(kind, a, b)) for kind in _CHAIN_KINDS))
 
 
 def trace_chains(a: SpdOperand, b: SpdOperand) -> TraceChain:
     """:func:`trace_chain` of each pair ``(A_i, B_i)`` of two stacks, as
     one array of traces per field."""
-    _require_same_dim(a, b)
+    _require_same_dim(a.dim, b.dim)
     return TraceChain(*(_mean_trace(kind, a, b) for kind in _CHAIN_KINDS))
 
 
@@ -189,7 +192,7 @@ def d2_unitary(a: SpdMatrix, b: SpdMatrix) -> tuple[float, np.ndarray]:
     (computed from its singular value decomposition).  The minimum value
     coincides with ``distance(D2, A, B)``.
     """
-    _require_same_dim(a, b)
+    _require_same_dim(a.dim, b.dim)
     root_a = sqrt_entries(a)
     root_b = sqrt_entries(b)
     u_left, _, vh_right = np.linalg.svd(root_b @ root_a)

@@ -488,7 +488,7 @@ def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     eigenvalues:  ``A^{1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``.  The result
     is similar to ``(A^{1/2} B A^{1/2})^{1/2}`` and shares its eigenvalues.
     """
-    _require_same_dim(a, b)
+    _require_same_dim(a.dim, b.dim)
     root, inv_root = sqrt_pair_entries(a)
     inner = sqrt_entries(SpdMatrix(hermitian_part(root @ b.entries @ root)))
     return root @ inner @ inv_root
@@ -523,7 +523,9 @@ def identity(dim: int) -> SpdMatrix:
     return SpdMatrix(np.eye(dim))
 
 
-def _require_same_dim(*mats: MatrixLike) -> None:
-    dims = [as_array(m).shape[0] for m in mats]
-    if len(set(dims)) > 1:
-        raise DimensionMismatchError(f"matrices must share one dimension, got {dims}")
+def _require_same_dim(dim: int, *others: int) -> None:
+    """The one check that operands share a dimension: each of ``others``
+    equals ``dim``."""
+    for other in others:
+        if other != dim:
+            raise DimensionMismatchError(f"dimension mismatch: {dim} vs {other}")

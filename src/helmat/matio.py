@@ -1,4 +1,4 @@
-"""JSON matrix files for the command-line interface.
+"""JSON input files for the command-line interface.
 
 A matrix file is a single JSON object with a ``dim`` field, a ``dim x dim``
 ``real`` array, and an optional ``imag`` array (defaulting to zeros).  A file
@@ -7,12 +7,18 @@ then computes in real arithmetic; any nonzero ``imag`` entry makes it
 complex128.  Numbers are written with Python's shortest round-trip decimal
 form (at most 17 significant digits), so a write/read cycle reproduces the
 entries bit-exactly.
+
+:func:`read_json_file` is the one reader of input files: it reads a file's
+bytes once, decodes them, and builds a validated value from the JSON, so a
+report digest taken of the bytes it returns covers exactly what was parsed.
+Every failure on the way names the file.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -21,37 +27,65 @@ from .linalg import as_array
 
 
 class MatrixFileError(HelmatError, ValueError):
-    """A matrix or weights file failed to parse or violated an invariant."""
+    """An input file or inline JSON value failed to parse or violated an
+    invariant; the message starts with the file's path, or with the label
+    of the inline value."""
 
 
-def _as_grid(name: str, payload, dim: int, path: str) -> np.ndarray:
+def decode_json(label: str, data: str | bytes, build: Callable):
+    """``build`` of the JSON value in ``data``; a decoding error, or an error
+    ``build`` raises on invalid input, becomes a :class:`MatrixFileError`
+    that starts with ``label``."""
+    # ValueError also covers bytes that are not UTF-8; RecursionError, arrays
+    # nested too deeply to decode.
+    try:
+        payload = json.loads(data)
+    except (ValueError, RecursionError) as exc:
+        raise MatrixFileError(f"{label}: invalid JSON: {exc}") from exc
+    try:
+        return build(payload)
+    except (HelmatError, ValueError, TypeError) as exc:
+        raise MatrixFileError(f"{label}: {exc}") from exc
+
+
+def read_json_file(path: str | Path, build: Callable) -> tuple:
+    """Read ``path`` once; return :func:`decode_json` of its bytes, labelled
+    with the path, together with those bytes."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise MatrixFileError(f"{path}: cannot read file: {exc}") from exc
+    return decode_json(str(path), data, build), data
+
+
+def _as_grid(name: str, payload, dim: int) -> np.ndarray:
     try:
         arr = np.asarray(payload, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise MatrixFileError(f"{path}: field {name!r} is not a numeric array") from exc
+        raise MatrixFileError(f"field {name!r} is not a numeric array") from exc
     if arr.shape != (dim, dim):
         raise MatrixFileError(
-            f"{path}: field {name!r} must be a {dim}x{dim} array, got shape {arr.shape}"
+            f"field {name!r} must be a {dim}x{dim} array, got shape {arr.shape}"
         )
     if not np.all(np.isfinite(arr)):
-        raise MatrixFileError(f"{path}: field {name!r} contains non-finite entries")
+        raise MatrixFileError(f"field {name!r} contains non-finite entries")
     return arr
 
 
-def matrix_from_payload(payload: dict, path: str = "<memory>") -> np.ndarray:
+def matrix_from_payload(payload: dict) -> np.ndarray:
     """Decode a matrix-file JSON object into a square array: float64 when
     ``imag`` is absent or all zero, complex128 otherwise."""
     if not isinstance(payload, dict):
-        raise MatrixFileError(f"{path}: expected a JSON object at the top level")
+        raise MatrixFileError("expected a JSON object at the top level")
     dim = payload.get("dim")
     if not isinstance(dim, int) or dim < 1:
-        raise MatrixFileError(f"{path}: 'dim' must be a positive integer, got {dim!r}")
+        raise MatrixFileError(f"'dim' must be a positive integer, got {dim!r}")
     if "real" not in payload:
-        raise MatrixFileError(f"{path}: missing required field 'real'")
-    real = _as_grid("real", payload["real"], dim, path)
+        raise MatrixFileError("missing required field 'real'")
+    real = _as_grid("real", payload["real"], dim)
     if payload.get("imag") is None:
         return real
-    imag = _as_grid("imag", payload["imag"], dim, path)
+    imag = _as_grid("imag", payload["imag"], dim)
     return real + 1j * imag if np.any(imag != 0.0) else real
 
 
@@ -67,37 +101,8 @@ def matrix_to_payload(matrix: np.ndarray) -> dict:
 
 def read_matrix_file(path: str | Path) -> np.ndarray:
     """Read a matrix file; parse failures name the file and the problem."""
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise MatrixFileError(f"{path}: cannot read file: {exc}") from exc
-    try:
-        payload = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
-    return matrix_from_payload(payload, str(path))
+    return read_json_file(path, matrix_from_payload)[0]
 
 
 def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
     Path(path).write_text(json.dumps(matrix_to_payload(matrix)) + "\n")
-
-
-def read_weights_file(path: str | Path) -> list[float]:
-    """Read a weights file: a JSON array of positive numbers."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except OSError as exc:
-        raise MatrixFileError(f"{path}: cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise MatrixFileError(f"{path}: invalid JSON: {exc}") from exc
-    if not isinstance(payload, list) or not payload:
-        raise MatrixFileError(f"{path}: weights must be a non-empty JSON array")
-    try:
-        weights = [float(v) for v in payload]
-    except (TypeError, ValueError) as exc:
-        raise MatrixFileError(f"{path}: weights must be numbers") from exc
-    if any(not np.isfinite(v) or v <= 0.0 for v in weights):
-        raise MatrixFileError(f"{path}: weights must be finite and strictly positive")
-    return weights

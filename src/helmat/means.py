@@ -27,6 +27,7 @@ from .linalg import (
     _checked_eigh,
     _first_failure,
     _hermitian_checked,
+    _require_same_dim,
     _spd_value,
     _spectral,
     expm,
@@ -104,8 +105,7 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geometric-mean parameter must lie in [0, 1], got {t}")
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a.dim, b.dim)
     return SpdMatrix(geometric_mean_entries(a, b, t))
 
 
@@ -132,8 +132,7 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 
 def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a.dim, b.dim)
     return _spd_value(_log_euclidean_entries(a, b))
 
 
@@ -161,8 +160,7 @@ def fidelity(a: SpdMatrix, b: SpdMatrix) -> float:
     Symmetric in its arguments.  For near-pure states ``uu* + eps I`` and
     ``vv* + eps I`` it approaches ``|u* v|``.
     """
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    _require_same_dim(a.dim, b.dim)
     return float(_fidelities(a, b))
 
 

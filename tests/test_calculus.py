@@ -16,8 +16,9 @@ from helmat.calculus import (
     hessian_phi3_diag,
     quad_check,
 )
+from helmat.barycentre import refute_d4_guess
 from helmat.distances import DistanceKind, divergence
-from helmat.errors import QuadratureError
+from helmat.errors import DimensionMismatchError, QuadratureError
 from helmat.linalg import SpdMatrix, frobenius_norm
 from helmat.means import geometric_mean, log_euclidean_pair
 from helmat.sampling import make_rng, random_hermitian, random_spd
@@ -260,3 +261,23 @@ def test_gradient_of_phi4_vanishes_at_diagonal_via_dlog():
     a = random_spd(rng, 4)
     grad = np.eye(4) - 2.0 * d_tr_log_euclidean(a, a).entries
     assert np.linalg.norm(grad) <= 1e-10
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda p, q: grad_phi3(p, q),
+        lambda p, q: frechet("sqrt", p, q.entries),
+        lambda p, q: frechet_geometric(p, q, q.entries),
+        lambda p, q: frechet_geometric_quadrature(p, q, q.entries),
+        lambda p, q: hessian_phi3_diag(p, q.entries),
+        lambda p, q: refute_d4_guess(p, q),
+    ],
+    ids=["grad_phi3", "frechet", "frechet_geometric", "frechet_geometric_quadrature",
+         "hessian_phi3_diag", "refute_d4_guess"],
+)
+def test_mismatched_dimensions_raise_dimension_error(call):
+    rng = make_rng(5)
+    small, large = random_spd(rng, 2), random_spd(rng, 3)
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 2 vs 3"):
+        call(small, large)

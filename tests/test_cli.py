@@ -1,3 +1,6 @@
+import argparse
+import builtins
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 
 import helmat
+from helmat import barycentre, means
 from helmat.cli import (
     EXIT_INPUT_ERROR,
     EXIT_NOT_CONVERGED,
@@ -22,6 +26,8 @@ from helmat.matio import (
     read_matrix_file,
     write_matrix_file,
 )
+from helmat.linalg import SpdMatrix
+from helmat.means import WeightVector
 from helmat.sampling import make_rng, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE
 
@@ -304,6 +310,16 @@ def test_verify_failure_exit_code_contract():
     assert code == EXIT_VERIFY_FAILED
 
 
+@pytest.mark.parametrize("content", [b"[" * 100_000, b'{"dim": \xff}'],
+                         ids=["nested-too-deep", "not-utf8"])
+def test_undecodable_file_exits_3_naming_the_file(capsys, tmp_path, matrix_files, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    code, report, err = run_cli(capsys, ["dist", "d1", matrix_files["a"], str(bad)])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert "bad.json: invalid JSON" in err
+
+
 def test_cli_usage_errors(capsys):
     code, _, err = run_cli(capsys, ["dist", "d9", "x.json", "y.json"])
     assert code == EXIT_INPUT_ERROR
@@ -329,3 +345,140 @@ def test_installed_entry_point_smoke(tmp_path):
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["outputs"]["distance"] <= 1e-9
+
+
+@pytest.fixture(params=["real", "complex"])
+def family(request, tmp_path):
+    """Three matrix files and the matrices they hold: the real 2x2 triple, or
+    three random complex 3x3 matrices."""
+    if request.param == "real":
+        arrays = D3_TRIANGLE_TRIPLE
+    else:
+        rng = make_rng(3)
+        arrays = [random_spd(rng, 3, complex_entries=True).entries for _ in range(3)]
+    paths = []
+    for i, arr in enumerate(arrays):
+        path = tmp_path / f"m{i}.json"
+        write_matrix_file(path, arr)
+        paths.append(str(path))
+    return paths, [SpdMatrix(read_matrix_file(path)) for path in paths]
+
+
+@pytest.mark.parametrize("kind, extra, expected", [
+    ("arith", [], lambda m, w: means.arithmetic_mean(m, w)),
+    ("geo", [], lambda m, w: means.geometric_mean(m[0], m[1])),
+    ("geo-t", ["--t", "0.3"], lambda m, w: means.geometric_mean_t(m[0], m[1], 0.3)),
+    ("logeuclid", [], lambda m, w: means.log_euclidean_multi(m, w)),
+    ("qhalf", [], lambda m, w: means.q_half(m, w)),
+])
+def test_mean_report_is_the_library_mean_bit_for_bit(capsys, family, kind, extra, expected):
+    paths, mats = family
+    if kind.startswith("geo"):
+        paths, mats = paths[:2], mats[:2]
+        weights = None
+    else:
+        weights = [0.2, 0.3, 0.5]
+        extra = [*extra, "--weights", json.dumps(weights)]
+    code, report, _ = run_cli(capsys, ["mean", kind, *paths, *extra])
+    assert code == EXIT_OK
+    w = WeightVector(weights) if weights else WeightVector.uniform(2)
+    assert report["inputs"]["weights"] == w.weights.tolist()
+    got = matrix_from_payload(report["outputs"]["matrix"])
+    assert np.array_equal(got, expected(mats, w).entries)
+
+
+@pytest.mark.parametrize("kind, extra, mean_kind", [
+    ("wasserstein", [], barycentre.WASSERSTEIN),
+    ("power-t", ["--t", "0.3"], barycentre.PowerMean(0.3)),
+    ("logeuclid-type", [], barycentre.LOG_EUCLIDEAN),
+])
+def test_bary_report_is_the_library_solution_bit_for_bit(capsys, family, kind, extra,
+                                                         mean_kind):
+    paths, mats = family
+    code, report, _ = run_cli(capsys, ["bary", kind, *paths, *extra])
+    assert code == EXIT_OK
+    solution, solver_report = barycentre.solve(mean_kind, mats, WeightVector.uniform(3))
+    assert np.array_equal(matrix_from_payload(report["outputs"]["matrix"]), solution.entries)
+    assert report["solver"]["iterations"] == solver_report.iterations
+    assert "seed" not in report["inputs"]
+
+
+@pytest.fixture()
+def counted_reads(monkeypatch):
+    """Paths of the files read while the test runs, one entry per read
+    through ``Path.read_bytes``, ``Path.read_text`` or ``open``."""
+    reads = []
+
+    def counting(original):
+        def wrapper(path, *args, **kwargs):
+            reads.append(str(path))
+            return original(path, *args, **kwargs)
+        return wrapper
+
+    for owner, name in ((Path, "read_bytes"), (Path, "read_text"), (builtins, "open")):
+        monkeypatch.setattr(owner, name, counting(getattr(owner, name)))
+    return reads
+
+
+@pytest.mark.parametrize("command", ["dist", "hellinger", "mean", "bary"])
+def test_each_input_file_is_read_once(capsys, tmp_path, matrix_files, counted_reads,
+                                      command):
+    a, b, c = matrix_files["a"], matrix_files["b"], matrix_files["c"]
+    p, q, w = tmp_path / "p.json", tmp_path / "q.json", tmp_path / "w.json"
+    p.write_text("[0.5, 0.5]")
+    q.write_text("[0.25, 0.75]")
+    w.write_text("[1, 2, 3]")
+    argv = {
+        "dist": ["dist", "d3", a, b],
+        "hellinger": ["dist", "hellinger", str(p), str(q)],
+        "mean": ["mean", "arith", a, b, c, "--weights", str(w)],
+        "bary": ["bary", "power-t", a, b, c, "--weights", str(w)],
+    }[command]
+    counted_reads.clear()
+    code, report, _ = run_cli(capsys, argv)
+    assert code == EXIT_OK
+    inputs = [arg for arg in argv if arg.endswith(".json")]
+    assert sorted(counted_reads) == sorted(inputs)
+
+
+def test_digest_is_the_hash_of_the_bytes_read(capsys, matrix_files):
+    files = [matrix_files["a"], matrix_files["b"], matrix_files["c"]]
+    _, report, _ = run_cli(capsys, ["mean", "arith", *files])
+    h = hashlib.sha256()
+    for path in files:
+        h.update(Path(path).read_bytes() + b"\x00")
+    assert report["inputs"]["digest"] == h.hexdigest()
+
+
+@pytest.mark.parametrize("command", ["mean", "bary"])
+@pytest.mark.parametrize("content", ['{"w": 1}', '"1, 2"', '[1, "x"]', "[]", "[1, -2]"],
+                         ids=["object", "string", "non-number", "empty", "negative"])
+def test_invalid_weights_file_exits_3_naming_the_file(capsys, tmp_path, matrix_files,
+                                                      command, content):
+    wfile = tmp_path / "weights.json"
+    wfile.write_text(content)
+    kind = "arith" if command == "mean" else "power-t"
+    code, report, err = run_cli(
+        capsys, [command, kind, matrix_files["a"], matrix_files["b"], "--weights", str(wfile)]
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert report is None
+    assert "weights.json" in err
+
+
+def test_runs_share_one_parser(capsys, monkeypatch, matrix_files):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        if kwargs.get("prog") == "helmat":
+            built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for argv in (["dist", "d1", matrix_files["a"], matrix_files["b"]],
+                 ["mean", "arith", matrix_files["a"], matrix_files["b"]],
+                 ["verify", "all", "--samples", "0"]):
+        run(argv)
+    capsys.readouterr()
+    assert len(built) <= 1
