@@ -76,7 +76,6 @@ from .errors import (
 from .legendre_cex import (
     CexParams,
     MatrixCexReport,
-    MatrixMaps,
     StrictnessReport,
     VectorInstance,
     build_vector_instance,
@@ -84,7 +83,6 @@ from .legendre_cex import (
     grad_composed_cost_matrix,
     grad_psibar_vector,
     grad_schatten_p,
-    matrix_maps,
     psibar_matrix,
     psibar_vector,
     verify_matrix_cex,
@@ -100,7 +98,6 @@ from .linalg import (
     expm,
     frobenius_inner,
     frobenius_norm,
-    identity,
     inv_sqrtm,
     invm,
     logm,

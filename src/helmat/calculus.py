@@ -25,7 +25,14 @@ from .linalg import (
     HermitianMatrix,
     MatrixLike,
     SpdMatrix,
+    SpdOperand,
+    _adjoint,
+    _as_stack,
+    _frobenius_norms,
+    _per_matrix,
     _require_same_dim,
+    _spectral,
+    _trace,
     apply_spectral,
     as_array,
     hermitian_part,
@@ -163,9 +170,10 @@ def frechet_geometric_quadrature(
     ax = a_inv @ x.entries
     eye = np.eye(a.dim)
 
-    def integrand(lam: float) -> np.ndarray:
-        left = np.linalg.solve(lam * eye + xa, yarr)
-        return np.linalg.solve((lam * eye + ax).conj().T, left.conj().T).conj().T
+    def integrand(lam: np.ndarray) -> np.ndarray:
+        shift = lam[:, None, None] * eye
+        left = np.linalg.solve(shift + xa, yarr)
+        return _adjoint(np.linalg.solve(_adjoint(shift + ax), _adjoint(left)))
 
     return HermitianMatrix(hermitian_part(measure.integrate_matrix(integrand)))
 
@@ -189,16 +197,17 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     return HermitianMatrix(hermitian_part(np.eye(a.dim) - 2.0 * pulled))
 
 
-def hessian_phi3_diag(a: SpdMatrix, y: MatrixLike) -> float:
+def hessian_phi3_diag(a: SpdOperand, y: MatrixLike) -> float | np.ndarray:
     """Second derivative of ``Phi_3`` on the diagonal: ``(1/2) tr(Y A^{-1} Y)``.
 
     Nonnegative for every Hermitian ``Y``; this is the quadratic form that
-    makes ``Phi_3`` a divergence.
+    makes ``Phi_3`` a divergence.  On a stack ``A`` with a stack ``Y`` of
+    the same shape it gives one value per pair.
     """
-    yarr = hermitian_part(as_array(y))
-    _require_same_dim(a.dim, len(yarr))
-    value = 0.5 * np.trace(yarr @ invm(a).entries @ yarr).real
-    return float(value)
+    yarr = hermitian_part(y)
+    _require_same_dim(a.dim, yarr.shape[-1])
+    inverse = _spectral(lambda x: 1.0 / x, a.eig(), positive=True)
+    return _per_matrix(0.5 * _trace(yarr @ inverse @ yarr))
 
 
 def d_tr_log_euclidean(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
@@ -256,19 +265,33 @@ class IntegrationMeasure:
         return lam, weights
 
     def integrate(self, f: Callable[[float], float]) -> float:
-        """Scalar integral with node doubling until the update is below tol."""
-        return self._integrate(f, lambda v: abs(v))
+        """Scalar integral with node doubling until the update is below tol;
+        ``f`` is called once per node."""
 
-    def integrate_matrix(self, f: Callable[[float], np.ndarray]) -> np.ndarray:
-        """Matrix-valued integral; convergence in the Frobenius norm."""
-        return self._integrate(f, np.linalg.norm)
+        def total(lam, weights):
+            return sum(w * f(x) for x, w in zip(lam, weights))
 
-    def _integrate(self, f, norm):
+        return self._integrate(total, abs)
+
+    def integrate_matrix(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """Matrix-valued integral; convergence in the Frobenius norm.
+
+        ``f`` takes the whole node array ``lam`` of shape ``(N,)`` and
+        returns the stack ``(N, n, n)`` of its values, ``f(lam)[i]`` being
+        the integrand at ``lam[i]``.  The weighted values are summed node by
+        node in node order, so the total is bit for bit the per-node sum.
+        """
+
+        def total(lam, weights):
+            return np.add.reduce(weights[:, None, None] * f(lam), axis=0)
+
+        return self._integrate(total, np.linalg.norm)
+
+    def _integrate(self, weighted_sum, norm):
         previous = None
         n = self.initial_nodes
         while n <= self.max_nodes:
-            lam, weights = self._nodes_weights(n)
-            total = sum(w * np.asarray(f(x)) for x, w in zip(lam, weights))
+            total = weighted_sum(*self._nodes_weights(n))
             if previous is not None and norm(total - previous) <= self.tol * max(
                 1.0, norm(total)
             ):
@@ -313,15 +336,21 @@ def quad_check(representation: str, x: float | None = None) -> float:
 
 
 def fd_directional(
-    f: Callable[[np.ndarray], float],
+    f: Callable[[np.ndarray], float | np.ndarray],
     x: MatrixLike,
     y: MatrixLike,
-    step: float = FD_STEP,
-) -> float:
-    """Central finite difference of a scalar functional along direction ``y``."""
-    xarr = as_array(x)
-    yarr = as_array(y)
-    return float((f(xarr + step * yarr) - f(xarr - step * yarr)) / (2.0 * step))
+    step: float | np.ndarray = FD_STEP,
+) -> float | np.ndarray:
+    """Central finite difference of a scalar functional along direction ``y``.
+
+    ``x`` and ``y`` may be stacks ``(..., n, n)`` of one shape, with ``f``
+    giving one value per matrix and ``step`` one step for all or one per
+    matrix; each matrix gets, bit for bit, the value of a call on it alone.
+    """
+    xarr, yarr = _as_stack(x), _as_stack(y)
+    h = np.asarray(step)
+    shift = h[..., None, None] * yarr
+    return _per_matrix((f(xarr + shift) - f(xarr - shift)) / (2.0 * h))
 
 
 def fd_frechet(
@@ -341,27 +370,29 @@ def fd_frechet(
 
 
 def fd_hessian_quadform(
-    phi: Callable[[np.ndarray], float],
-    a: SpdMatrix,
+    phi: Callable[[np.ndarray], float | np.ndarray],
+    a: SpdOperand,
     y: MatrixLike,
     base_step: float = 1e-2,
-) -> float:
+) -> float | np.ndarray:
     """Richardson-extrapolated limit of ``2 phi(A + tY) / t^2`` as ``t -> 0``.
 
     ``phi`` must vanish to second order at ``A`` (a divergence evaluated
     against its own diagonal point).  Three extrapolation levels over the
     steps ``t, t/2, t/4, t/8`` cancel the first-, second- and third-order
-    error terms of the quotient.
+    error terms of the quotient.  On a stack ``A`` with a stack ``Y`` of the
+    same shape, ``phi`` gives one value per matrix and each matrix gets its
+    own step ``t``; each gets, bit for bit, the value of a call on it alone.
     """
-    yarr = as_array(y)
-    scale = base_step * max(np.linalg.norm(a.entries), 1e-12) / max(
-        np.linalg.norm(yarr), 1e-300
+    yarr = _as_stack(y)
+    scale = base_step * np.maximum(_frobenius_norms(a.entries), 1e-12) / np.maximum(
+        _frobenius_norms(yarr), 1e-300
     )
 
-    def quotient(t: float) -> float:
-        return 2.0 * phi(a.entries + t * yarr) / (t * t)
+    def quotient(t: np.ndarray) -> np.ndarray:
+        return 2.0 * phi(a.entries + t[..., None, None] * yarr) / (t * t)
 
     level0 = [quotient(scale / 2.0**k) for k in range(4)]
     level1 = [2.0 * level0[k + 1] - level0[k] for k in range(3)]
     level2 = [(4.0 * level1[k + 1] - level1[k]) / 3.0 for k in range(2)]
-    return float((8.0 * level2[1] - level2[0]) / 7.0)
+    return _per_matrix((8.0 * level2[1] - level2[0]) / 7.0)

@@ -34,11 +34,17 @@ from .linalg import (
     SpdOperand,
     _any,
     _first_failure,
+    _per_matrix,
     _require_same_dim,
     _trace,
     sqrt_entries,
 )
-from .means import _fidelities, _log_euclidean_entries, geometric_mean_entries
+from .means import (
+    _fidelities,
+    _log_euclidean_entries,
+    _number_vector,
+    geometric_mean_entries,
+)
 
 #: Radicand magnitude at or below which the squared distance is reported as
 #: exactly zero.  At binary64 the trace formula cannot resolve squared
@@ -55,9 +61,7 @@ class ProbabilityVector:
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Sequence[float]):
-        arr = np.asarray(entries, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probabilities must form a non-empty one-dimensional sequence")
+        arr = _number_vector(entries, "probabilities")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("probabilities must be finite and nonnegative")
         if abs(arr.sum() - 1.0) > 1e-12:
@@ -158,8 +162,7 @@ def chain_divergences(
     (``d3^2, d4^2, d1^2, d2^2``), from the traces of ``trace_chain(a, b)``;
     each equals :func:`divergence` of its kind.  On two stacks, with the
     traces of ``trace_chains(a, b)``, each entry holds one value per pair."""
-    squares = [_clamped_square(kind, a, b, tr) for kind, tr in zip(_CHAIN_KINDS, chain)]
-    return [float(s) if s.ndim == 0 else s for s in squares]
+    return [_per_matrix(_clamped_square(kind, a, b, tr)) for kind, tr in zip(_CHAIN_KINDS, chain)]
 
 
 def distance(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:

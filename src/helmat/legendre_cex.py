@@ -20,6 +20,7 @@ gradient at the 1e-4 level.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +29,10 @@ from .errors import NotPositiveDefiniteError
 from .linalg import (
     HermitianMatrix,
     MatrixLike,
+    _adjoint,
+    _frobenius_norms,
+    _per_matrix,
+    _trace,
     hermitian_part,
 )
 from .sampling import make_rng
@@ -75,6 +80,35 @@ class CexParams:
         n = self.anchor_scale
         return n * n - 2.0 * n - 3.0
 
+    @cached_property
+    def vector_anchors(self) -> "AnchorData":
+        """The anchor data of the vector case, computed once per instance."""
+        inst = build_vector_instance(self)
+        p = self.exponent
+        anchors = (inst.anchor_a, inst.anchor_b)
+        # Gradients taken at the exact anchors (one coordinate exactly zero).
+        return AnchorData(
+            inst,
+            (inst.preimage_a, inst.preimage_b),
+            tuple(_power_value(y, p) for y in anchors),
+            tuple(inst.linear_map.T @ _power_grad(y, p) for y in anchors),
+        )
+
+    @cached_property
+    def matrix_anchors(self) -> "AnchorData":
+        """The anchor data of the 2x2 matrix case, computed once per instance:
+        diagonal preimages, and values and gradients taken at the exact
+        diagonal boundary images."""
+        inst = build_vector_instance(self)
+        p = self.exponent
+        anchors = (inst.anchor_a, inst.anchor_b)
+        return AnchorData(
+            inst,
+            (np.diag(inst.preimage_a), np.diag(inst.preimage_b)),
+            tuple(float(_trace_abs_power(np.diag(y), p)) for y in anchors),
+            tuple(_forward(self, np.diag(_power_grad(y, p))) for y in anchors),
+        )
+
 
 @dataclass(frozen=True)
 class VectorInstance:
@@ -111,6 +145,23 @@ def build_vector_instance(params: CexParams) -> VectorInstance:
     return inst
 
 
+@dataclass(frozen=True)
+class AnchorData:
+    """What the averaged Bregman cost needs of its two anchors: the cone
+    map, the anchor preimages, and the cost and its gradient (pulled back
+    through the cone map) at the exact boundary images.  Arrays are
+    read-only."""
+
+    instance: VectorInstance
+    preimages: tuple[np.ndarray, np.ndarray]
+    values: tuple[float, float]
+    gradients: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        for arr in (*vars(self.instance).values(), *self.preimages, *self.gradients):
+            arr.flags.writeable = False
+
+
 def _power_value(y: np.ndarray, p: float) -> float:
     return float(np.sum(np.abs(y) ** p))
 
@@ -119,25 +170,17 @@ def _power_grad(y: np.ndarray, p: float) -> np.ndarray:
     return p * np.sign(y) * np.abs(y) ** (p - 1.0)
 
 
-def _vector_anchor_data(params: CexParams):
-    inst = build_vector_instance(params)
-    p = params.exponent
-    lt = inst.linear_map.T
-    # Gradients taken at the exact anchors (one coordinate exactly zero).
-    grad_a = lt @ _power_grad(inst.anchor_a, p)
-    grad_b = lt @ _power_grad(inst.anchor_b, p)
-    return inst, grad_a, grad_b, _power_value(inst.anchor_a, p), _power_value(
-        inst.anchor_b, p
-    )
-
-
 def psibar_vector(params: CexParams, x: np.ndarray) -> float:
     """Average Bregman cost to the two anchor preimages, vector case."""
     x = np.asarray(x, dtype=float)
-    inst, grad_a, grad_b, val_a, val_b = _vector_anchor_data(params)
+    anchors = params.vector_anchors
+    inst = anchors.instance
     value = _power_value(inst.shift + inst.linear_map @ x, params.exponent)
-    div_a = value - val_a - grad_a @ (x - inst.preimage_a)
-    div_b = value - val_b - grad_b @ (x - inst.preimage_b)
+    (bar_a, bar_b), (val_a, val_b), (grad_a, grad_b) = (
+        anchors.preimages, anchors.values, anchors.gradients
+    )
+    div_a = value - val_a - grad_a @ (x - bar_a)
+    div_b = value - val_b - grad_b @ (x - bar_b)
     return 0.5 * (div_a + div_b)
 
 
@@ -149,7 +192,9 @@ def grad_psibar_vector(params: CexParams, x: np.ndarray) -> np.ndarray:
     in every direction into the orthant, so its minimum sits on the boundary.
     """
     x = np.asarray(x, dtype=float)
-    inst, grad_a, grad_b, _, _ = _vector_anchor_data(params)
+    anchors = params.vector_anchors
+    inst = anchors.instance
+    grad_a, grad_b = anchors.gradients
     image = inst.shift + inst.linear_map @ x
     return inst.linear_map.T @ _power_grad(image, params.exponent) - 0.5 * (
         grad_a + grad_b
@@ -202,13 +247,12 @@ def verify_vector_strictness(
     )
 
 
-@dataclass(frozen=True)
-class MatrixMaps:
-    """The cone endomorphism and affine map evaluated at one matrix."""
-
-    forward: HermitianMatrix    # (n-1) X - 2 swap X swap
-    inverse: HermitianMatrix    # the inverse endomorphism at X
-    affine: HermitianMatrix     # I + forward
+# The matrix analogue of the cone map on 2x2 Hermitian matrices (each
+# accepts a stack (..., 2, 2)): the endomorphism (n-1) X - 2 swap X swap,
+# its inverse, and the affine map I + forward.  The inverse map is
+# completely positive (a positive combination of conjugations), so it
+# carries positive semidefinite matrices to positive semidefinite matrices;
+# the forward map does not.
 
 
 def _forward(params: CexParams, x: np.ndarray) -> np.ndarray:
@@ -223,23 +267,6 @@ def _inverse(params: CexParams, x: np.ndarray) -> np.ndarray:
 
 def _affine(params: CexParams, x: np.ndarray) -> np.ndarray:
     return np.eye(2) + _forward(params, x)
-
-
-def matrix_maps(params: CexParams, x: MatrixLike) -> MatrixMaps:
-    """Evaluate the matrix analogue of the cone map at a 2x2 Hermitian ``X``.
-
-    The inverse map is completely positive (a positive combination of
-    conjugations), so it carries positive semidefinite matrices to positive
-    semidefinite matrices; the forward map does not.
-    """
-    arr = hermitian_part(x)
-    if arr.shape != (2, 2):
-        raise ValueError(f"the matrix construction is 2x2, got shape {arr.shape}")
-    return MatrixMaps(
-        forward=HermitianMatrix(hermitian_part(_forward(params, arr))),
-        inverse=HermitianMatrix(hermitian_part(_inverse(params, arr))),
-        affine=HermitianMatrix(hermitian_part(_affine(params, arr))),
-    )
 
 
 def grad_schatten_p(x: MatrixLike, p: float) -> HermitianMatrix:
@@ -263,34 +290,23 @@ def grad_schatten_p(x: MatrixLike, p: float) -> HermitianMatrix:
 
 
 def _grad_trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
-    # Gradient of tr |X|^p on Hermitian matrices: the odd spectral map
-    # p sign(lam) |lam|^{p-1} (the polar-factor formula specialised to the
-    # Hermitian case).  Needed on the stationarity grid, where the affine
-    # image of a positive matrix may be indefinite.
+    # Gradient of tr |X|^p on Hermitian matrices (..., n, n): the odd
+    # spectral map p sign(lam) |lam|^{p-1} (the polar-factor formula
+    # specialised to the Hermitian case).  Needed on the stationarity grid,
+    # where the affine image of a positive matrix may be indefinite.
     lam, vectors = np.linalg.eigh(arr)
     mapped = p * np.sign(lam) * np.abs(lam) ** (p - 1.0)
-    return (vectors * mapped) @ vectors.conj().T
+    return (vectors * mapped[..., None, :]) @ _adjoint(vectors)
 
 
-def _trace_abs_power(arr: np.ndarray, p: float) -> float:
-    return float(np.sum(np.abs(np.linalg.eigvalsh(arr)) ** p))
-
-
-def _matrix_anchor_data(params: CexParams):
-    inst = build_vector_instance(params)
-    p = params.exponent
-    anchor_mat_a = np.diag(inst.anchor_a)  # exact boundary images
-    anchor_mat_b = np.diag(inst.anchor_b)
-    grad_a = _forward(params, np.diag(_power_grad(inst.anchor_a, p)))
-    grad_b = _forward(params, np.diag(_power_grad(inst.anchor_b, p)))
-    val_a = _trace_abs_power(anchor_mat_a, p)
-    val_b = _trace_abs_power(anchor_mat_b, p)
-    return inst, grad_a, grad_b, val_a, val_b
+def _trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
+    """``tr |X|^p`` of each Hermitian matrix of ``arr``."""
+    return np.sum(np.abs(np.linalg.eigvalsh(arr)) ** p, axis=-1)
 
 
 def composed_cost_matrix(params: CexParams, x: MatrixLike) -> float:
     """The composed cost ``tr |G(X)|^p`` at a Hermitian ``X``."""
-    return _trace_abs_power(_affine(params, hermitian_part(x)), params.exponent)
+    return float(_trace_abs_power(_affine(params, hermitian_part(x)), params.exponent))
 
 
 def grad_composed_cost_matrix(params: CexParams, x: MatrixLike) -> HermitianMatrix:
@@ -301,23 +317,25 @@ def grad_composed_cost_matrix(params: CexParams, x: MatrixLike) -> HermitianMatr
     return HermitianMatrix(hermitian_part(_forward(params, inner)))
 
 
-def psibar_matrix(params: CexParams, x: MatrixLike) -> float:
+def psibar_matrix(params: CexParams, x: MatrixLike) -> float | np.ndarray:
     """Average Bregman cost to the two matrix anchors.
 
     On diagonal matrices this agrees exactly with the vector version: the
     swap conjugation permutes a diagonal the same way the cone map acts on
-    vectors.
+    vectors.  On a stack ``(..., 2, 2)`` it gives one value per matrix, bit
+    for bit what each matrix gives alone.
     """
     arr = hermitian_part(x)
-    if arr.shape != (2, 2):
+    if arr.shape[-2:] != (2, 2):
         raise ValueError(f"the matrix construction is 2x2, got shape {arr.shape}")
-    inst, grad_a, grad_b, val_a, val_b = _matrix_anchor_data(params)
+    anchors = params.matrix_anchors
+    (bar_a, bar_b), (val_a, val_b), (grad_a, grad_b) = (
+        anchors.preimages, anchors.values, anchors.gradients
+    )
     value = _trace_abs_power(_affine(params, arr), params.exponent)
-    bar_a = np.diag(inst.preimage_a)
-    bar_b = np.diag(inst.preimage_b)
-    div_a = value - val_a - np.trace(grad_a @ (arr - bar_a)).real
-    div_b = value - val_b - np.trace(grad_b @ (arr - bar_b)).real
-    return 0.5 * float(div_a + div_b)
+    div_a = value - val_a - _trace(grad_a @ (arr - bar_a))
+    div_b = value - val_b - _trace(grad_b @ (arr - bar_b))
+    return _per_matrix(0.5 * (div_a + div_b))
 
 
 @dataclass(frozen=True)
@@ -369,7 +387,7 @@ def verify_matrix_cex(
     """
     rng = make_rng(seed)
     p = params.exponent
-    _, grad_a, grad_b, _, _ = _matrix_anchor_data(params)
+    grad_a, grad_b = params.matrix_anchors.gradients
     centre = 0.5 * (grad_a + grad_b)
 
     grad_zero = _forward(params, p * np.eye(2)) - centre
@@ -379,31 +397,32 @@ def verify_matrix_cex(
     gradient_pd = bool(eigs[0] > 0.0)
 
     base = psibar_matrix(params, np.zeros((2, 2)))
-    min_gap, min_margin = np.inf, np.inf
-    failures = []
-    for _ in range(samples):
-        g = rng.standard_normal((2, 2))
-        w = g @ g.T
-        x = w * (10.0 ** rng.uniform(-2.0, 2.0) / max(np.linalg.norm(w), 1e-300))
-        gap = psibar_matrix(params, x) - base
-        margin = gap - np.trace(grad_zero @ x).real
-        min_gap = min(min_gap, gap)
-        min_margin = min(min_margin, float(margin))
-        if gap <= 0.0 or margin < -1e-10:
-            failures.append(x.tolist())
+    # all draws first, in sample order; the scale stays a Python float, as
+    # numpy's vectorised power may round 10**u differently
+    gaussians = np.empty((samples, 2, 2))
+    scales = np.empty(samples)
+    for i in range(samples):
+        gaussians[i] = rng.standard_normal((2, 2))
+        scales[i] = 10.0 ** rng.uniform(-2.0, 2.0)
+    w = gaussians @ _adjoint(gaussians)
+    x = w * (scales / np.maximum(_frobenius_norms(w), 1e-300))[:, None, None]
+    gaps = psibar_matrix(params, x) - base
+    margins = gaps - _trace(grad_zero @ x)
+    min_gap = float(gaps.min(initial=np.inf))
+    min_margin = float(margins.min(initial=np.inf))
+    failures = [x_i.tolist() for x_i in x[(gaps <= 0.0) | (margins < -1e-10)]]
 
     grid = np.logspace(-6.0, 3.0, grid_points)
-    min_residual = np.inf
-    count = 0
+    spectra = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    points = []
     for theta in rotations:
         c, s = np.cos(theta), np.sin(theta)
         basis = np.array([[c, -s], [s, c]])
-        for lam_1 in grid:
-            for lam_2 in grid:
-                x = (basis * np.array([lam_1, lam_2])) @ basis.T
-                grad = _forward(params, _grad_trace_abs_power(_affine(params, x), p))
-                min_residual = min(min_residual, float(np.linalg.norm(grad - centre)))
-                count += 1
+        points.append((basis * spectra) @ basis.T)
+    x = np.concatenate(points)
+    grad = _forward(params, _grad_trace_abs_power(_affine(params, x), p))
+    min_residual = float(_frobenius_norms(grad - centre).min(initial=np.inf))
+    count = len(x)
 
     return MatrixCexReport(
         gradient_coefficient=coeff,

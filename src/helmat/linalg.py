@@ -107,6 +107,22 @@ def frobenius_norm(value: MatrixLike) -> float:
     return float(np.linalg.norm(as_array(value)))
 
 
+def _frobenius_norms(arr: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each matrix, bit for bit: the same BLAS dot of
+    its entries in row order (of the real and the imaginary parts, for
+    complex entries), one per matrix."""
+    flat = arr.reshape(*arr.shape[:-2], 1, arr.shape[-2] * arr.shape[-1])
+    parts = (flat.real, flat.imag) if arr.dtype.kind == "c" else (flat,)
+    return np.sqrt(sum((part @ _adjoint(part))[..., 0, 0] for part in parts))
+
+
+def _per_matrix(values: np.ndarray) -> float | np.ndarray:
+    """One value per matrix: a float for a single matrix, the array for a
+    stack."""
+    values = np.asarray(values)
+    return values if values.ndim else float(values)
+
+
 def _adjoint(arr: np.ndarray) -> np.ndarray:
     return arr.conj().swapaxes(-1, -2)
 
@@ -516,11 +532,6 @@ def congruence(k: MatrixLike, a: SpdMatrix) -> SpdMatrix:
             f"(sigma_min/sigma_max = {singular_values[-1] / singular_values[0]:.3e})"
         )
     return SpdMatrix(hermitian_part(karr @ a.entries @ karr.conj().T))
-
-
-def identity(dim: int) -> SpdMatrix:
-    """The identity matrix as an SPD value."""
-    return SpdMatrix(np.eye(dim))
 
 
 def _require_same_dim(dim: int, *others: int) -> None:

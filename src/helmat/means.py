@@ -38,6 +38,20 @@ from .linalg import (
 )
 
 
+def _number_vector(values, name: str) -> np.ndarray:
+    """``values`` as a new float64 array, provided they are a non-empty
+    one-dimensional array of numbers (a JSON object, string, boolean or
+    null is none); otherwise a ``ValueError`` that names ``name`` and the
+    format."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be a non-empty one-dimensional array of numbers")
+    return arr.astype(float)
+
+
 class WeightVector:
     """Positive weights over an m-tuple, normalised to sum to one.
 
@@ -48,9 +62,7 @@ class WeightVector:
     __slots__ = ("_weights",)
 
     def __init__(self, weights: Sequence[float]):
-        arr = np.asarray(weights, dtype=float)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("weights must be a non-empty one-dimensional sequence")
+        arr = _number_vector(weights, "weights")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ValueError("all weights must be finite and strictly positive")
         arr = arr / arr.sum()
@@ -83,10 +95,8 @@ def check_family(mats: Sequence[SpdMatrix], w: WeightVector) -> int:
         raise DimensionMismatchError(
             f"{len(mats)} matrices but {len(w)} weights"
         )
-    dims = {a.dim for a in mats}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"matrices must share one dimension, got {sorted(dims)}")
-    return dims.pop()
+    _require_same_dim(mats[0].dim, *(a.dim for a in mats[1:]))
+    return mats[0].dim
 
 
 def arithmetic_mean(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:

@@ -5,11 +5,16 @@ pass/fail rows with a short witness string per row.  Results are
 deterministic for a fixed ``(seed, samples)`` pair: all randomness flows
 through the package PRNG (see :mod:`helmat.sampling`).
 
-The sampled loops of the counterexamples and trace-chain suites draw every
-sample first, in sample order, and then evaluate one stack per dimension
-(:class:`_DrawsByDim`).  Each matrix of a stack gets the bits it would get
-alone, and a row reports a minimum or maximum over all samples, so the rows
-do not depend on the grouping.
+The sampled loops of the counterexamples and trace-chain suites, and the
+divergence-axiom loop of the divergence-axioms suite, draw every sample
+first, in sample order, and then evaluate one stack per dimension
+(:class:`_DrawsByDim`); the legendre-cex suite evaluates its matrix samples
+and its stationarity grid as two stacks (see
+:func:`~helmat.legendre_cex.verify_matrix_cex`).  Each matrix of a stack
+gets the bits it would get alone, and a row reports a minimum or maximum
+over all samples, so the rows do not depend on the grouping.  The
+``grad_phi3`` row, the Frechet and quadrature rows, the vector case of
+legendre-cex and the d4-guess suite still evaluate one sample at a time.
 """
 
 from __future__ import annotations
@@ -21,7 +26,14 @@ import numpy as np
 
 from . import barycentre, bregman, calculus, distances, legendre_cex, means
 from .distances import DistanceKind
-from .linalg import SpdMatrix, SpdStack, frobenius_norm, sqrt_entries
+from .linalg import (
+    SpdMatrix,
+    SpdStack,
+    _frobenius_norms,
+    frobenius_norm,
+    hermitian_part,
+    sqrt_entries,
+)
 from .means import WeightVector
 from .sampling import (
     build_spd,
@@ -130,31 +142,44 @@ def generic_noncommuting_pair(
 class _DrawsByDim:
     """The draws of a sampled suite, grouped by dimension in sample order.
 
-    Each sample is a fixed number of real :func:`draw_spd` results of one
-    dimension.  A group keeps its draws as raw float64 bytes, not as arrays:
-    a thousand samples would otherwise hold thousands of small arrays.
+    Each sample is a fixed sequence of real draws of one dimension: a
+    :func:`draw_spd` result (a Gaussian block and a spectrum), or a lone
+    Gaussian block.  A group keeps its draws as raw float64 bytes, not as
+    arrays: a thousand samples would otherwise hold thousands of small
+    arrays.
     """
 
     def __init__(self) -> None:
         self._groups: dict[int, bytearray] = {}
-        self._per_sample = 0
+        self._spd_at: list[bool] = []
 
-    def add(self, draws: Sequence[tuple[np.ndarray, np.ndarray]]) -> None:
-        group = self._groups.setdefault(draws[0][1].size, bytearray())
-        self._per_sample = len(draws)
-        for gaussian, spectrum in draws:
-            group += gaussian.tobytes()
-            group += spectrum.tobytes()
+    def add(self, draws: Sequence[tuple[np.ndarray, np.ndarray] | np.ndarray]) -> None:
+        self._spd_at = [isinstance(draw, tuple) for draw in draws]
+        first = draws[0][0] if self._spd_at[0] else draws[0]
+        group = self._groups.setdefault(first.shape[-1], bytearray())
+        for draw in draws:
+            for part in draw if isinstance(draw, tuple) else (draw,):
+                group += part.tobytes()
 
-    def stacks(self) -> Iterator[list[SpdStack]]:
+    def stacks(self) -> Iterator[list[SpdStack | np.ndarray]]:
         """For each dimension, in order of first appearance, one stack per
-        position in the sample."""
+        position in the sample: an :class:`SpdStack` built from the
+        :func:`draw_spd` results there, or the ``(k, n, n)`` Gaussian
+        blocks."""
         for dim, group in self._groups.items():
-            rows = np.frombuffer(group).reshape(-1, self._per_sample, dim * dim + dim)
-            yield [
-                build_spd(rows[:, j, : dim * dim].reshape(-1, dim, dim), rows[:, j, dim * dim :])
-                for j in range(self._per_sample)
-            ]
+            width = sum(dim * dim + dim if spd else dim * dim for spd in self._spd_at)
+            rows = np.frombuffer(group).reshape(-1, width)
+            stacks = []
+            start = 0
+            for spd in self._spd_at:
+                block = rows[:, start : start + dim * dim].reshape(-1, dim, dim)
+                start += dim * dim
+                if spd:
+                    stacks.append(build_spd(block, rows[:, start : start + dim]))
+                    start += dim
+                else:
+                    stacks.append(block)
+            yield stacks
 
 
 def _triangle_check(result: SuiteResult, label: str, kind: DistanceKind,
@@ -265,32 +290,36 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     rng = make_rng(seed)
     n_points = max(20, samples // 10)
 
+    points = _DrawsByDim()
+    for _ in range(n_points):
+        dim = int(rng.integers(2, 5))
+        points.add([draw_spd(rng, dim, cond=20.0), rng.standard_normal((dim, dim))])
     worst_diag = 0.0
     worst_grad3 = 0.0
     worst_grad4 = 0.0
     worst_hessian = 0.0
-    for _ in range(n_points):
-        dim = int(rng.integers(2, 5))
-        a = random_spd(rng, dim, cond=20.0)
-        y = random_hermitian(rng, dim)
+    for a, gaussian in points.stacks():
+        y = hermitian_part(gaussian)
         for kind in (DistanceKind.D3, DistanceKind.D4):
-            worst_diag = max(worst_diag, distances.divergence(kind, a, a))
-        worst_grad3 = max(
-            worst_grad3, frobenius_norm(calculus.grad_phi3(a, a))
-        )
+            worst_diag = max(worst_diag, float(distances.divergences(kind, a, a).max()))
+        for entries in a.entries:
+            a_i = SpdMatrix(entries)
+            worst_grad3 = max(worst_grad3, frobenius_norm(calculus.grad_phi3(a_i, a_i)))
 
         def phi4_at(x):
-            return distances.divergence(DistanceKind.D4, a, SpdMatrix(x))
+            return distances.divergences(DistanceKind.D4, a, SpdStack(x))
 
-        fd4 = calculus.fd_directional(phi4_at, a.entries, y.entries)
-        worst_grad4 = max(worst_grad4, abs(fd4) / frobenius_norm(y))
+        fd4 = calculus.fd_directional(phi4_at, a.entries, y)
+        worst_grad4 = max(worst_grad4, float((np.abs(fd4) / _frobenius_norms(y)).max()))
 
         def phi3_at(x):
-            return distances.divergence(DistanceKind.D3, a, SpdMatrix(x))
+            return distances.divergences(DistanceKind.D3, a, SpdStack(x))
 
         target = calculus.hessian_phi3_diag(a, y)
         estimate = calculus.fd_hessian_quadform(phi3_at, a, y)
-        worst_hessian = max(worst_hessian, abs(estimate - target) / abs(target))
+        worst_hessian = max(
+            worst_hessian, float((np.abs(estimate - target) / np.abs(target)).max())
+        )
     result.add("diagonal-vanishing", worst_diag <= 1e-12,
                f"max divergence on the diagonal: {worst_diag:.3e}")
     result.add("d3-gradient-diagonal", worst_grad3 <= 1e-10,

@@ -220,8 +220,11 @@ def test_d_log_matches_lebesgue_quadrature():
     measure = IntegrationMeasure.lebesgue()
 
     def integrand(lam):
-        left = np.linalg.solve(lam * eye + x.entries, y.entries)
-        return np.linalg.solve((lam * eye + x.entries).T, left.T).T
+        # all nodes at once: one shifted system per node
+        shifted = lam[:, None, None] * eye + x.entries
+        left = np.linalg.solve(shifted, y.entries)
+        return np.swapaxes(np.linalg.solve(np.swapaxes(shifted, -1, -2),
+                                           np.swapaxes(left, -1, -2)), -1, -2)
 
     quad = measure.integrate_matrix(integrand)
     assert np.linalg.norm(exact - quad) <= 1e-7 * np.linalg.norm(exact)

@@ -482,3 +482,61 @@ def test_runs_share_one_parser(capsys, monkeypatch, matrix_files):
         run(argv)
     capsys.readouterr()
     assert len(built) <= 1
+
+
+@pytest.fixture()
+def mismatched_files(tmp_path):
+    rng = make_rng(3)
+    small, large = tmp_path / "small.json", tmp_path / "large.json"
+    write_matrix_file(small, random_spd(rng, 3).entries)
+    write_matrix_file(large, random_spd(rng, 5, complex_entries=True).entries)
+    return str(small), str(large)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "d1"], ["dist", "d3"], ["mean", "arith"], ["mean", "qhalf"],
+    ["bary", "wasserstein"], ["bary", "power-t"], ["bary", "logeuclid-type"],
+], ids=lambda argv: "-".join(argv))
+def test_dimension_mismatch_has_one_wording(capsys, mismatched_files, argv):
+    code, report, err = run_cli(capsys, [*argv, *mismatched_files])
+    assert code == EXIT_INPUT_ERROR
+    assert report is None
+    assert err == "error: dimension mismatch: 3 vs 5\n"
+
+
+MALFORMED_VECTORS = {
+    "object": '{"w": 1}',
+    "string": '"1, 2"',
+    "non-number": '[1, "x"]',
+    "null": "[1, null]",
+    "boolean": "[true, true]",
+    "nested": "[[1, 2]]",
+    "ragged": "[[1], [1, 2]]",
+    "huge-integer": f"[{10**400}, 1]",
+    "empty": "[]",
+}
+
+
+@pytest.mark.parametrize("content", MALFORMED_VECTORS.values(), ids=MALFORMED_VECTORS.keys())
+def test_malformed_weights_file_names_the_format(capsys, tmp_path, matrix_files, content):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(content)
+    code, report, err = run_cli(
+        capsys, ["mean", "arith", matrix_files["a"], matrix_files["b"], "--weights", str(wfile)]
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert report is None
+    assert err == f"error: {wfile}: weights must be a non-empty one-dimensional array of numbers\n"
+
+
+@pytest.mark.parametrize("content", MALFORMED_VECTORS.values(), ids=MALFORMED_VECTORS.keys())
+def test_malformed_probability_file_names_the_format(capsys, tmp_path, content):
+    p, q = tmp_path / "p.json", tmp_path / "q.json"
+    p.write_text(content)
+    q.write_text("[0.5, 0.5]")
+    code, report, err = run_cli(capsys, ["dist", "hellinger", str(p), str(q)])
+    assert code == EXIT_INPUT_ERROR
+    assert report is None
+    assert err == (
+        f"error: {p}: probabilities must be a non-empty one-dimensional array of numbers\n"
+    )

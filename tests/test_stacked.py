@@ -4,6 +4,13 @@ single-matrix call gives it, and a failing matrix is named."""
 import numpy as np
 import pytest
 
+from helmat.calculus import (
+    IntegrationMeasure,
+    fd_directional,
+    fd_hessian_quadform,
+    frechet_geometric_quadrature,
+    hessian_phi3_diag,
+)
 from helmat.distances import (
     DistanceKind,
     chain_divergences,
@@ -13,9 +20,19 @@ from helmat.distances import (
     trace_chains,
 )
 from helmat.errors import HermitianError, NotPositiveDefiniteError
-from helmat.linalg import HermitianMatrix, SpdMatrix, SpdStack, _hermitian_checked, eigh
+from helmat.legendre_cex import CexParams, psibar_matrix
+from helmat.linalg import (
+    HermitianMatrix,
+    SpdMatrix,
+    SpdStack,
+    _frobenius_norms,
+    _hermitian_checked,
+    eigh,
+    hermitian_part,
+    invm,
+)
 from helmat.means import _fidelities, fidelity
-from helmat.sampling import build_spd, draw_spd, make_rng, random_spd
+from helmat.sampling import build_spd, draw_spd, make_rng, random_hermitian, random_spd
 
 DIMS = range(2, 17)
 STACK = 6
@@ -108,3 +125,121 @@ def test_stack_names_the_failing_slice(bad, error, at):
     with pytest.raises(error, match=f"^slice {at}: ") as stacked:
         SpdStack(_stack_with_bad_slice(bad, at))
     assert str(stacked.value) == f"slice {at}: {single.value}"
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", DIMS)
+def test_frobenius_norms_are_numpy_norms_per_slice(dim, complex_entries):
+    rng = make_rng(dim)
+    raw = rng.standard_normal((STACK, dim, dim)) * 10.0 ** rng.uniform(-8, 8, (STACK, 1, 1))
+    if complex_entries:
+        raw = raw + 1j * rng.standard_normal((STACK, dim, dim))
+    assert np.array_equal(_frobenius_norms(raw), [np.linalg.norm(m) for m in raw])
+    assert _frobenius_norms(raw[0]) == np.linalg.norm(raw[0])
+    assert _frobenius_norms(raw[:0]).shape == (0,)
+
+
+def _point_stacks(dim):
+    """SPD base points and Hermitian directions, as stacks and one by one."""
+    a, _, singles = _pair_stacks(dim, False)
+    y = hermitian_part(make_rng(200 + dim).standard_normal((STACK, dim, dim)))
+    return a, y, [(a_i, y_i) for (a_i, _), y_i in zip(singles, y)]
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_fd_directional_per_slice(dim):
+    a, y, singles = _point_stacks(dim)
+    steps = 10.0 ** np.linspace(-6, -4, STACK)
+
+    def stacked(x):
+        return divergences(DistanceKind.D4, a, SpdStack(x))
+
+    common = fd_directional(stacked, a.entries, y)
+    own = fd_directional(stacked, a.entries, y, step=steps)
+    for i, (a_i, y_i) in enumerate(singles):
+        def single(x, a_i=a_i):
+            return divergence(DistanceKind.D4, a_i, SpdMatrix(x))
+
+        assert common[i] == fd_directional(single, a_i.entries, y_i)
+        assert own[i] == fd_directional(single, a_i.entries, y_i, step=steps[i])
+
+
+@pytest.mark.parametrize("dim", range(2, 7))
+def test_fd_hessian_quadform_and_target_per_slice(dim):
+    a, y, singles = _point_stacks(dim)
+
+    def stacked(x):
+        return divergences(DistanceKind.D3, a, SpdStack(x))
+
+    estimates = fd_hessian_quadform(stacked, a, y)
+    targets = hessian_phi3_diag(a, y)
+    expected_estimates, expected_targets = [], []
+    for a_i, y_i in singles:
+        def single(x, a_i=a_i):
+            return divergence(DistanceKind.D3, a_i, SpdMatrix(x))
+
+        expected_estimates.append(fd_hessian_quadform(single, a_i, y_i))
+        expected_targets.append(hessian_phi3_diag(a_i, y_i))
+    assert np.array_equal(estimates, expected_estimates)
+    assert np.array_equal(targets, expected_targets)
+
+
+def test_psibar_matrix_per_slice():
+    rng = make_rng(8)
+    g = rng.standard_normal((50, 2, 2))
+    psd = (g @ np.swapaxes(g, -1, -2)) * 10.0 ** rng.uniform(-3, 3, (50, 1, 1))
+    indefinite = hermitian_part(rng.standard_normal((50, 2, 2)))
+    params = CexParams()
+    for stack in (psd, indefinite, np.zeros((1, 2, 2))):
+        values = psibar_matrix(params, stack)
+        assert values.shape == stack.shape[:1]
+        assert np.array_equal(values, [psibar_matrix(params, x) for x in stack])
+    assert isinstance(psibar_matrix(params, psd[0]), float)
+
+
+def _per_node_integral(measure, f):
+    """``measure.integrate_matrix(f)`` with ``f`` called on one node at a
+    time and the weighted values summed in a Python loop."""
+    previous = None
+    n = measure.initial_nodes
+    while True:
+        lam, weights = measure._nodes_weights(n)
+        total = sum(w * f(np.array([x]))[0] for x, w in zip(lam, weights))
+        if previous is not None and np.linalg.norm(total - previous) <= measure.tol * max(
+            1.0, np.linalg.norm(total)
+        ):
+            return total
+        previous = total
+        n *= 2
+
+
+@pytest.mark.parametrize("kind", ["half_power", "lebesgue"])
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_integrate_matrix_is_the_per_node_sum(dim, kind):
+    x = random_spd(make_rng(dim), dim)
+    y = random_hermitian(make_rng(50 + dim), dim).entries
+    measure = IntegrationMeasure(kind=kind)
+
+    def resolvent_sandwich(lam):
+        shifted = lam[:, None, None] * np.eye(dim) + x.entries
+        return np.linalg.solve(shifted, y) @ np.linalg.inv(shifted)
+
+    assert np.array_equal(measure.integrate_matrix(resolvent_sandwich),
+                          _per_node_integral(measure, resolvent_sandwich))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", range(2, 6))
+def test_geometric_quadrature_is_the_per_node_formula(dim, complex_entries):
+    rng = make_rng(30 + dim)
+    a, x = (random_spd(rng, dim, complex_entries=complex_entries) for _ in range(2))
+    y = random_hermitian(rng, dim, complex_entries=complex_entries).entries
+    a_inv = invm(a).entries
+    xa, ax, eye = x.entries @ a_inv, a_inv @ x.entries, np.eye(dim)
+
+    def one_node(lam):
+        left = np.linalg.solve(lam[0] * eye + xa, y)
+        return [np.linalg.solve((lam[0] * eye + ax).conj().T, left.conj().T).conj().T]
+
+    expected = hermitian_part(_per_node_integral(IntegrationMeasure.half_power(), one_node))
+    assert np.array_equal(frechet_geometric_quadrature(a, x, y).entries, expected)

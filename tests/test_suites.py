@@ -4,10 +4,10 @@ to the per-sample loops over the public scalar API that they replaced."""
 import numpy as np
 import pytest
 
-from helmat import distances, suites
+from helmat import calculus, distances, legendre_cex, suites
 from helmat.distances import DistanceKind
-from helmat.linalg import sqrt_entries
-from helmat.sampling import make_rng, random_spd, random_unitary
+from helmat.linalg import SpdMatrix, frobenius_norm, sqrt_entries
+from helmat.sampling import make_rng, random_hermitian, random_spd, random_unitary
 
 
 def _reference_counterexamples(seed, samples):
@@ -86,6 +86,184 @@ def _reference_trace_chain(seed, samples):
     return result
 
 
+def _reference_divergence_axioms(seed, samples):
+    """``divergence_axioms_suite`` as a loop over points, one matrix at a
+    time."""
+    result = suites.SuiteResult("divergence-axioms")
+    rng = make_rng(seed)
+    n_points = max(20, samples // 10)
+
+    worst_diag = 0.0
+    worst_grad3 = 0.0
+    worst_grad4 = 0.0
+    worst_hessian = 0.0
+    for _ in range(n_points):
+        dim = int(rng.integers(2, 5))
+        a = random_spd(rng, dim, cond=20.0)
+        y = random_hermitian(rng, dim)
+        for kind in (DistanceKind.D3, DistanceKind.D4):
+            worst_diag = max(worst_diag, distances.divergence(kind, a, a))
+        worst_grad3 = max(worst_grad3, frobenius_norm(calculus.grad_phi3(a, a)))
+
+        def phi4_at(x):
+            return distances.divergence(DistanceKind.D4, a, SpdMatrix(x))
+
+        fd4 = calculus.fd_directional(phi4_at, a.entries, y.entries)
+        worst_grad4 = max(worst_grad4, abs(fd4) / frobenius_norm(y))
+
+        def phi3_at(x):
+            return distances.divergence(DistanceKind.D3, a, SpdMatrix(x))
+
+        target = calculus.hessian_phi3_diag(a, y)
+        estimate = calculus.fd_hessian_quadform(phi3_at, a, y)
+        worst_hessian = max(worst_hessian, abs(estimate - target) / abs(target))
+    result.add("diagonal-vanishing", worst_diag <= 1e-12,
+               f"max divergence on the diagonal: {worst_diag:.3e}")
+    result.add("d3-gradient-diagonal", worst_grad3 <= 1e-10,
+               f"max analytic gradient norm at the diagonal: {worst_grad3:.3e}")
+    result.add("d4-gradient-diagonal", worst_grad4 <= 1e-6,
+               f"max finite-difference directional derivative: {worst_grad4:.3e}")
+    result.add("d3-hessian-identity", worst_hessian <= 1e-4,
+               f"max relative Hessian error over {n_points} pairs: {worst_hessian:.3e}")
+
+    n_frechet = max(20, samples // 10)
+    worst_fd = 0.0
+    for _ in range(n_frechet):
+        dim = int(rng.integers(2, 5))
+        x = random_spd(rng, dim, cond=20.0)
+        y = random_hermitian(rng, dim)
+        for name in ("sqrt", "log", "exp"):
+            exact = calculus.frechet(name, x, y).entries
+            approx = calculus.fd_frechet(name, x, y)
+            worst_fd = max(
+                worst_fd,
+                float(np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-30)),
+            )
+    result.add("frechet-finite-difference", worst_fd <= 1e-6,
+               f"max relative error over {n_frechet} triples: {worst_fd:.3e}")
+
+    worst_quad = 0.0
+    for _ in range(25):
+        dim = int(rng.integers(2, 5))
+        a = random_spd(rng, dim)
+        x = random_spd(rng, dim)
+        y = random_hermitian(rng, dim)
+        chain = calculus.frechet_geometric(a, x, y).entries
+        quad = calculus.frechet_geometric_quadrature(a, x, y).entries
+        worst_quad = max(
+            worst_quad,
+            float(np.linalg.norm(chain - quad) / max(np.linalg.norm(chain), 1e-30)),
+        )
+    result.add("geometric-derivative-quadrature", worst_quad <= 1e-7,
+               f"max chain-rule vs quadrature error: {worst_quad:.3e}")
+
+    sqrt_err = max(
+        abs(calculus.quad_check("sqrt_resolvent", x) - np.sqrt(x))
+        for x in (0.25, 1.0, 4.0, 9.0)
+    )
+    grad_const = calculus.quad_check("grad_normalization")
+    hess_const = calculus.quad_check("hessian_normalization")
+    result.add("integral-representations",
+               sqrt_err <= 1e-8
+               and abs(grad_const - 0.5) <= 1e-8
+               and abs(hess_const - 0.5) <= 1e-8,
+               f"sqrt error {sqrt_err:.3e}; normalisations {grad_const:.12f}, "
+               f"{hess_const:.12f}")
+    return result
+
+
+def _reference_matrix_cex(params, samples, seed):
+    """The sampled and grid parts of ``verify_matrix_cex`` as loops, one
+    2x2 matrix at a time: ``(min_gap, min_margin, failures, min_residual,
+    grid_size)``."""
+    rng = make_rng(seed)
+    p = params.exponent
+    grad_a, grad_b = params.matrix_anchors.gradients
+    centre = 0.5 * (grad_a + grad_b)
+    grad_zero = legendre_cex._forward(params, p * np.eye(2)) - centre
+
+    base = legendre_cex.psibar_matrix(params, np.zeros((2, 2)))
+    min_gap, min_margin = np.inf, np.inf
+    failures = []
+    for _ in range(samples):
+        g = rng.standard_normal((2, 2))
+        w = g @ g.T
+        x = w * (10.0 ** rng.uniform(-2.0, 2.0) / max(np.linalg.norm(w), 1e-300))
+        gap = legendre_cex.psibar_matrix(params, x) - base
+        margin = gap - np.trace(grad_zero @ x).real
+        min_gap = min(min_gap, gap)
+        min_margin = min(min_margin, float(margin))
+        if gap <= 0.0 or margin < -1e-10:
+            failures.append(x.tolist())
+
+    grid = np.logspace(-6.0, 3.0, 13)
+    min_residual = np.inf
+    count = 0
+    for theta in (0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8):
+        c, s = np.cos(theta), np.sin(theta)
+        basis = np.array([[c, -s], [s, c]])
+        for lam_1 in grid:
+            for lam_2 in grid:
+                x = (basis * np.array([lam_1, lam_2])) @ basis.T
+                inner = legendre_cex._grad_trace_abs_power(legendre_cex._affine(params, x), p)
+                grad = legendre_cex._forward(params, inner)
+                min_residual = min(min_residual, float(np.linalg.norm(grad - centre)))
+                count += 1
+    return float(min_gap), float(min_margin), failures, min_residual, count
+
+
+def _reference_legendre_cex(seed, samples):
+    """``legendre_cex_suite`` with the matrix case as a loop over samples
+    and grid points, one matrix at a time."""
+    result = suites.SuiteResult("legendre-cex")
+    params = legendre_cex.CexParams()
+
+    grad0 = legendre_cex.grad_psibar_vector(params, np.zeros(2))
+    coeff = params.gradient_coefficient
+    closed_err = float(np.max(np.abs(grad0 - coeff)))
+    fd = np.array([
+        (legendre_cex.psibar_vector(params, h * e_i)
+         - legendre_cex.psibar_vector(params, -h * e_i)) / (2.0 * h)
+        for e_i in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        for h in (1e-6,)
+    ])
+    fd_err = float(np.max(np.abs(fd - grad0)))
+    result.add(
+        "vector-gradient-at-zero",
+        closed_err <= 1e-9 and fd_err <= 1e-6 and np.all(grad0 > 0.0),
+        f"closed form {coeff:.6f}; deviation {closed_err:.3e}; FD error {fd_err:.3e}",
+    )
+
+    vec_report = legendre_cex.verify_vector_strictness(params, samples, seed=seed)
+    result.add(
+        "vector-strict-minimum",
+        vec_report.passed and vec_report.min_margin >= -1e-10,
+        f"min gap {vec_report.min_gap:.6e}, min margin {vec_report.min_margin:.3e} "
+        f"over {vec_report.samples} samples",
+    )
+
+    min_gap, _, failures, min_residual, grid_size = _reference_matrix_cex(
+        params, samples, seed
+    )
+    grad_zero = legendre_cex.verify_matrix_cex(params, 0, seed=seed)
+    result.add(
+        "matrix-gradient-positive",
+        grad_zero.gradient_is_positive_definite,
+        f"gradient at zero = {grad_zero.gradient_coefficient:.6f} x identity",
+    )
+    result.add(
+        "matrix-strict-minimum",
+        not failures and min_gap > 0.0,
+        f"min gap {min_gap:.6e} over {samples} PSD samples",
+    )
+    result.add(
+        "matrix-stationarity-unsolvable",
+        min_residual > 0.0,
+        f"min stationarity residual {min_residual:.6e} over {grid_size} grid points",
+    )
+    return result
+
+
 @pytest.mark.parametrize("samples", [1, 7, 200])
 @pytest.mark.parametrize("seed", [42, 310])
 @pytest.mark.parametrize(
@@ -93,16 +271,28 @@ def _reference_trace_chain(seed, samples):
     [
         (suites.counterexamples_suite, _reference_counterexamples),
         (suites.trace_chain_suite, _reference_trace_chain),
+        (suites.divergence_axioms_suite, _reference_divergence_axioms),
+        (suites.legendre_cex_suite, _reference_legendre_cex),
     ],
-    ids=["counterexamples", "trace-chain"],
+    ids=["counterexamples", "trace-chain", "divergence-axioms", "legendre-cex"],
 )
 def test_stacked_suite_rows_equal_the_per_sample_loop(suite, reference, seed, samples):
     assert suite(seed, samples).checks == reference(seed, samples).checks
 
 
+@pytest.mark.parametrize("samples", [1, 7, 200])
+@pytest.mark.parametrize("seed", [42, 310])
+def test_stacked_matrix_cex_report_equals_the_per_sample_loop(seed, samples):
+    params = legendre_cex.CexParams()
+    report = legendre_cex.verify_matrix_cex(params, samples, seed=seed)
+    assert (report.min_gap, report.min_margin, report.failures, report.min_grid_residual,
+            report.grid_size) == _reference_matrix_cex(params, samples, seed)
+
+
 @pytest.mark.parametrize(
-    "suite", [suites.counterexamples_suite, suites.trace_chain_suite],
-    ids=["counterexamples", "trace-chain"],
+    "suite", [suites.counterexamples_suite, suites.trace_chain_suite,
+              suites.legendre_cex_suite],
+    ids=["counterexamples", "trace-chain", "legendre-cex"],
 )
 def test_sampled_suites_make_a_fixed_number_of_eigensolves(suite, eigensolves):
     # one stacked eigensolve per step and dimension, however many samples
