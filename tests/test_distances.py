@@ -36,6 +36,14 @@ def test_probability_vector_validation():
         ProbabilityVector([1.5, -0.5])
 
 
+def test_probability_vector_keeps_its_own_copy():
+    caller = np.array([0.5, 0.5])
+    p = ProbabilityVector(caller)
+    assert caller.flags.writeable
+    caller[0] = 2.0
+    assert p.entries.tolist() == [0.5, 0.5]
+
+
 def test_hellinger_examples():
     p = ProbabilityVector([0.5, 0.5])
     assert hellinger(p, p) == 0.0
