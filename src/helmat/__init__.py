@@ -79,10 +79,7 @@ from .legendre_cex import (
     StrictnessReport,
     VectorInstance,
     build_vector_instance,
-    composed_cost_matrix,
-    grad_composed_cost_matrix,
     grad_psibar_vector,
-    grad_schatten_p,
     psibar_matrix,
     psibar_vector,
     verify_matrix_cex,
@@ -98,7 +95,6 @@ from .linalg import (
     expm,
     frobenius_inner,
     frobenius_norm,
-    inv_sqrtm,
     invm,
     logm,
     product_sqrt,

@@ -25,7 +25,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
 from .linalg import (
     HermitianMatrix,
     MatrixLike,
@@ -269,26 +268,6 @@ def _affine(params: CexParams, x: np.ndarray) -> np.ndarray:
     return np.eye(2) + _forward(params, x)
 
 
-def grad_schatten_p(x: MatrixLike, p: float) -> HermitianMatrix:
-    """Gradient ``p X^{p-1}`` of ``tr X^p`` on positive semidefinite matrices.
-
-    Zero eigenvalues map to zero since ``p > 1``.  Inputs with an eigenvalue
-    below ``-1e-10 * scale`` are rejected; tiny negatives are clamped.
-    """
-    if p <= 1.0:
-        raise ValueError(f"schatten gradient needs p > 1, got {p}")
-    arr = hermitian_part(x)
-    lam, vectors = np.linalg.eigh(arr)
-    scale = max(1.0, float(np.max(np.abs(lam))))
-    if lam[0] < -1e-10 * scale:
-        raise NotPositiveDefiniteError(
-            f"gradient of the Schatten power needs a positive semidefinite input; "
-            f"smallest eigenvalue is {lam[0]:.6e}"
-        )
-    mapped = p * np.clip(lam, 0.0, None) ** (p - 1.0)
-    return HermitianMatrix(hermitian_part((vectors * mapped) @ vectors.conj().T))
-
-
 def _grad_trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
     # Gradient of tr |X|^p on Hermitian matrices (..., n, n): the odd
     # spectral map p sign(lam) |lam|^{p-1} (the polar-factor formula
@@ -302,19 +281,6 @@ def _grad_trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
 def _trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
     """``tr |X|^p`` of each Hermitian matrix of ``arr``."""
     return np.sum(np.abs(np.linalg.eigvalsh(arr)) ** p, axis=-1)
-
-
-def composed_cost_matrix(params: CexParams, x: MatrixLike) -> float:
-    """The composed cost ``tr |G(X)|^p`` at a Hermitian ``X``."""
-    return float(_trace_abs_power(_affine(params, hermitian_part(x)), params.exponent))
-
-
-def grad_composed_cost_matrix(params: CexParams, x: MatrixLike) -> HermitianMatrix:
-    """Gradient of the composed cost at a Hermitian ``X`` (chain rule; the
-    cone endomorphism is self-adjoint for the trace pairing)."""
-    arr = hermitian_part(x)
-    inner = _grad_trace_abs_power(_affine(params, arr), params.exponent)
-    return HermitianMatrix(hermitian_part(_forward(params, inner)))
 
 
 def psibar_matrix(params: CexParams, x: MatrixLike) -> float | np.ndarray:

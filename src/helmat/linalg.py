@@ -12,14 +12,15 @@ results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` (see :class:`SpdMatrix`)
 Every check and kernel is defined once, over stacks ``(..., n, n)``: the
 finite and Hermitian check with its symmetrisation, the checked eigensolve
 with its reconstruction and unitarity invariants, the SPD threshold, the
-synthesis ``V diag(f) V*`` and the spectral map.  The values
-:class:`HermitianMatrix` and :class:`SpdMatrix` run them on their n-by-n
-array, and :class:`SpdStack` runs them on k matrices of one dimension at
-once.  numpy's ``eigh``, ``qr``, ``@`` and reductions give each matrix of a
-stack the same bits as a call on that matrix alone, so a stack is checked
-and mapped exactly as its slices would be one by one.  A check that fails
-on a stack raises the error class of the single-matrix check and names the
-first failing slice.
+synthesis ``V diag(f) V*`` and the spectral map.  The value
+:class:`HermitianMatrix` runs them on its n-by-n array; an
+:class:`SpdMatrix` is a :class:`HermitianMatrix` whose spectrum also passed
+the SPD threshold.  :class:`SpdStack` runs the same checks on k matrices of
+one dimension at once.  numpy's ``eigh``, ``qr``, ``@`` and reductions give
+each matrix of a stack the same bits as a call on that matrix alone, so a
+stack is checked and mapped exactly as its slices would be one by one.  A
+check that fails on a stack raises the error class of the single-matrix
+check and names the first failing slice.
 
 Real input stays real: entries are float64 when the caller gives real (or
 integer) arrays and complex128 when the caller gives a complex dtype, and
@@ -56,7 +57,7 @@ SPD_RTOL = 1e-12
 #: relative to the Frobenius norm of the matrix, and the unitarity defect.
 EIG_RECONSTRUCTION_TOL = 1e-10
 
-MatrixLike = Union["HermitianMatrix", "SpdMatrix", np.ndarray]
+MatrixLike = Union["HermitianMatrix", np.ndarray]
 #: An operand of the array formulas: one SPD value, or a stack of them.
 SpdOperand = Union["SpdMatrix", "SpdStack"]
 
@@ -66,8 +67,6 @@ def _as_stack(value: MatrixLike) -> np.ndarray:
     number of leading axes: complex128 if its dtype is complex, float64
     otherwise.  The imaginary part is not scanned, so a complex array with
     zero imaginary part stays complex."""
-    if isinstance(value, SpdMatrix):
-        return value.base.entries
     if isinstance(value, HermitianMatrix):
         return value.entries
     arr = np.asarray(value)
@@ -228,20 +227,26 @@ class HermitianMatrix:
         return float(_trace(self._entries))
 
     def __repr__(self) -> str:
-        return f"HermitianMatrix(dim={self.dim})"
+        return f"{type(self).__name__}(dim={self.dim})"
 
 
-def _hermitian_value(sym: np.ndarray) -> HermitianMatrix:
-    """Wrap an n-by-n array that is exactly Hermitian and checked finite."""
-    value = HermitianMatrix.__new__(HermitianMatrix)
+def _hermitian(h: MatrixLike) -> HermitianMatrix:
+    """``h`` itself if it is a Hermitian value, else ``h`` checked as one."""
+    return h if isinstance(h, HermitianMatrix) else HermitianMatrix(h)
+
+
+def _hermitian_value(sym: np.ndarray, cls: type = HermitianMatrix) -> HermitianMatrix:
+    """Wrap an n-by-n array whose checks for ``cls`` have passed as a value
+    of ``cls``, with an empty eigen cache."""
+    value = cls.__new__(cls)
     sym.flags.writeable = False
     value._entries = sym
     value._eig = None
     return value
 
 
-class SpdMatrix:
-    """A Hermitian matrix with strictly positive spectrum.
+class SpdMatrix(HermitianMatrix):
+    """A :class:`HermitianMatrix` whose spectrum is strictly positive.
 
     The positive-definiteness threshold is relative to the spectral radius
     (``SPD_RTOL * |lambda|_max``), so the check is scale invariant: for every
@@ -253,36 +258,19 @@ class SpdMatrix:
     without an eigensolve, and their eigen cache is left empty: a later
     ``.eig()`` runs the checked :func:`eigh` of the entries, bit for bit what
     the constructor would have cached, so reports stay byte-identical.
+    Given a :class:`HermitianMatrix` (an :class:`SpdMatrix` included), the
+    constructor shares its frozen entries and its eigensystem, computing the
+    eigensystem only if that value has not cached it yet.
     """
 
-    __slots__ = ("_base",)
+    __slots__ = ()
 
-    def __init__(self, base: MatrixLike):
-        if not isinstance(base, HermitianMatrix):
-            base = HermitianMatrix(base)
-        _check_positive(base.eig().eigenvalues)
-        self._base = base
-
-    @property
-    def base(self) -> HermitianMatrix:
-        return self._base
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._base.entries
-
-    @property
-    def dim(self) -> int:
-        return self._base.dim
-
-    def eig(self) -> "EigenDecomposition":
-        return self._base.eig()
-
-    def trace(self) -> float:
-        return self._base.trace()
-
-    def __repr__(self) -> str:
-        return f"SpdMatrix(dim={self.dim})"
+    def __init__(self, entries: MatrixLike):
+        if isinstance(entries, HermitianMatrix):
+            self._entries, self._eig = entries.entries, entries.eig()
+        else:
+            super().__init__(entries)
+        _check_positive(self.eig().eigenvalues)
 
 
 class SpdStack:
@@ -295,25 +283,31 @@ class SpdStack:
     :class:`SpdMatrix` and return one value per matrix.
     """
 
-    __slots__ = ("entries", "_eig")
+    __slots__ = ("_entries", "_eig")
 
     def __init__(self, arrays: MatrixLike):
-        self.entries = _hermitian_checked(_as_stack(arrays))
-        self._eig = _checked_eigh(self.entries)
+        sym = _hermitian_checked(_as_stack(arrays))
+        sym.flags.writeable = False
+        self._entries = sym
+        self._eig = _checked_eigh(sym)
         _check_positive(self._eig.eigenvalues)
 
     @property
+    def entries(self) -> np.ndarray:
+        return self._entries
+
+    @property
     def dim(self) -> int:
-        return self.entries.shape[-1]
+        return self._entries.shape[-1]
 
     def eig(self) -> "EigenDecomposition":
         return self._eig
 
     def trace(self) -> np.ndarray:
-        return _trace(self.entries)
+        return _trace(self._entries)
 
     def __repr__(self) -> str:
-        return f"SpdStack(shape={self.entries.shape})"
+        return f"SpdStack(shape={self._entries.shape})"
 
 
 def _check_positive(spectrum: np.ndarray) -> None:
@@ -391,9 +385,7 @@ def eigh(h: MatrixLike) -> EigenDecomposition:
         same at every scale) or a unitarity defect ``||V* V - I||_F`` above
         ``EIG_RECONSTRUCTION_TOL``.  Never fails silently.
     """
-    if not isinstance(h, (HermitianMatrix, SpdMatrix)):
-        h = HermitianMatrix(h)
-    return _checked_eigh(h.entries)
+    return _checked_eigh(_hermitian(h).entries)
 
 
 def _spectral(
@@ -438,34 +430,18 @@ def apply_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> Herm
         If ``f`` is undefined (non-finite) at some eigenvalue, naming the
         offending eigenvalue.
     """
-    if not isinstance(h, (HermitianMatrix, SpdMatrix)):
-        h = HermitianMatrix(h)
-    return _hermitian_value(_spectral(f, h.eig()))
+    return _hermitian_value(_spectral(f, _hermitian(h).eig()))
 
 
 def _spd_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> SpdMatrix:
     """``V f(Lambda) V*`` as an SPD value checked on ``f(Lambda)`` (see
     :class:`SpdMatrix`)."""
-    if not isinstance(h, (HermitianMatrix, SpdMatrix)):
-        h = HermitianMatrix(h)
-    return _spd_value(_spectral(f, h.eig(), positive=True))
-
-
-def _spd_value(sym: np.ndarray) -> SpdMatrix:
-    """Wrap an n-by-n array whose checks have passed as an SPD value."""
-    value = SpdMatrix.__new__(SpdMatrix)
-    value._base = _hermitian_value(sym)
-    return value
+    return _hermitian_value(_spectral(f, _hermitian(h).eig(), positive=True), SpdMatrix)
 
 
 def sqrtm(a: SpdMatrix) -> SpdMatrix:
     """Positive-definite square root ``A^{1/2}``."""
     return _spd_spectral(np.sqrt, a)
-
-
-def inv_sqrtm(a: SpdMatrix) -> SpdMatrix:
-    """Positive-definite inverse square root ``A^{-1/2}``."""
-    return _spd_spectral(lambda x: 1.0 / np.sqrt(x), a)
 
 
 def invm(a: SpdMatrix) -> SpdMatrix:

@@ -27,8 +27,8 @@ from .linalg import (
     _checked_eigh,
     _first_failure,
     _hermitian_checked,
+    _hermitian_value,
     _require_same_dim,
-    _spd_value,
     _spectral,
     expm,
     hermitian_part,
@@ -143,7 +143,7 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
     _require_same_dim(a.dim, b.dim)
-    return _spd_value(_log_euclidean_entries(a, b))
+    return _hermitian_value(_log_euclidean_entries(a, b), SpdMatrix)
 
 
 def _log_euclidean_entries(a: SpdOperand, b: SpdOperand) -> np.ndarray:

@@ -104,11 +104,3 @@ def random_spd(
     distinct almost surely (no pinned eigenvalues).
     """
     return SpdMatrix(_spd_entries(*draw_spd(rng, dim, cond, scale, complex_entries)))
-
-
-def random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Random well-conditioned invertible real matrix."""
-    basis = random_orthogonal(rng, dim)
-    other = random_orthogonal(rng, dim)
-    lam = np.exp(rng.uniform(-1.0, 1.0, dim))
-    return (basis * lam) @ other

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from helmat.sampling import random_orthogonal
+
 settings.register_profile(
     "numeric",
     deadline=None,
@@ -27,3 +29,17 @@ def eigensolves(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, counted)
     return calls
+
+
+def _random_invertible(rng: np.random.Generator, dim: int) -> np.ndarray:
+    basis = random_orthogonal(rng, dim)
+    other = random_orthogonal(rng, dim)
+    lam = np.exp(rng.uniform(-1.0, 1.0, dim))
+    return (basis * lam) @ other
+
+
+@pytest.fixture
+def random_invertible():
+    """Draw a well-conditioned invertible real matrix from ``rng``: two Haar
+    orthogonal factors, then a spectrum log-uniform in ``[1/e, e]``."""
+    return _random_invertible

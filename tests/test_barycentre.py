@@ -24,7 +24,7 @@ from helmat.calculus import fd_directional, grad_phi3
 from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm, hermitian_part
 from helmat.means import WeightVector, arithmetic_mean, geometric_mean, q_half
-from helmat.sampling import make_rng, random_invertible, random_spd
+from helmat.sampling import make_rng, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE, generic_noncommuting_pair
 
 ALL_KINDS = (WASSERSTEIN, PowerMean(0.5), LOG_EUCLIDEAN)
@@ -356,7 +356,7 @@ def test_solve_permutation_equivariance():
     assert frobenius_norm(x.entries - x_perm.entries) <= 1e-12
 
 
-def test_solve_congruence_equivariance_power_mean():
+def test_solve_congruence_equivariance_power_mean(random_invertible):
     rng = make_rng(9)
     mats = [random_spd(rng, 3) for _ in range(3)]
     w = WeightVector([0.25, 0.35, 0.4])

@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from helmat.errors import NotPositiveDefiniteError
 from helmat.legendre_cex import (
     CexParams,
     _affine,
     _forward,
+    _grad_trace_abs_power,
     _inverse,
+    _trace_abs_power,
     build_vector_instance,
-    composed_cost_matrix,
-    grad_composed_cost_matrix,
     grad_psibar_vector,
-    grad_schatten_p,
     psibar_matrix,
     psibar_vector,
     verify_matrix_cex,
     verify_vector_strictness,
 )
+from helmat.linalg import hermitian_part
 from helmat.sampling import make_rng, random_hermitian
 
 DEFAULTS = CexParams()
@@ -119,13 +118,9 @@ def test_inverse_map_preserves_positivity():
 
 
 def test_grad_schatten_examples():
-    assert_allclose(grad_schatten_p(np.eye(2), 2.0).entries, 2.0 * np.eye(2))
-    value = grad_schatten_p(np.diag([4.0, 9.0]), 1.5).entries
+    assert_allclose(_grad_trace_abs_power(np.eye(2), 2.0), 2.0 * np.eye(2))
+    value = _grad_trace_abs_power(np.diag([4.0, 9.0]), 1.5)
     assert_allclose(value, 1.5 * np.diag([2.0, 3.0]), rtol=1e-12)
-    with pytest.raises(ValueError):
-        grad_schatten_p(np.eye(2), 1.0)
-    with pytest.raises(NotPositiveDefiniteError):
-        grad_schatten_p(np.diag([1.0, -1.0]), 1.5)
 
 
 def test_grad_schatten_matches_finite_difference():
@@ -134,7 +129,7 @@ def test_grad_schatten_matches_finite_difference():
     for _ in range(10):
         g = rng.standard_normal((3, 3))
         x = g @ g.T + 0.5 * np.eye(3)
-        grad = grad_schatten_p(x, p).entries
+        grad = _grad_trace_abs_power(hermitian_part(x), p)
         y = random_hermitian(rng, 3).entries
         h = 1e-6
         plus = np.sum(np.linalg.eigvalsh(x + h * y) ** p)
@@ -145,14 +140,16 @@ def test_grad_schatten_matches_finite_difference():
 
 def test_matrix_gradient_matches_finite_difference():
     rng = make_rng(4)
+    p = DEFAULTS.exponent
     for _ in range(10):
         x = random_hermitian(rng, 2).entries * 0.5
-        grad = grad_composed_cost_matrix(DEFAULTS, x).entries
+        inner = _grad_trace_abs_power(_affine(DEFAULTS, x), p)
+        grad = hermitian_part(_forward(DEFAULTS, inner))
         y = random_hermitian(rng, 2).entries
         h = 1e-6
         slope = (
-            composed_cost_matrix(DEFAULTS, x + h * y)
-            - composed_cost_matrix(DEFAULTS, x - h * y)
+            _trace_abs_power(_affine(DEFAULTS, x + h * y), p)
+            - _trace_abs_power(_affine(DEFAULTS, x - h * y), p)
         ) / (2 * h)
         assert np.trace(grad @ y).real == pytest.approx(slope, abs=1e-5)
 

@@ -1,9 +1,13 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from helmat import linalg
 from helmat.errors import (
     DimensionMismatchError,
     EigenDecompositionError,
@@ -15,6 +19,7 @@ from helmat.errors import (
 from helmat.linalg import (
     HermitianMatrix,
     SpdMatrix,
+    _spd_spectral,
     apply_spectral,
     congruence,
     eigh,
@@ -22,7 +27,6 @@ from helmat.linalg import (
     frobenius_inner,
     frobenius_norm,
     hermitian_part,
-    inv_sqrtm,
     invm,
     logm,
     product_sqrt,
@@ -31,10 +35,14 @@ from helmat.linalg import (
 from helmat.sampling import (
     make_rng,
     random_hermitian,
-    random_invertible,
     random_orthogonal,
     random_spd,
 )
+
+
+def inv_sqrtm(a: SpdMatrix) -> SpdMatrix:
+    """``A^{-1/2}`` through the checked spectral map."""
+    return _spd_spectral(lambda x: 1.0 / np.sqrt(x), a)
 
 
 def test_hermitian_construction_symmetrizes():
@@ -66,6 +74,33 @@ def test_spd_rejects_indefinite():
         SpdMatrix([[1.0, 0.0], [0.0, -1.0]])
     with pytest.raises(NotPositiveDefiniteError):
         SpdMatrix(np.zeros((2, 2)))
+    with pytest.raises(NotPositiveDefiniteError):
+        SpdMatrix(HermitianMatrix([[1.0, 0.0], [0.0, -1.0]]))
+
+
+def test_spd_matrix_is_a_hermitian_matrix():
+    assert isinstance(SpdMatrix(np.diag([1.0, 2.0])), HermitianMatrix)
+
+
+@pytest.mark.parametrize("source", [SpdMatrix, HermitianMatrix], ids=lambda c: c.__name__)
+def test_spd_of_a_value_reuses_its_entries_and_eigensystem(eigensolves, source):
+    value = source(random_spd(make_rng(13), 4, complex_entries=True).entries)
+    value.eig()
+    eigensolves.clear()
+    spd = SpdMatrix(value)
+    assert eigensolves == []
+    assert np.array_equal(spd.entries, value.entries)
+    assert spd.eig() is value.eig()
+
+
+def test_traced_methods_are_defined_on_their_classes():
+    # the benchmark tracer patches each method in its class's own namespace
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for cls_name, method in tracer.LINALG_METHODS:
+        assert method in vars(getattr(linalg, cls_name)), (cls_name, method)
 
 
 def test_hermitian_tolerance_is_relative_at_large_scale():
@@ -259,7 +294,7 @@ def test_congruence_rejects_singular():
         congruence(np.array([[1.0, 0.0], [0.0, 0.0]]), a)
 
 
-def test_congruence_preserves_positivity():
+def test_congruence_preserves_positivity(random_invertible):
     rng = make_rng(8)
     for _ in range(1000):
         dim = int(rng.integers(2, 5))

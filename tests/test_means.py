@@ -18,7 +18,7 @@ from helmat.means import (
     log_euclidean_pair,
     q_half,
 )
-from helmat.sampling import make_rng, random_invertible, random_spd
+from helmat.sampling import make_rng, random_spd
 
 
 @given(st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=1, max_size=6))
@@ -83,7 +83,7 @@ def test_geometric_mean_rejects_bad_t():
         geometric_mean_t(a, b, -0.1)
 
 
-def test_geometric_mean_congruence_invariance():
+def test_geometric_mean_congruence_invariance(random_invertible):
     rng = make_rng(4)
     worst = 0.0
     for _ in range(500):

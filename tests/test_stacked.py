@@ -127,6 +127,14 @@ def test_stack_names_the_failing_slice(bad, error, at):
     assert str(stacked.value) == f"slice {at}: {single.value}"
 
 
+def test_stack_entries_are_frozen():
+    stack = SpdStack(np.array([np.diag([1.0, 2.0])] * 3))
+    with pytest.raises(ValueError):
+        stack.entries[1, 0, 0] = 5.0
+    with pytest.raises(AttributeError):
+        stack.entries = np.zeros((3, 2, 2))
+
+
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("dim", DIMS)
 def test_frobenius_norms_are_numpy_norms_per_slice(dim, complex_entries):
