@@ -7,14 +7,15 @@ base point: for a scalar function ``f`` and a Hermitian ``X = V diag(lam) V*``,
     Df(X)(Y) = V (K o (V* Y V)) V*,   K[i, j] = (f(lam_i) - f(lam_j)) / (lam_i - lam_j)
 
 with ``K[i, i] = f'(lam_i)`` (``o`` is the Hadamard product).  Equal or nearly
-equal eigenvalues fall back to the analytic derivative, which removes the 0/0
-singularity.  Integral representations of the same derivatives are kept as
-cross-check quadratures.
+equal eigenvalues (relative to their size) fall back to the analytic
+derivative, which removes the 0/0 singularity.  Integral representations of
+the same derivatives are kept as cross-check quadratures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -25,7 +26,6 @@ from .linalg import (
     HermitianMatrix,
     MatrixLike,
     SpdMatrix,
-    SpdOperand,
     _adjoint,
     _as_stack,
     _frobenius_norms,
@@ -45,7 +45,9 @@ from .means import log_euclidean_pair
 FD_STEP = 1e-5
 
 #: Relative eigenvalue gap below which divided differences switch to the
-#: analytic derivative at the midpoint.
+#: analytic derivative at the midpoint: ``|lam_i - lam_j|`` at most this
+#: times ``max(|lam_i|, |lam_j|)``, so the switch is the same at every scale
+#: (equal eigenvalues, zeros included, always switch).
 _GAP_RTOL = 1e-7
 
 
@@ -99,9 +101,7 @@ def divided_difference_kernel(
         else:
             values = f(lam)
             gaps = np.subtract.outer(lam, lam)
-            close = np.abs(gaps) <= _GAP_RTOL * np.maximum(
-                1.0, np.maximum.outer(np.abs(lam), np.abs(lam))
-            )
+            close = np.abs(gaps) <= _GAP_RTOL * np.maximum.outer(np.abs(lam), np.abs(lam))
             quotient = np.where(close, 1.0, gaps)
             kernel = np.where(
                 close,
@@ -197,7 +197,7 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     return HermitianMatrix(hermitian_part(np.eye(a.dim) - 2.0 * pulled))
 
 
-def hessian_phi3_diag(a: SpdOperand, y: MatrixLike) -> float | np.ndarray:
+def hessian_phi3_diag(a: SpdMatrix, y: MatrixLike) -> float | np.ndarray:
     """Second derivative of ``Phi_3`` on the diagonal: ``(1/2) tr(Y A^{-1} Y)``.
 
     Nonnegative for every Hermitian ``Y``; this is the quadratic form that
@@ -221,6 +221,16 @@ def d_tr_log_euclidean(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     mean = log_euclidean_pair(a, x)
     kernel = divided_difference_kernel("log", x.eig())
     return HermitianMatrix(hermitian_part(0.5 * kernel.apply(mean.entries)))
+
+
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``n``-node Gauss-Legendre rule on (-1, 1), computed once per
+    ``n`` and read-only."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
 
 
 @dataclass(frozen=True)
@@ -250,7 +260,7 @@ class IntegrationMeasure:
         return cls(kind="lebesgue", **kw)
 
     def _nodes_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        u, w = np.polynomial.legendre.leggauss(n)
+        u, w = _gauss_legendre(n)
         u = 0.5 * (u + 1.0)
         w = 0.5 * w
         if self.kind == "half_power":
@@ -371,7 +381,7 @@ def fd_frechet(
 
 def fd_hessian_quadform(
     phi: Callable[[np.ndarray], float | np.ndarray],
-    a: SpdOperand,
+    a: SpdMatrix,
     y: MatrixLike,
     base_step: float = 1e-2,
 ) -> float | np.ndarray:

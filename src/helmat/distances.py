@@ -15,9 +15,9 @@ divergences, so they still serve as distance measures.
 
 The four mean traces and the clamped squares are written once over arrays.
 :func:`distance`, :func:`divergence`, :func:`trace_chain` and
-:func:`chain_divergences` run them on two :class:`~helmat.linalg.SpdMatrix`
-values; :func:`divergences` and :func:`trace_chains` run them on two
-:class:`~helmat.linalg.SpdStack` stacks of one dimension and give one value
+:func:`chain_divergences` take two :class:`~helmat.linalg.SpdMatrix` values
+of one dimension: two single matrices give a float, two stacks over
+``(..., n, n)`` (built by :func:`~helmat.linalg._spd_stack`) give one value
 per pair, bit for bit what the pair gives alone.
 """
 
@@ -31,7 +31,6 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import (
     SpdMatrix,
-    SpdOperand,
     _any,
     _first_failure,
     _per_matrix,
@@ -40,9 +39,9 @@ from .linalg import (
     sqrt_entries,
 )
 from .means import (
-    _fidelities,
     _log_euclidean_entries,
     _number_vector,
+    fidelity,
     geometric_mean_entries,
 )
 
@@ -108,12 +107,12 @@ def hellinger(p: ProbabilityVector, q: ProbabilityVector) -> float:
     return float(np.linalg.norm(diff) / np.sqrt(2.0))
 
 
-def _mean_trace(kind: DistanceKind, a: SpdOperand, b: SpdOperand) -> np.ndarray:
+def _mean_trace(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
     if kind is DistanceKind.D1:
         return _trace(sqrt_entries(a) @ sqrt_entries(b))
     if kind is DistanceKind.D2:
         # tr (AB)^{1/2} = tr (A^{1/2} B A^{1/2})^{1/2}, the fidelity.
-        return _fidelities(a, b)
+        return fidelity(a, b)
     if kind is DistanceKind.D3:
         return _trace(geometric_mean_entries(a, b, 0.5))
     if kind is DistanceKind.D4:
@@ -122,7 +121,7 @@ def _mean_trace(kind: DistanceKind, a: SpdOperand, b: SpdOperand) -> np.ndarray:
 
 
 def _clamped_square(
-    kind: DistanceKind, a: SpdOperand, b: SpdOperand, mean_trace: float | np.ndarray
+    kind: DistanceKind, a: SpdMatrix, b: SpdMatrix, mean_trace: float | np.ndarray
 ) -> np.ndarray:
     radicand = np.asarray(a.trace() + b.trace() - 2.0 * mean_trace)
     low = radicand < -RADICAND_CLAMP
@@ -136,55 +135,44 @@ def _clamped_square(
     return np.where(radicand > RADICAND_CLAMP, radicand, 0.0)
 
 
-def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
-    """Squared distance ``tr(A) + tr(B) - 2 tr G(A, B)``.
+def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
+    """Squared distance ``tr(A) + tr(B) - 2 tr G(A, B)``, of each pair
+    ``(A_i, B_i)`` if ``a`` and ``b`` are stacks.
 
     The trace difference is nonnegative in exact arithmetic; values with
     magnitude at most ``RADICAND_CLAMP`` are reported as exactly zero,
     anything below ``-RADICAND_CLAMP`` raises
-    :class:`InternalConsistencyError`.
+    :class:`InternalConsistencyError`, which names a failing pair of a stack.
     """
     _require_same_dim(a.dim, b.dim)
-    return float(_clamped_square(kind, a, b, _mean_trace(kind, a, b)))
-
-
-def divergences(kind: DistanceKind, a: SpdOperand, b: SpdOperand) -> np.ndarray:
-    """:func:`divergence` of each pair ``(A_i, B_i)`` of two stacks; a
-    failing pair raises the error of :func:`divergence` and is named."""
-    _require_same_dim(a.dim, b.dim)
-    return _clamped_square(kind, a, b, _mean_trace(kind, a, b))
+    return _per_matrix(_clamped_square(kind, a, b, _mean_trace(kind, a, b)))
 
 
 def chain_divergences(
-    a: SpdOperand, b: SpdOperand, chain: TraceChain
+    a: SpdMatrix, b: SpdMatrix, chain: TraceChain
 ) -> list[float] | list[np.ndarray]:
     """The four squared distances, in the order of :class:`TraceChain`
     (``d3^2, d4^2, d1^2, d2^2``), from the traces of ``trace_chain(a, b)``;
-    each equals :func:`divergence` of its kind.  On two stacks, with the
-    traces of ``trace_chains(a, b)``, each entry holds one value per pair."""
+    each equals :func:`divergence` of its kind.  On two stacks each entry
+    holds one value per pair."""
     return [_per_matrix(_clamped_square(kind, a, b, tr)) for kind, tr in zip(_CHAIN_KINDS, chain)]
 
 
-def distance(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float:
-    """Hellinger-type distance of the given kind; symmetric, zero iff ``A == B``."""
-    return float(np.sqrt(divergence(kind, a, b)))
+def distance(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
+    """Hellinger-type distance of the given kind; symmetric, zero iff ``A == B``.
+    On two stacks, one distance per pair."""
+    return _per_matrix(np.sqrt(divergence(kind, a, b)))
 
 
 def trace_chain(a: SpdMatrix, b: SpdMatrix) -> TraceChain:
-    """Traces of the four competing geometric means of ``(A, B)``.
+    """Traces of the four competing geometric means of ``(A, B)``; on two
+    stacks, one array of traces per field.
 
     The returned values are weakly increasing; on a commuting pair all four
     collapse to ``sum_i sqrt(alpha_i beta_i)``.
     """
     _require_same_dim(a.dim, b.dim)
-    return TraceChain(*(float(_mean_trace(kind, a, b)) for kind in _CHAIN_KINDS))
-
-
-def trace_chains(a: SpdOperand, b: SpdOperand) -> TraceChain:
-    """:func:`trace_chain` of each pair ``(A_i, B_i)`` of two stacks, as
-    one array of traces per field."""
-    _require_same_dim(a.dim, b.dim)
-    return TraceChain(*(_mean_trace(kind, a, b) for kind in _CHAIN_KINDS))
+    return TraceChain(*(_per_matrix(_mean_trace(kind, a, b)) for kind in _CHAIN_KINDS))
 
 
 def d2_unitary(a: SpdMatrix, b: SpdMatrix) -> tuple[float, np.ndarray]:

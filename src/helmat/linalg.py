@@ -12,15 +12,19 @@ results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` (see :class:`SpdMatrix`)
 Every check and kernel is defined once, over stacks ``(..., n, n)``: the
 finite and Hermitian check with its symmetrisation, the checked eigensolve
 with its reconstruction and unitarity invariants, the SPD threshold, the
-synthesis ``V diag(f) V*`` and the spectral map.  The value
-:class:`HermitianMatrix` runs them on its n-by-n array; an
-:class:`SpdMatrix` is a :class:`HermitianMatrix` whose spectrum also passed
-the SPD threshold.  :class:`SpdStack` runs the same checks on k matrices of
-one dimension at once.  numpy's ``eigh``, ``qr``, ``@`` and reductions give
-each matrix of a stack the same bits as a call on that matrix alone, so a
-stack is checked and mapped exactly as its slices would be one by one.  A
-check that fails on a stack raises the error class of the single-matrix
-check and names the first failing slice.
+synthesis ``V diag(f) V*`` and the spectral map.  A value holds one matrix
+or a stack: :class:`HermitianMatrix` and :class:`SpdMatrix` (a
+:class:`HermitianMatrix` whose spectrum also passed the SPD threshold) are
+built from one n-by-n matrix by their public constructors, which reject
+anything else, and :func:`_spd_stack` builds an :class:`SpdMatrix` over
+``(..., n, n)`` from k matrices of one dimension with the same checks and
+one stacked eigensolve.  ``dim`` is ``n`` and ``.trace()`` gives one value
+per matrix: a float for one matrix, an array for a stack.  numpy's
+``eigh``, ``qr``, ``@`` and reductions give each matrix of a stack the same
+bits as a call on that matrix alone, so a stack is checked and mapped
+exactly as its slices would be one by one.  A check that fails on a stack
+raises the error class of the single-matrix check and names the first
+failing slice.
 
 Real input stays real: entries are float64 when the caller gives real (or
 integer) arrays and complex128 when the caller gives a complex dtype, and
@@ -58,8 +62,6 @@ SPD_RTOL = 1e-12
 EIG_RECONSTRUCTION_TOL = 1e-10
 
 MatrixLike = Union["HermitianMatrix", np.ndarray]
-#: An operand of the array formulas: one SPD value, or a stack of them.
-SpdOperand = Union["SpdMatrix", "SpdStack"]
 
 
 def _as_stack(value: MatrixLike) -> np.ndarray:
@@ -192,7 +194,9 @@ def _hermitian_checked(arr: np.ndarray) -> np.ndarray:
 
 class HermitianMatrix:
     """An n-by-n Hermitian matrix value: real symmetric (float64) or complex
-    Hermitian (complex128), as :func:`as_array` gives it.
+    Hermitian (complex128), as :func:`as_array` gives it.  Values built
+    inside the library (see :func:`_spd_stack`) may hold a stack
+    ``(..., n, n)`` instead; the constructor accepts one matrix only.
 
     The constructor checks ``M[i, j] == conj(M[j, i])`` up to a defect of
     ``HERMITIAN_RTOL * max |M[i, j]|`` and then symmetrises exactly, so
@@ -215,16 +219,17 @@ class HermitianMatrix:
 
     @property
     def dim(self) -> int:
-        return self._entries.shape[0]
+        return self._entries.shape[-1]
 
     def eig(self) -> "EigenDecomposition":
-        """Eigendecomposition of this matrix, computed once and cached."""
+        """Eigendecomposition of this matrix (of each matrix of a stack),
+        computed once and cached."""
         if self._eig is None:
             self._eig = eigh(self)
         return self._eig
 
-    def trace(self) -> float:
-        return float(_trace(self._entries))
+    def trace(self) -> float | np.ndarray:
+        return _per_matrix(_trace(self._entries))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -236,8 +241,8 @@ def _hermitian(h: MatrixLike) -> HermitianMatrix:
 
 
 def _hermitian_value(sym: np.ndarray, cls: type = HermitianMatrix) -> HermitianMatrix:
-    """Wrap an n-by-n array whose checks for ``cls`` have passed as a value
-    of ``cls``, with an empty eigen cache."""
+    """Wrap an array ``(..., n, n)`` whose checks for ``cls`` have passed as
+    a value of ``cls``, with an empty eigen cache."""
     value = cls.__new__(cls)
     sym.flags.writeable = False
     value._entries = sym
@@ -258,56 +263,30 @@ class SpdMatrix(HermitianMatrix):
     without an eigensolve, and their eigen cache is left empty: a later
     ``.eig()`` runs the checked :func:`eigh` of the entries, bit for bit what
     the constructor would have cached, so reports stay byte-identical.
-    Given a :class:`HermitianMatrix` (an :class:`SpdMatrix` included), the
-    constructor shares its frozen entries and its eigensystem, computing the
-    eigensystem only if that value has not cached it yet.
+    Given a :class:`HermitianMatrix` of one matrix (an :class:`SpdMatrix`
+    included), the constructor shares its frozen entries and its
+    eigensystem, computing the eigensystem only if that value has not
+    cached it yet.
     """
 
     __slots__ = ()
 
     def __init__(self, entries: MatrixLike):
         if isinstance(entries, HermitianMatrix):
-            self._entries, self._eig = entries.entries, entries.eig()
+            self._entries, self._eig = as_array(entries), entries.eig()
         else:
             super().__init__(entries)
         _check_positive(self.eig().eigenvalues)
 
 
-class SpdStack:
-    """SPD matrices of one dimension as one array ``(..., n, n)`` (an n-by-n
-    array is the stack without leading axes), with their eigensystems.
-
-    The constructor runs the checks of :class:`SpdMatrix` on every matrix at
-    once and keeps the stacked eigensystem, so the array formulas of the
-    means and distances accept a stack wherever they accept an
-    :class:`SpdMatrix` and return one value per matrix.
-    """
-
-    __slots__ = ("_entries", "_eig")
-
-    def __init__(self, arrays: MatrixLike):
-        sym = _hermitian_checked(_as_stack(arrays))
-        sym.flags.writeable = False
-        self._entries = sym
-        self._eig = _checked_eigh(sym)
-        _check_positive(self._eig.eigenvalues)
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
-
-    @property
-    def dim(self) -> int:
-        return self._entries.shape[-1]
-
-    def eig(self) -> "EigenDecomposition":
-        return self._eig
-
-    def trace(self) -> np.ndarray:
-        return _trace(self._entries)
-
-    def __repr__(self) -> str:
-        return f"SpdStack(shape={self._entries.shape})"
+def _spd_stack(arrays: MatrixLike) -> SpdMatrix:
+    """An :class:`SpdMatrix` over ``(..., n, n)``: the checks of the
+    constructor run on every matrix at once, with one stacked eigensolve
+    kept for reuse, so the array formulas of the means and distances give
+    one value per matrix."""
+    value = _hermitian_value(_hermitian_checked(_as_stack(arrays)), SpdMatrix)
+    _check_positive(value.eig().eigenvalues)
+    return value
 
 
 def _check_positive(spectrum: np.ndarray) -> None:
@@ -459,13 +438,13 @@ def expm(h: MatrixLike) -> SpdMatrix:
     return _spd_spectral(np.exp, h)
 
 
-def sqrt_entries(a: SpdOperand) -> np.ndarray:
+def sqrt_entries(a: SpdMatrix) -> np.ndarray:
     """Raw array of ``A^{1/2}``, reusing the cached eigensystem (no rewrap)."""
     eig = a.eig()
     return eig.synthesize(np.sqrt(eig.eigenvalues))
 
 
-def sqrt_pair_entries(a: SpdOperand) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_pair_entries(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Raw arrays of ``A^{1/2}`` and ``A^{-1/2}`` from one eigensystem."""
     eig = a.eig()
     roots = np.sqrt(eig.eigenvalues)

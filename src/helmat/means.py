@@ -7,9 +7,9 @@ and the half-power mean.
 
 The pair means behind the distances (``A #_t B``, the log-Euclidean pair
 mean and the fidelity) are each written once over arrays: their operands
-may be :class:`~helmat.linalg.SpdMatrix` values or
-:class:`~helmat.linalg.SpdStack` stacks, and a stack gives one result per
-matrix, bit for bit what each pair would give alone.
+are :class:`~helmat.linalg.SpdMatrix` values of one matrix or of a stack
+``(..., n, n)`` (built by :func:`~helmat.linalg._spd_stack`), and a stack
+gives one result per matrix, bit for bit what each pair would give alone.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ import numpy as np
 from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import (
     SpdMatrix,
-    SpdOperand,
-    SpdStack,
     _any,
     _checked_eigh,
     _first_failure,
     _hermitian_checked,
     _hermitian_value,
+    _per_matrix,
     _require_same_dim,
+    _spd_stack,
     _spectral,
     expm,
     hermitian_part,
@@ -119,7 +119,7 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     return SpdMatrix(geometric_mean_entries(a, b, t))
 
 
-def geometric_mean_entries(a: SpdOperand, b: SpdOperand, t: float) -> np.ndarray:
+def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
     value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
     return _geometric_mean_from_roots(*sqrt_pair_entries(a), b.entries, t)
@@ -130,7 +130,7 @@ def _geometric_mean_from_roots(
 ) -> np.ndarray:
     """:func:`geometric_mean_entries` given the arrays ``A^{1/2}``,
     ``A^{-1/2}`` and ``B``, for callers that pair one ``A`` with many ``B``."""
-    middle = SpdStack(hermitian_part(inv_root @ b @ inv_root))
+    middle = _spd_stack(hermitian_part(inv_root @ b @ inv_root))
     powered = _spectral(lambda x: x**t, middle.eig())
     return hermitian_part(root @ powered @ root)
 
@@ -146,7 +146,7 @@ def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     return _hermitian_value(_log_euclidean_entries(a, b), SpdMatrix)
 
 
-def _log_euclidean_entries(a: SpdOperand, b: SpdOperand) -> np.ndarray:
+def _log_euclidean_entries(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """Hermitian array of :func:`log_euclidean_pair`, checked as
     :func:`~helmat.linalg.expm` checks its result; dimensions are unchecked."""
     half_sum = (_spectral(np.log, a.eig()) + _spectral(np.log, b.eig())) / 2
@@ -164,18 +164,12 @@ def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix
     return expm(sum(wj * logm(a).entries for wj, a in zip(w.weights, mats)))
 
 
-def fidelity(a: SpdMatrix, b: SpdMatrix) -> float:
-    """Fidelity ``tr (A^{1/2} B A^{1/2})^{1/2}`` between two states.
+def fidelity(a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
+    """Fidelity ``tr (A^{1/2} B A^{1/2})^{1/2}`` between two states, of
+    each pair if ``a`` and ``b`` are stacks.
 
     Symmetric in its arguments.  For near-pure states ``uu* + eps I`` and
     ``vv* + eps I`` it approaches ``|u* v|``.
-    """
-    _require_same_dim(a.dim, b.dim)
-    return float(_fidelities(a, b))
-
-
-def _fidelities(a: SpdOperand, b: SpdOperand) -> np.ndarray:
-    """:func:`fidelity` of each pair of matrices; dimensions are unchecked.
 
     Raises
     ------
@@ -184,6 +178,7 @@ def _fidelities(a: SpdOperand, b: SpdOperand) -> np.ndarray:
         its spectral radius: a congruence of an SPD matrix is SPD, so only
         roundoff may push an eigenvalue below zero.
     """
+    _require_same_dim(a.dim, b.dim)
     root = sqrt_entries(a)
     inner = root @ b.entries @ root
     lam = np.linalg.eigvalsh(hermitian_part(inner))
@@ -194,7 +189,7 @@ def _fidelities(a: SpdOperand, b: SpdOperand) -> np.ndarray:
             f"{where}congruence of an SPD matrix produced eigenvalue {lam[index][0]:.3e}"
         )
     # eigenvalues can round to ~ -1e-16 when the inputs are nearly singular
-    return np.sqrt(np.clip(lam, 0.0, None)).sum(axis=-1)
+    return _per_matrix(np.sqrt(np.clip(lam, 0.0, None)).sum(axis=-1))
 
 
 def q_half(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:

@@ -14,14 +14,15 @@ numbers: the QR factor of the block with its sign (or phase) fix is the Haar
 basis ``Q``, and ``Q diag(lam) Q*`` is checked as :class:`SpdMatrix` checks
 it.  :func:`random_spd` is one draw and one build; a caller that wants many
 matrices can draw them all, in its own order, and build each dimension as
-one stack, with the same bits per matrix.
+one :class:`SpdMatrix` over ``(k, n, n)`` (see
+:func:`~helmat.linalg._spd_stack`), with the same bits per matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HermitianMatrix, SpdMatrix, SpdStack, _adjoint, hermitian_part
+from .linalg import HermitianMatrix, SpdMatrix, _adjoint, _spd_stack, hermitian_part
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -78,10 +79,11 @@ def draw_spd(
     return gaussian, spectrum
 
 
-def build_spd(gaussians: np.ndarray, spectra: np.ndarray) -> SpdStack:
-    """Validated ``Q diag(lam) Q*`` for a stack of draws of one dimension:
-    ``gaussians`` is ``(k, n, n)`` and ``spectra`` is ``(k, n)``."""
-    return SpdStack(_spd_entries(gaussians, spectra))
+def build_spd(gaussians: np.ndarray, spectra: np.ndarray) -> SpdMatrix:
+    """Validated ``Q diag(lam) Q*`` for a stack of draws of one dimension,
+    as one :class:`SpdMatrix` over ``(k, n, n)``: ``gaussians`` is
+    ``(k, n, n)`` and ``spectra`` is ``(k, n)``."""
+    return _spd_stack(_spd_entries(gaussians, spectra))
 
 
 def _spd_entries(gaussian: np.ndarray, spectrum: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ through the package PRNG (see :mod:`helmat.sampling`).
 The sampled loops of the counterexamples and trace-chain suites, and the
 divergence-axiom loop of the divergence-axioms suite, draw every sample
 first, in sample order, and then evaluate one stack per dimension
-(:class:`_DrawsByDim`); the legendre-cex suite evaluates its matrix samples
-and its stationarity grid as two stacks (see
+(:class:`_DrawsByDim`): an :class:`~helmat.linalg.SpdMatrix` over
+``(k, n, n)`` built by :func:`~helmat.linalg._spd_stack`, which the
+distances take as they take one matrix.  The legendre-cex suite evaluates
+its matrix samples and its stationarity grid as two stacks (see
 :func:`~helmat.legendre_cex.verify_matrix_cex`).  Each matrix of a stack
 gets the bits it would get alone, and a row reports a minimum or maximum
 over all samples, so the rows do not depend on the grouping.  The
@@ -28,8 +30,8 @@ from . import barycentre, bregman, calculus, distances, legendre_cex, means
 from .distances import DistanceKind
 from .linalg import (
     SpdMatrix,
-    SpdStack,
     _frobenius_norms,
+    _spd_stack,
     frobenius_norm,
     hermitian_part,
     sqrt_entries,
@@ -161,11 +163,11 @@ class _DrawsByDim:
             for part in draw if isinstance(draw, tuple) else (draw,):
                 group += part.tobytes()
 
-    def stacks(self) -> Iterator[list[SpdStack | np.ndarray]]:
+    def stacks(self) -> Iterator[list[SpdMatrix | np.ndarray]]:
         """For each dimension, in order of first appearance, one stack per
-        position in the sample: an :class:`SpdStack` built from the
-        :func:`draw_spd` results there, or the ``(k, n, n)`` Gaussian
-        blocks."""
+        position in the sample: an :class:`SpdMatrix` over ``(k, n, n)``
+        built from the :func:`draw_spd` results there, or the ``(k, n, n)``
+        Gaussian blocks."""
         for dim, group in self._groups.items():
             width = sum(dim * dim + dim if spd else dim * dim for spd in self._spd_at)
             rows = np.frombuffer(group).reshape(-1, width)
@@ -222,9 +224,9 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     for a, b, c in triples.stacks():
         for kind in (DistanceKind.D1, DistanceKind.D2):
             violation = (
-                np.sqrt(distances.divergences(kind, a, b))
-                - np.sqrt(distances.divergences(kind, a, c))
-                - np.sqrt(distances.divergences(kind, c, b))
+                distances.distance(kind, a, b)
+                - distances.distance(kind, a, c)
+                - distances.distance(kind, c, b)
             )
             worst = max(worst, float(violation.max()))
     result.add(
@@ -267,7 +269,7 @@ def trace_chain_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     min_chain_gap = np.inf
     min_order_gap = np.inf
     for a, b in pairs.stacks():
-        chain = distances.trace_chains(a, b)
+        chain = distances.trace_chain(a, b)
         min_chain_gap = min(min_chain_gap, float(np.diff(chain, axis=0).min()))
         squares = distances.chain_divergences(a, b, chain)
         min_order_gap = min(min_order_gap, float((-np.diff(squares, axis=0)).min()))
@@ -301,19 +303,19 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     for a, gaussian in points.stacks():
         y = hermitian_part(gaussian)
         for kind in (DistanceKind.D3, DistanceKind.D4):
-            worst_diag = max(worst_diag, float(distances.divergences(kind, a, a).max()))
+            worst_diag = max(worst_diag, float(distances.divergence(kind, a, a).max()))
         for entries in a.entries:
             a_i = SpdMatrix(entries)
             worst_grad3 = max(worst_grad3, frobenius_norm(calculus.grad_phi3(a_i, a_i)))
 
         def phi4_at(x):
-            return distances.divergences(DistanceKind.D4, a, SpdStack(x))
+            return distances.divergence(DistanceKind.D4, a, _spd_stack(x))
 
         fd4 = calculus.fd_directional(phi4_at, a.entries, y)
         worst_grad4 = max(worst_grad4, float((np.abs(fd4) / _frobenius_norms(y)).max()))
 
         def phi3_at(x):
-            return distances.divergences(DistanceKind.D3, a, SpdStack(x))
+            return distances.divergence(DistanceKind.D3, a, _spd_stack(x))
 
         target = calculus.hessian_phi3_diag(a, y)
         estimate = calculus.fd_hessian_quadform(phi3_at, a, y)

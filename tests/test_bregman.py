@@ -92,6 +92,19 @@ def test_bregman_tracial_nonnegative_sampled():
             assert value > 0.0
 
 
+@pytest.mark.parametrize("mother", [ENTROPY, SQUARE, power_mother(1.5)],
+                         ids=lambda m: m.name)
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e4, 1e8])
+def test_bregman_tracial_near_equal_inputs_never_raise(mother, s):
+    # B = A (1 + 1e-13): the three traces cancel to roundoff of their own
+    # size, which at large scale is far below an absolute -1e-10
+    basis = np.linalg.qr(make_rng(13).standard_normal((4, 4)))[0]
+    a = s * ((basis * [1.0, 2.0, 3.0, 4.0]) @ basis.T)
+    value = bregman_tracial(mother, SpdMatrix(a), SpdMatrix(a * (1.0 + 1e-13)))
+    size = 2.0 * np.sum(np.abs(mother.psi(s * np.array([1.0, 2.0, 3.0, 4.0]))))
+    assert 0.0 <= value <= 1e-12 * size
+
+
 def test_bregman_tracial_entropy_matches_relative_entropy_form():
     rng = make_rng(1)
     a, b = random_spd(rng, 4), random_spd(rng, 4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helmat import calculus
 from helmat.calculus import (
     IntegrationMeasure,
     d_tr_log_euclidean,
@@ -22,6 +23,7 @@ from helmat.errors import DimensionMismatchError, QuadratureError
 from helmat.linalg import SpdMatrix, frobenius_norm
 from helmat.means import geometric_mean, log_euclidean_pair
 from helmat.sampling import make_rng, random_hermitian, random_spd
+from helmat.suites import divergence_axioms_suite
 
 
 def test_divided_difference_kernel_sqrt_closed_form():
@@ -39,6 +41,20 @@ def test_divided_difference_kernel_repeated_eigenvalues():
     eig = SpdMatrix(np.eye(3) * 4.0).eig()
     kernel = divided_difference_kernel("log", eig)
     assert_allclose(kernel.kernel, np.full((3, 3), 0.25))
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8])
+def test_frechet_log_is_scale_covariant(s):
+    # D log(sA)(Y) = D log(A)(Y) / s: the gap test that picks divided
+    # differences over midpoint derivatives is relative, so it picks the
+    # same entries at every scale
+    rng = make_rng(12)
+    basis = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+    a = (basis * [1.0, 2.0, 3.0]) @ basis.T
+    y = random_hermitian(rng, 3)
+    reference = frechet("log", SpdMatrix(a), y).entries
+    scaled = s * frechet("log", SpdMatrix(s * a), y).entries
+    assert np.linalg.norm(scaled - reference) <= 1e-12 * np.linalg.norm(reference)
 
 
 def test_frechet_identity_base_point():
@@ -228,6 +244,35 @@ def test_d_log_matches_lebesgue_quadrature():
 
     quad = measure.integrate_matrix(integrand)
     assert np.linalg.norm(exact - quad) <= 1e-7 * np.linalg.norm(exact)
+
+
+def _integrals() -> list:
+    rng = make_rng(15)
+    a, x = random_spd(rng, 3), random_spd(rng, 3)
+    y = random_hermitian(rng, 3)
+    return [quad_check("sqrt_resolvent", 2.0), quad_check("grad_normalization"),
+            quad_check("hessian_normalization"),
+            frechet_geometric_quadrature(a, x, y).entries]
+
+
+def test_gauss_legendre_rule_is_computed_once_per_node_count(monkeypatch):
+    leggauss = np.polynomial.legendre.leggauss
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    calculus._gauss_legendre.cache_clear()
+    suite = divergence_axioms_suite(42, 1000)
+    assert 1 <= len(calls) <= 8 and len(set(calls)) == len(calls)
+    assert all(not arr.flags.writeable for arr in calculus._gauss_legendre(calls[0]))
+    cached = _integrals()
+    # a rule computed afresh for every integral gives the same bits
+    monkeypatch.setattr(calculus, "_gauss_legendre", leggauss)
+    assert all(np.array_equal(c, f) for c, f in zip(cached, _integrals()))
+    assert divergence_axioms_suite(42, 1000) == suite
 
 
 def test_quad_check_sqrt_representation():

@@ -20,6 +20,7 @@ from helmat.linalg import (
     HermitianMatrix,
     SpdMatrix,
     _spd_spectral,
+    _spd_stack,
     apply_spectral,
     congruence,
     eigh,
@@ -61,6 +62,13 @@ def test_hermitian_rejects_nonsquare_and_nonfinite():
         HermitianMatrix(np.ones((2, 3)))
     with pytest.raises(HermitianError):
         HermitianMatrix([[np.nan, 0.0], [0.0, 1.0]])
+    # the public constructors take one matrix, never a stack of them
+    stack = np.array([np.eye(2)] * 3)
+    for cls in (HermitianMatrix, SpdMatrix):
+        with pytest.raises(DimensionMismatchError):
+            cls(stack)
+        with pytest.raises(DimensionMismatchError):
+            cls(_spd_stack(stack))
 
 
 def test_hermitian_entries_immutable():

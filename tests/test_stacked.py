@@ -14,24 +14,23 @@ from helmat.calculus import (
 from helmat.distances import (
     DistanceKind,
     chain_divergences,
+    distance,
     divergence,
-    divergences,
     trace_chain,
-    trace_chains,
 )
 from helmat.errors import HermitianError, NotPositiveDefiniteError
 from helmat.legendre_cex import CexParams, psibar_matrix
 from helmat.linalg import (
     HermitianMatrix,
     SpdMatrix,
-    SpdStack,
     _frobenius_norms,
     _hermitian_checked,
+    _spd_stack,
     eigh,
     hermitian_part,
     invm,
 )
-from helmat.means import _fidelities, fidelity
+from helmat.means import fidelity
 from helmat.sampling import build_spd, draw_spd, make_rng, random_hermitian, random_spd
 
 DIMS = range(2, 17)
@@ -75,7 +74,7 @@ def test_hermitian_check_and_eigh_per_slice(dim, complex_entries):
     # a defect well inside the tolerance, so the symmetrisation has work to do
     raw = raw + np.swapaxes(raw, -1, -2).conj() + 1e-14 * raw
     checked = _hermitian_checked(raw)
-    stacked = SpdStack(checked + 4.0 * dim * np.eye(dim))
+    stacked = _spd_stack(checked + 4.0 * dim * np.eye(dim))
     for i in range(STACK):
         single = HermitianMatrix(raw[i])
         assert np.array_equal(checked[i], single.entries)
@@ -88,17 +87,30 @@ def test_hermitian_check_and_eigh_per_slice(dim, complex_entries):
 @pytest.mark.parametrize("dim", DIMS)
 def test_mean_traces_and_divergences_per_slice(dim, complex_entries):
     a, b, singles = _pair_stacks(dim, complex_entries)
-    chains = trace_chains(a, b)
+    chains = trace_chain(a, b)
     squares = chain_divergences(a, b, chains)
-    fidelities = _fidelities(a, b)
+    fidelities = fidelity(a, b)
     for i, (a_i, b_i) in enumerate(singles):
         chain = trace_chain(a_i, b_i)
         assert [tr[i] for tr in chains] == list(chain)
         assert [s[i] for s in squares] == chain_divergences(a_i, b_i, chain)
         assert fidelities[i] == fidelity(a_i, b_i)
     for kind in DistanceKind:
-        assert np.array_equal(divergences(kind, a, b),
+        assert np.array_equal(divergence(kind, a, b),
                               [divergence(kind, a_i, b_i) for a_i, b_i in singles])
+        assert np.array_equal(distance(kind, a, b),
+                              [distance(kind, a_i, b_i) for a_i, b_i in singles])
+    # one value per matrix: a Python float for one pair, an array for stacks
+    a_0, b_0 = singles[0]
+    for one, stacked in (
+        *((divergence(kind, a_0, b_0), divergence(kind, a, b)) for kind in DistanceKind),
+        *((distance(kind, a_0, b_0), distance(kind, a, b)) for kind in DistanceKind),
+        (fidelity(a_0, b_0), fidelities),
+        (a_0.trace(), a.trace()),
+        *zip(trace_chain(a_0, b_0), chains),
+    ):
+        assert type(one) is float
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (STACK,)
 
 
 def _stack_with_bad_slice(bad: np.ndarray, at: int) -> np.ndarray:
@@ -123,12 +135,12 @@ def test_stack_names_the_failing_slice(bad, error, at):
     with pytest.raises(error) as single:
         SpdMatrix(bad)
     with pytest.raises(error, match=f"^slice {at}: ") as stacked:
-        SpdStack(_stack_with_bad_slice(bad, at))
+        _spd_stack(_stack_with_bad_slice(bad, at))
     assert str(stacked.value) == f"slice {at}: {single.value}"
 
 
 def test_stack_entries_are_frozen():
-    stack = SpdStack(np.array([np.diag([1.0, 2.0])] * 3))
+    stack = _spd_stack(np.array([np.diag([1.0, 2.0])] * 3))
     with pytest.raises(ValueError):
         stack.entries[1, 0, 0] = 5.0
     with pytest.raises(AttributeError):
@@ -160,7 +172,7 @@ def test_fd_directional_per_slice(dim):
     steps = 10.0 ** np.linspace(-6, -4, STACK)
 
     def stacked(x):
-        return divergences(DistanceKind.D4, a, SpdStack(x))
+        return divergence(DistanceKind.D4, a, _spd_stack(x))
 
     common = fd_directional(stacked, a.entries, y)
     own = fd_directional(stacked, a.entries, y, step=steps)
@@ -177,7 +189,7 @@ def test_fd_hessian_quadform_and_target_per_slice(dim):
     a, y, singles = _point_stacks(dim)
 
     def stacked(x):
-        return divergences(DistanceKind.D3, a, SpdStack(x))
+        return divergence(DistanceKind.D3, a, _spd_stack(x))
 
     estimates = fd_hessian_quadform(stacked, a, y)
     targets = hessian_phi3_diag(a, y)
