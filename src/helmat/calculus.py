@@ -73,7 +73,12 @@ class DividedDifferenceKernel:
     ``kernel[i, j] = (f(lam_i) - f(lam_j)) / (lam_i - lam_j)`` with the
     analytic derivative on (near-)coincident pairs; it is symmetric.  For the
     square root the algebraically equivalent stable form
-    ``1 / (sqrt(lam_i) + sqrt(lam_j))`` is used, which avoids cancellation.
+    ``1 / (sqrt(lam_i) + sqrt(lam_j))`` is used, and with ``g = |lam_i -
+    lam_j|`` and ``m = min(lam_i, lam_j)``, ``exp(m) expm1(g) / g`` for the
+    exponential and ``log1p(g / m) / g`` for the logarithm.  These avoid the
+    cancellation of ``f(lam_i) - f(lam_j)`` against ``f(lam)`` itself, which
+    for ``exp`` near zero and ``log`` away from one is much larger than the
+    difference.
     """
 
     eigenbasis: EigenDecomposition
@@ -99,15 +104,16 @@ def divided_difference_kernel(
             roots = np.sqrt(lam)
             kernel = 1.0 / np.add.outer(roots, roots)
         else:
-            values = f(lam)
-            gaps = np.subtract.outer(lam, lam)
-            close = np.abs(gaps) <= _GAP_RTOL * np.maximum.outer(np.abs(lam), np.abs(lam))
-            quotient = np.where(close, 1.0, gaps)
-            kernel = np.where(
-                close,
-                df((np.add.outer(lam, lam)) / 2.0),
-                np.subtract.outer(values, values) / quotient,
-            )
+            low, high = np.minimum.outer(lam, lam), np.maximum.outer(lam, lam)
+            close = high - low <= _GAP_RTOL * np.maximum.outer(np.abs(lam), np.abs(lam))
+            spread = np.where(close, 1.0, high - low)
+            if name == "exp":
+                apart = np.exp(low) * np.expm1(spread) / spread
+            elif name == "log":
+                apart = np.where(low > 0, np.log1p(spread / low) / spread, np.nan)
+            else:
+                apart = (f(high) - f(low)) / spread
+            kernel = np.where(close, df((np.add.outer(lam, lam)) / 2.0), apart)
     if not np.all(np.isfinite(kernel)):
         bad = int(np.argmax(~np.isfinite(kernel).ravel()))
         raise SpectralDomainError(

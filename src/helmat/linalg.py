@@ -232,7 +232,7 @@ class HermitianMatrix:
         return _per_matrix(_trace(self._entries))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(dim={self.dim})"
+        return f"{type(self).__name__}(shape={self._entries.shape})"
 
 
 def _hermitian(h: MatrixLike) -> HermitianMatrix:

@@ -147,6 +147,11 @@ def test_stack_entries_are_frozen():
         stack.entries = np.zeros((3, 2, 2))
 
 
+def test_repr_shows_the_shape():
+    assert repr(_spd_stack(np.array([np.eye(3)] * 4))) == "SpdMatrix(shape=(4, 3, 3))"
+    assert repr(SpdMatrix(np.eye(3))) == "SpdMatrix(shape=(3, 3))"
+
+
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("dim", DIMS)
 def test_frobenius_norms_are_numpy_norms_per_slice(dim, complex_entries):
