@@ -1,30 +1,35 @@
 """Fixed-point barycentres of positive definite matrices.
 
-For each supported mean kind, the mean of ``(A_1, ..., A_m)`` with
-weights ``w`` is characterised as the solution of
+For each mean kind, the mean of ``(A_1, ..., A_m)`` with weights ``w`` is
+the solution of
 
     X = sum_j w_j G(X, A_j)
 
-where ``G`` is the two-variable mean attached to the kind: the square root
-of ``X^{1/2} A X^{1/2}`` (Wasserstein), the weighted geometric mean
-``X #_t A`` (power mean), or the log-Euclidean midpoint (log-Euclidean
-type).  For the Wasserstein and log-Euclidean kinds this fixed point is the
+where ``G`` is the two-variable mean of the kind: the square root of
+``X^{1/2} A X^{1/2}`` (:class:`Wasserstein`), the weighted geometric mean
+``X #_t A`` (:class:`PowerMean`), or the log-Euclidean midpoint
+(:class:`LogEuclidean`).  Each kind is a :class:`MeanKind`, the one record
+of its ``G``, of the squared distance attached to it and of its two-point
+closed form; the functions below read the kind and never branch on it.
+For the Wasserstein and log-Euclidean kinds the fixed point is the
 barycentre, the minimiser of ``sum_j w_j d^2(X, A_j)``.  For the power mean
 at ``t = 1/2`` it is the Lim-Palfia power mean, which equals the minimiser
 of the d3^2 objective only on commuting families (see :func:`objective`).
-The solver iterates this equation from the arithmetic mean.  Plain Picard
-iteration contracts only at rate ``1 - t`` for the power mean (Lim and
-Palfia), about 40 steps at ``t = 1/2``, so each step mixes the last Picard
-images by Anderson acceleration (Walker and Ni), about 12 steps; a mixed
-iterate that is not SPD or leaves the spectral bracket of the inputs is
-replaced by the Picard image.  Damping is a further safety net.
+
+:func:`solve` iterates the equation from the arithmetic mean.  Plain
+Picard iteration contracts only at rate ``1 - t`` for the power mean (Lim
+and Palfia), about 40 steps at ``t = 1/2``, so each step mixes the last
+Picard images by Anderson acceleration (Walker and Ni), about 12 steps; a
+mixed iterate that is not SPD or leaves the spectral bracket of the inputs
+is replaced by the Picard image.  Damping is a further safety net.
 Existence and uniqueness of the fixed point are known, convergence of the
 iteration is not guaranteed, so non-convergence is a reportable outcome
 rather than an error.
 
-The factors of ``G`` that depend on ``X`` alone are formed once per step,
-and those that depend on ``A_j`` alone once per solve; :func:`mean_map`,
-:func:`fixed_point_residual` and :func:`solve` share that one kernel.
+A kind splits ``G`` into factors of ``X`` alone, formed once per step, and
+factors of ``A_j`` alone, formed once per call; :func:`mean_map`,
+:func:`fixed_point_residual` and :func:`solve` share one Picard sum, which
+also gives the relative residual.
 
 Each solve call is single threaded with a fixed left-to-right summation
 order, which makes results deterministic; distinct calls are independent and
@@ -35,7 +40,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +54,6 @@ from .distances import DistanceKind, divergence
 from .linalg import (
     SpdMatrix,
     _require_same_dim,
-    expm,
     hermitian_part,
     logm,
     product_sqrt,
@@ -60,6 +64,7 @@ from .linalg import (
 from .means import (
     WeightVector,
     _geometric_mean_from_roots,
+    _log_euclidean_from_logs,
     arithmetic_mean,
     check_family,
     geometric_mean_entries,
@@ -77,13 +82,51 @@ _ANDERSON_MEMORY = 5
 _COMMUTATOR_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class Wasserstein:
-    """Barycentre of the Bures-Wasserstein distance."""
+class MeanKind:
+    """The two-variable mean ``G(X, A)`` of one fixed-point equation.
+
+    Each kind is the one record of its ``G``, split so that a solve forms
+    the factors of ``X`` once per step and those of ``A_j`` once per call:
+    ``_x_side(x)`` and ``_a_side(a)`` give the factors of each argument and
+    ``_term(x_side, a_side)`` the mean.  ``distance`` is the
+    :class:`~helmat.distances.DistanceKind` whose squared distance the
+    fixed point minimises (see :func:`objective`), or ``None``;
+    ``_closed_form(a, b)`` is the equal-weight two-point barycentre (see
+    :func:`closed_form_m2`).  ``_ABORTS_OFF_BRACKET`` says whether an
+    iterate outside the spectral bracket of the inputs stops the solve.
+    """
+
+    _ABORTS_OFF_BRACKET = False
+
+    def _a_side(self, a: SpdMatrix) -> np.ndarray:
+        return a.entries
+
+    def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
+        raise UnsupportedObjectiveError(
+            f"no closed form for the two-point barycentre of kind {self!r}"
+        )
 
 
 @dataclass(frozen=True)
-class PowerMean:
+class Wasserstein(MeanKind):
+    """Barycentre of the Bures-Wasserstein distance: ``G(X, A)`` is the
+    square root of ``X^{1/2} A X^{1/2}``."""
+
+    distance = DistanceKind.D2
+
+    def _x_side(self, x: SpdMatrix) -> np.ndarray:
+        return sqrt_entries(x)
+
+    def _term(self, x_side: np.ndarray, a_side: np.ndarray) -> np.ndarray:
+        return sqrtm(SpdMatrix(hermitian_part(x_side @ a_side @ x_side))).entries
+
+    def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
+        cross = product_sqrt(a, b)
+        return SpdMatrix(hermitian_part((a.entries + b.entries + cross + cross.conj().T) / 4.0))
+
+
+@dataclass(frozen=True)
+class PowerMean(MeanKind):
     """The mean defined by the fixed-point equation over ``X #_t A``.
 
     The fixed point is the power mean of Lim and Palfia.  ``t = 1/2`` is the
@@ -99,13 +142,39 @@ class PowerMean:
         if not 0.0 < self.t < 1.0:
             raise ValueError(f"power-mean parameter must lie in (0, 1), got {self.t}")
 
+    @property
+    def distance(self) -> DistanceKind | None:
+        return DistanceKind.D3 if self.t == 0.5 else None
+
+    def _x_side(self, x: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
+        return sqrt_pair_entries(x)
+
+    def _term(self, x_side: tuple[np.ndarray, np.ndarray], a_side: np.ndarray) -> np.ndarray:
+        return _geometric_mean_from_roots(*x_side, a_side, self.t)
+
+    def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
+        if self.t != 0.5:
+            return super()._closed_form(a, b)
+        mid = geometric_mean_entries(a, b, 0.5)
+        return SpdMatrix(hermitian_part((a.entries + b.entries + 2.0 * mid) / 4.0))
+
 
 @dataclass(frozen=True)
-class LogEuclidean:
-    """Barycentre of the log-Euclidean divergence."""
+class LogEuclidean(MeanKind):
+    """Barycentre of the log-Euclidean divergence: ``G(X, A)`` is the
+    log-Euclidean midpoint, whose iterates provably stay in the bracket."""
 
+    distance = DistanceKind.D4
+    _ABORTS_OFF_BRACKET = True
 
-MeanKind = Union[Wasserstein, PowerMean, LogEuclidean]
+    def _x_side(self, x: SpdMatrix) -> np.ndarray:
+        return logm(x).entries
+
+    _a_side = _x_side
+
+    def _term(self, x_side: np.ndarray, a_side: np.ndarray) -> np.ndarray:
+        return _log_euclidean_from_logs(x_side, a_side)
+
 
 WASSERSTEIN = Wasserstein()
 LOG_EUCLIDEAN = LogEuclidean()
@@ -160,43 +229,15 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     ``t = 1/2`` reduce to the entrywise root ``sqrt(x_i a_i)``.
     """
     _require_same_dim(x.dim, a.dim)
-    return SpdMatrix(
-        _mean_map_entries(kind, _x_factors(kind, x), _a_factors(kind, [a])[0])
-    )
+    return SpdMatrix(kind._term(kind._x_side(x), kind._a_side(a)))
 
 
-def _x_factors(kind: MeanKind, x: SpdMatrix):
-    """The factors of ``G(X, .)`` that depend on ``X`` alone: ``X^{1/2}``
-    (Wasserstein), ``(X^{1/2}, X^{-1/2})`` (power mean) or ``log X``."""
-    if isinstance(kind, Wasserstein):
-        return sqrt_entries(x)
-    if isinstance(kind, PowerMean):
-        return sqrt_pair_entries(x)
-    if isinstance(kind, LogEuclidean):
-        return logm(x).entries
-    raise TypeError(f"unknown mean kind {kind!r}")
-
-
-def _a_factors(kind: MeanKind, mats: Sequence[SpdMatrix]) -> list[np.ndarray]:
-    """The factors of ``G(., A_j)`` that depend on ``A_j`` alone: ``log A_j``
-    for the log-Euclidean kind, the entries of ``A_j`` otherwise."""
-    if isinstance(kind, LogEuclidean):
-        return [logm(a).entries for a in mats]
-    return [a.entries for a in mats]
-
-
-def _mean_map_entries(kind: MeanKind, x_side, a_side: np.ndarray) -> np.ndarray:
-    """``G(X, A)`` from the factors of :func:`_x_factors` and :func:`_a_factors`."""
-    if isinstance(kind, Wasserstein):
-        return sqrtm(SpdMatrix(hermitian_part(x_side @ a_side @ x_side))).entries
-    if isinstance(kind, PowerMean):
-        return _geometric_mean_from_roots(*x_side, a_side, kind.t)
-    return expm((x_side + a_side) / 2).entries
-
-
-def _picard_sum(kind: MeanKind, x: SpdMatrix, a_sides, weights) -> np.ndarray:
-    x_side = _x_factors(kind, x)
-    return sum(wj * _mean_map_entries(kind, x_side, aj) for wj, aj in zip(weights, a_sides))
+def _picard_sum(kind: MeanKind, x: SpdMatrix, a_sides, weights) -> tuple[np.ndarray, float]:
+    """``sum_j w_j G(X, A_j)`` from the factors ``a_sides`` of the ``A_j``,
+    and the relative residual ``||X - sum||_F / ||X||_F``."""
+    x_side = kind._x_side(x)
+    summed = sum(wj * kind._term(x_side, aj) for wj, aj in zip(weights, a_sides))
+    return summed, float(np.linalg.norm(x.entries - summed) / np.linalg.norm(x.entries))
 
 
 def fixed_point_residual(
@@ -205,8 +246,7 @@ def fixed_point_residual(
     """Relative residual ``||X - sum_j w_j G(X, A_j)||_F / ||X||_F`` of the
     defining equation at a candidate ``X``."""
     _require_same_dim(x.dim, check_family(mats, w))
-    summed = _picard_sum(kind, x, _a_factors(kind, mats), w.weights)
-    return float(np.linalg.norm(x.entries - summed) / np.linalg.norm(x.entries))
+    return _picard_sum(kind, x, [kind._a_side(a) for a in mats], w.weights)[1]
 
 
 class _AndersonHistory:
@@ -269,18 +309,22 @@ def solve(
 ) -> tuple[SpdMatrix, SolverReport]:
     """Solve the fixed-point equation ``X = sum_j w_j G(X, A_j)``.
 
-    Starts at the weighted arithmetic mean (or ``x0``) and stops when the
-    relative residual of the defining equation at the current iterate drops
-    below ``cfg.tol``.  Each step forms the damped Picard image
+    Starts at the weighted arithmetic mean (or ``x0``).  Each step forms the
+    Picard sum at the current iterate and its relative residual, and stops
+    once the residual is at most ``cfg.tol`` or ``cfg.max_iter`` steps are
+    done; the report says ``converged`` exactly when the residual met the
+    tolerance, so exhaustion returns the last iterate with
+    ``converged=False`` rather than an exception.
+
+    Otherwise the step forms the damped Picard image
     ``T(X) = (1 - eta) X + eta sum_j w_j G(X, A_j)``.  The next iterate is
     the Anderson mix of the recent images (see :class:`_AndersonHistory`),
     unless the mix is not SPD or its spectrum leaves the bracket
     ``[alpha, beta]`` of the inputs: then the step falls back to the Picard
     image, which is counted in ``fallbacks``.  A fallback, a residual that
-    grew and a change of ``eta`` each restart the mixing history.  If the residual grows for five consecutive iterations
-    ``eta`` is halved, down to 1/16.  A step costs m + 1 eigensolves, plus
-    one per fallback.  On ``max_iter`` exhaustion the last iterate is
-    returned with ``converged=False`` diagnostics rather than an exception.
+    grew and a change of ``eta`` each restart the mixing history.  If the
+    residual grows for five consecutive iterations ``eta`` is halved, down
+    to 1/16.  A step costs m + 1 eigensolves, plus one per fallback.
     """
     cfg = cfg or SolverConfig()
     current = x0 if x0 is not None else arithmetic_mean(mats, w)
@@ -289,40 +333,26 @@ def solve(
     beta = max(float(a.eig().eigenvalues[-1]) for a in mats)
     lower = alpha * (1.0 - _BRACKET_SLACK)
     upper = beta * (1.0 + _BRACKET_SLACK)
-    a_sides = _a_factors(kind, mats)
+    a_sides = [kind._a_side(a) for a in mats]
     history = _AndersonHistory()
 
     damping = cfg.damping
     consecutive_growth = 0
     previous_residual = np.inf
     bracket_ok = True
-    residual = np.inf
-    iterations = 0
     fallbacks = 0
 
     for iterations in range(cfg.max_iter + 1):
         spectrum = current.eig().eigenvalues
         if spectrum[0] < lower or spectrum[-1] > upper:
             bracket_ok = False
-            if isinstance(kind, LogEuclidean):
+            if kind._ABORTS_OFF_BRACKET:
                 raise InternalConsistencyError(
                     f"iterate spectrum [{spectrum[0]:.6e}, {spectrum[-1]:.6e}] left "
                     f"the bracket [{alpha:.6e}, {beta:.6e}] at iteration {iterations}"
                 )
-        summed = _picard_sum(kind, current, a_sides, w.weights)
-        residual = float(
-            np.linalg.norm(current.entries - summed) / np.linalg.norm(current.entries)
-        )
-        if residual <= cfg.tol:
-            return current, SolverReport(
-                iterations=iterations,
-                final_residual=residual,
-                converged=True,
-                spectral_bounds=(alpha, beta),
-                bracket_ok=bracket_ok,
-                fallbacks=fallbacks,
-            )
-        if iterations == cfg.max_iter:
+        summed, residual = _picard_sum(kind, current, a_sides, w.weights)
+        if residual <= cfg.tol or iterations == cfg.max_iter:
             break
         # growth restarts the mixing history; so does a halving of eta (a
         # new map T), which only ever follows growth
@@ -346,7 +376,7 @@ def solve(
     return current, SolverReport(
         iterations=iterations,
         final_residual=residual,
-        converged=False,
+        converged=residual <= cfg.tol,
         spectral_bounds=(alpha, beta),
         bracket_ok=bracket_ok,
         fallbacks=fallbacks,
@@ -374,18 +404,9 @@ def objective(
     which is the defining quantity of this module's mean kinds.
     """
     check_family(mats, w)
-    if isinstance(kind, Wasserstein):
-        dk = DistanceKind.D2
-    elif isinstance(kind, PowerMean):
-        if kind.t != 0.5:
-            raise UnsupportedObjectiveError(
-                f"no squared distance is attached to the power mean with t={kind.t}"
-            )
-        dk = DistanceKind.D3
-    elif isinstance(kind, LogEuclidean):
-        dk = DistanceKind.D4
-    else:
-        raise TypeError(f"unknown mean kind {kind!r}")
+    dk = kind.distance
+    if dk is None:
+        raise UnsupportedObjectiveError(f"no squared distance is attached to {kind!r}")
     return float(
         sum(wj * divergence(dk, x, aj) for wj, aj in zip(w.weights, mats))
     )
@@ -399,15 +420,7 @@ def closed_form_m2(kind: MeanKind, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     the log-Euclidean kind (see :func:`refute_d4_guess`).
     """
     _require_same_dim(a.dim, b.dim)
-    if isinstance(kind, Wasserstein):
-        cross = product_sqrt(a, b)
-        return SpdMatrix(hermitian_part((a.entries + b.entries + cross + cross.conj().T) / 4.0))
-    if isinstance(kind, PowerMean) and kind.t == 0.5:
-        mid = geometric_mean_entries(a, b, 0.5)
-        return SpdMatrix(hermitian_part((a.entries + b.entries + 2.0 * mid) / 4.0))
-    raise UnsupportedObjectiveError(
-        f"no closed form for the two-point barycentre of kind {kind!r}"
-    )
+    return kind._closed_form(a, b)
 
 
 @dataclass(frozen=True)

@@ -147,9 +147,15 @@ def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 
 
 def _log_euclidean_entries(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
-    """Hermitian array of :func:`log_euclidean_pair`, checked as
-    :func:`~helmat.linalg.expm` checks its result; dimensions are unchecked."""
-    half_sum = (_spectral(np.log, a.eig()) + _spectral(np.log, b.eig())) / 2
+    """Hermitian array of :func:`log_euclidean_pair`; dimensions are unchecked."""
+    return _log_euclidean_from_logs(_spectral(np.log, a.eig()), _spectral(np.log, b.eig()))
+
+
+def _log_euclidean_from_logs(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
+    """``exp((log A + log B)/2)`` given the arrays ``log A`` and ``log B``,
+    checked as :func:`~helmat.linalg.expm` checks its result, for callers
+    that pair one ``A`` with many ``B``."""
+    half_sum = (log_a + log_b) / 2
     return _spectral(np.exp, _checked_eigh(_hermitian_checked(half_sum)), positive=True)
 
 

@@ -496,28 +496,20 @@ def d4_guess_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     n_pairs = max(10, samples // 10)
     w2 = WeightVector.uniform(2)
 
-    worst_wass = 0.0
-    worst_power = 0.0
+    worst = {barycentre.WASSERSTEIN: 0.0, barycentre.PowerMean(0.5): 0.0}
     min_refuted = np.inf
     for _ in range(n_pairs):
         dim = int(rng.integers(2, 5))
         a, b = generic_noncommuting_pair(rng, dim)
-
-        for kind, track in ((barycentre.WASSERSTEIN, "w"), (barycentre.PowerMean(0.5), "p")):
+        for kind in worst:
             x = barycentre.closed_form_m2(kind, a, b)
-            res = barycentre.fixed_point_residual(kind, x, [a, b], w2)
-            if track == "w":
-                worst_wass = max(worst_wass, res)
-            else:
-                worst_power = max(worst_power, res)
-
+            worst[kind] = max(worst[kind], barycentre.fixed_point_residual(kind, x, [a, b], w2))
         min_refuted = min(
             min_refuted, barycentre.refute_d4_guess(a, b).relative_residual
         )
-    result.add("wasserstein-closed-form", worst_wass <= 1e-8,
-               f"max fixed-point residual over {n_pairs} pairs: {worst_wass:.3e}")
-    result.add("power-half-closed-form", worst_power <= 1e-8,
-               f"max fixed-point residual over {n_pairs} pairs: {worst_power:.3e}")
+    for name, res in zip(("wasserstein", "power-half"), worst.values()):
+        result.add(f"{name}-closed-form", res <= 1e-8,
+                   f"max fixed-point residual over {n_pairs} pairs: {res:.3e}")
 
     a, b, _ = (SpdMatrix(m) for m in D3_TRIANGLE_TRIPLE)
     pinned = barycentre.refute_d4_guess(a, b)

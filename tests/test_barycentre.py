@@ -7,10 +7,10 @@ from numpy.testing import assert_allclose
 from helmat.barycentre import (
     LOG_EUCLIDEAN,
     WASSERSTEIN,
+    MeanKind,
     PowerMean,
     SolverConfig,
     _AndersonHistory,
-    _a_factors,
     _bracketed,
     _picard_sum,
     closed_form_m2,
@@ -21,6 +21,7 @@ from helmat.barycentre import (
     solve,
 )
 from helmat.calculus import fd_directional, grad_phi3
+from helmat.distances import DistanceKind
 from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm, hermitian_part
 from helmat.means import WeightVector, arithmetic_mean, geometric_mean, q_half
@@ -69,8 +70,17 @@ def test_mean_map_entries_are_the_picard_term():
     rng = make_rng(4)
     x, a = random_spd(rng, 4, complex_entries=True), random_spd(rng, 4, cond=50.0)
     for kind in ALL_KINDS:
-        term = _picard_sum(kind, x, _a_factors(kind, [a]), np.ones(1))
+        term, _ = _picard_sum(kind, x, [kind._a_side(a)], np.ones(1))
         assert np.array_equal(mean_map(kind, x, a).entries, term), kind
+
+
+def test_each_kind_is_the_record_of_its_distance():
+    for kind in (*ALL_KINDS, PowerMean(0.3)):
+        assert isinstance(kind, MeanKind), kind
+    assert WASSERSTEIN.distance is DistanceKind.D2
+    assert PowerMean(0.5).distance is DistanceKind.D3
+    assert PowerMean(0.3).distance is None
+    assert LOG_EUCLIDEAN.distance is DistanceKind.D4
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
@@ -342,6 +352,22 @@ def test_solve_nonconverged_report():
     assert x.dim == 3  # the last iterate is still returned
 
 
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+def test_solve_converging_on_the_last_allowed_step(kind):
+    rng = make_rng(3)
+    mats = [random_spd(rng, 4, cond=30.0) for _ in range(4)]
+    w = WeightVector([0.1, 0.2, 0.3, 0.4])
+    x, report = solve(kind, mats, w)
+    assert report.converged and report.iterations >= 2
+    x_last, report_last = solve(kind, mats, w, SolverConfig(max_iter=report.iterations))
+    assert report_last == report
+    assert x_last.entries.tobytes() == x.entries.tobytes()
+    _, short = solve(kind, mats, w, SolverConfig(max_iter=report.iterations - 1))
+    assert not short.converged
+    assert short.iterations == report.iterations - 1
+    assert short.final_residual > SolverConfig().tol
+
+
 def test_solve_permutation_equivariance():
     rng = make_rng(8)
     mats = [random_spd(rng, 3) for _ in range(4)]
@@ -464,8 +490,9 @@ def test_closed_form_m2_identity_case():
     for kind in (WASSERSTEIN, PowerMean(0.5)):
         cf = closed_form_m2(kind, a, a)
         assert frobenius_norm(cf.entries - a.entries) <= 1e-10
-    with pytest.raises(UnsupportedObjectiveError):
-        closed_form_m2(LOG_EUCLIDEAN, a, a)
+    for kind in (LOG_EUCLIDEAN, PowerMean(0.3)):
+        with pytest.raises(UnsupportedObjectiveError):
+            closed_form_m2(kind, a, a)
 
 
 def test_closed_form_m2_rejects_pair_of_mixed_dimension():

@@ -105,6 +105,22 @@ def test_bregman_tracial_near_equal_inputs_never_raise(mother, s):
     assert 0.0 <= value <= 1e-12 * size
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the trace formula cancels; ROADMAP item 2's difference form takes A - B directly",
+)
+def test_bregman_tracial_square_resolves_near_equal_large_inputs():
+    # for the square seed the divergence is ||A - B||_F^2 / 2, here 1.5e-9;
+    # the trace formula returns 3.82 for this rounding of A
+    basis = np.linalg.qr(make_rng(13).standard_normal((4, 4)))[0]
+    a = (1e8 * (basis * [1.0, 2.0, 3.0, 4.0])) @ basis.T
+    b = a * (1.0 + 1e-13)
+    truth = 0.5 * np.linalg.norm(a - b) ** 2
+    assert truth == pytest.approx(1.5e-9, rel=1e-2)
+    assert bregman_tracial(SQUARE, SpdMatrix(a), SpdMatrix(b)) == pytest.approx(truth, rel=1e-3)
+
+
 def test_bregman_tracial_entropy_matches_relative_entropy_form():
     rng = make_rng(1)
     a, b = random_spd(rng, 4), random_spd(rng, 4)
