@@ -31,6 +31,12 @@ factors of ``A_j`` alone, formed once per call; :func:`mean_map`,
 :func:`fixed_point_residual` and :func:`solve` share one Picard sum, which
 also gives the relative residual.
 
+:func:`closed_form_m2`, :func:`fixed_point_residual` and
+:func:`refute_d4_guess` also take stacks of pairs ``(..., n, n)`` (built by
+:func:`~helmat.linalg._spd_stack`) and give one result per pair, bit for
+bit what the pair gives alone; :func:`solve` and :func:`mean_map` take one
+family of single matrices.
+
 Each solve call is single threaded with a fixed left-to-right summation
 order, which makes results deterministic; distinct calls are independent and
 safe to run concurrently.
@@ -53,7 +59,11 @@ from .errors import (
 from .distances import DistanceKind, divergence
 from .linalg import (
     SpdMatrix,
+    _adjoint,
+    _frobenius_norms,
+    _per_matrix,
     _require_same_dim,
+    _spd_stack,
     hermitian_part,
     logm,
     product_sqrt,
@@ -118,11 +128,11 @@ class Wasserstein(MeanKind):
         return sqrt_entries(x)
 
     def _term(self, x_side: np.ndarray, a_side: np.ndarray) -> np.ndarray:
-        return sqrtm(SpdMatrix(hermitian_part(x_side @ a_side @ x_side))).entries
+        return sqrtm(_spd_stack(hermitian_part(x_side @ a_side @ x_side))).entries
 
     def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
         cross = product_sqrt(a, b)
-        return SpdMatrix(hermitian_part((a.entries + b.entries + cross + cross.conj().T) / 4.0))
+        return _spd_stack(hermitian_part((a.entries + b.entries + cross + _adjoint(cross)) / 4.0))
 
 
 @dataclass(frozen=True)
@@ -156,7 +166,7 @@ class PowerMean(MeanKind):
         if self.t != 0.5:
             return super()._closed_form(a, b)
         mid = geometric_mean_entries(a, b, 0.5)
-        return SpdMatrix(hermitian_part((a.entries + b.entries + 2.0 * mid) / 4.0))
+        return _spd_stack(hermitian_part((a.entries + b.entries + 2.0 * mid) / 4.0))
 
 
 @dataclass(frozen=True)
@@ -232,19 +242,23 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     return SpdMatrix(kind._term(kind._x_side(x), kind._a_side(a)))
 
 
-def _picard_sum(kind: MeanKind, x: SpdMatrix, a_sides, weights) -> tuple[np.ndarray, float]:
+def _picard_sum(
+    kind: MeanKind, x: SpdMatrix, a_sides, weights
+) -> tuple[np.ndarray, float | np.ndarray]:
     """``sum_j w_j G(X, A_j)`` from the factors ``a_sides`` of the ``A_j``,
-    and the relative residual ``||X - sum||_F / ||X||_F``."""
+    and the relative residual ``||X - sum||_F / ||X||_F`` of each matrix."""
     x_side = kind._x_side(x)
     summed = sum(wj * kind._term(x_side, aj) for wj, aj in zip(weights, a_sides))
-    return summed, float(np.linalg.norm(x.entries - summed) / np.linalg.norm(x.entries))
+    relative = _frobenius_norms(x.entries - summed) / _frobenius_norms(x.entries)
+    return summed, _per_matrix(relative)
 
 
 def fixed_point_residual(
     kind: MeanKind, x: SpdMatrix, mats: Sequence[SpdMatrix], w: WeightVector
-) -> float:
+) -> float | np.ndarray:
     """Relative residual ``||X - sum_j w_j G(X, A_j)||_F / ||X||_F`` of the
-    defining equation at a candidate ``X``."""
+    defining equation at a candidate ``X``; one per matrix if ``x`` and the
+    ``mats`` are stacks of one shape."""
     _require_same_dim(x.dim, check_family(mats, w))
     return _picard_sum(kind, x, [kind._a_side(a) for a in mats], w.weights)[1]
 
@@ -417,7 +431,8 @@ def closed_form_m2(kind: MeanKind, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 
     Wasserstein: ``(A + B + (AB)^{1/2} + (BA)^{1/2}) / 4``; power mean at
     ``t = 1/2``: ``(A + B + 2 (A # B)) / 4``.  No closed form is known for
-    the log-Euclidean kind (see :func:`refute_d4_guess`).
+    the log-Euclidean kind (see :func:`refute_d4_guess`).  Stacks ``a``
+    and ``b`` of one shape give the stack of the pairs' barycentres.
     """
     _require_same_dim(a.dim, b.dim)
     return kind._closed_form(a, b)
@@ -433,33 +448,37 @@ class D4GuessReport:
     log-Euclidean fixed-point equation at the candidate.  ``refuted``
     records that the relative residual exceeds ``1e-6``.  On (numerically)
     commuting inputs the residual vanishes identically and the check is
-    flagged inconclusive instead.
+    flagged inconclusive instead.  For stacks of pairs every field holds
+    one value per pair, and ``refuted`` is taken pair by pair; for one pair
+    the flags are plain ``bool`` and the residuals ``float``.
     """
 
     candidate: SpdMatrix
-    residual: float
-    relative_residual: float
-    inconclusive: bool
+    residual: float | np.ndarray
+    relative_residual: float | np.ndarray
+    inconclusive: bool | np.ndarray
 
     @property
-    def refuted(self) -> bool:
-        return not self.inconclusive and self.relative_residual > _COMMUTATOR_TOL
+    def refuted(self) -> bool | np.ndarray:
+        conclusive = np.logical_not(self.inconclusive)
+        return _per_matrix(conclusive & (np.asarray(self.relative_residual) > _COMMUTATOR_TOL))
 
 
 def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     """Test the would-be closed form of the log-Euclidean two-point barycentre.
 
     Evaluates :func:`fixed_point_residual` of the candidate with equal
-    weights.
+    weights; stacks ``a`` and ``b`` of one shape give one report over all
+    pairs.
     """
     _require_same_dim(a.dim, b.dim)
     commutator = a.entries @ b.entries - b.entries @ a.entries
-    comm_scale = max(
-        np.linalg.norm(a.entries) * np.linalg.norm(b.entries), 1e-300
+    comm_scale = np.maximum(
+        _frobenius_norms(a.entries) * _frobenius_norms(b.entries), 1e-300
     )
-    inconclusive = bool(np.linalg.norm(commutator) / comm_scale <= _COMMUTATOR_TOL)
+    inconclusive = _per_matrix(_frobenius_norms(commutator) / comm_scale <= _COMMUTATOR_TOL)
 
-    candidate = SpdMatrix(hermitian_part(
+    candidate = _spd_stack(hermitian_part(
         (a.entries + b.entries + 2.0 * log_euclidean_pair(a, b).entries) / 4.0
     ))
     relative = fixed_point_residual(
@@ -467,7 +486,7 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     )
     return D4GuessReport(
         candidate=candidate,
-        residual=relative * float(np.linalg.norm(candidate.entries)),
+        residual=_per_matrix(relative * _frobenius_norms(candidate.entries)),
         relative_residual=relative,
         inconclusive=inconclusive,
     )

@@ -10,6 +10,14 @@ with ``K[i, i] = f'(lam_i)`` (``o`` is the Hadamard product).  Equal or nearly
 equal eigenvalues (relative to their size) fall back to the analytic
 derivative, which removes the 0/0 singularity.  Integral representations of
 the same derivatives are kept as cross-check quadratures.
+
+The kernel, :func:`frechet`, :func:`fd_frechet`, :func:`grad_phi3`,
+:func:`hessian_phi3_diag` and the finite-difference helpers
+:func:`fd_directional` and :func:`fd_hessian_quadform` also take stacks
+``(..., n, n)`` (an :class:`~helmat.linalg.SpdMatrix` built by
+:func:`~helmat.linalg._spd_stack`, with directions of the same shape) and
+give each matrix the bits of a call on it alone.  :func:`frechet_geometric`,
+its quadrature and :func:`d_tr_log_euclidean` take one matrix.
 """
 
 from __future__ import annotations
@@ -27,13 +35,17 @@ from .linalg import (
     MatrixLike,
     SpdMatrix,
     _adjoint,
+    _any,
     _as_stack,
+    _first_failure,
     _frobenius_norms,
+    _hermitian_checked,
+    _hermitian_value,
     _per_matrix,
     _require_same_dim,
+    _spd_stack,
     _spectral,
     _trace,
-    apply_spectral,
     as_array,
     hermitian_part,
     invm,
@@ -85,10 +97,11 @@ class DividedDifferenceKernel:
     kernel: np.ndarray
 
     def apply(self, y: MatrixLike) -> np.ndarray:
-        """The derivative as a linear map: Hadamard-multiply in the eigenbasis."""
+        """The derivative as a linear map: Hadamard-multiply in the eigenbasis
+        (of each matrix, for a stack of eigensystems and directions)."""
         v = self.eigenbasis.eigenvectors
-        w = v.conj().T @ as_array(y) @ v
-        return v @ (self.kernel * w) @ v.conj().T
+        w = _adjoint(v) @ _as_stack(y) @ v
+        return v @ (self.kernel * w) @ _adjoint(v)
 
 
 def divided_difference_kernel(
@@ -96,16 +109,25 @@ def divided_difference_kernel(
     eig: EigenDecomposition,
     t: float | None = None,
 ) -> DividedDifferenceKernel:
-    """Build the divided-difference kernel of a tagged function on a spectrum."""
+    """Build the divided-difference kernel of a tagged function on a spectrum
+    (on each spectrum of a stack).
+
+    Raises
+    ------
+    SpectralDomainError
+        If the kernel is undefined somewhere, naming the first failing slice
+        of a stack and the eigenvalue of the first row that fails.
+    """
     lam = eig.eigenvalues
+    rows, cols = lam[..., :, None], lam[..., None, :]
     f, df = _pair_for(name, t)
     with np.errstate(all="ignore"):
         if name == "sqrt":
             roots = np.sqrt(lam)
-            kernel = 1.0 / np.add.outer(roots, roots)
+            kernel = 1.0 / (roots[..., :, None] + roots[..., None, :])
         else:
-            low, high = np.minimum.outer(lam, lam), np.maximum.outer(lam, lam)
-            close = high - low <= _GAP_RTOL * np.maximum.outer(np.abs(lam), np.abs(lam))
+            low, high = np.minimum(rows, cols), np.maximum(rows, cols)
+            close = high - low <= _GAP_RTOL * np.maximum(np.abs(rows), np.abs(cols))
             spread = np.where(close, 1.0, high - low)
             if name == "exp":
                 apart = np.exp(low) * np.expm1(spread) / spread
@@ -113,14 +135,20 @@ def divided_difference_kernel(
                 apart = np.where(low > 0, np.log1p(spread / low) / spread, np.nan)
             else:
                 apart = (f(high) - f(low)) / spread
-            kernel = np.where(close, df((np.add.outer(lam, lam)) / 2.0), apart)
-    if not np.all(np.isfinite(kernel)):
-        bad = int(np.argmax(~np.isfinite(kernel).ravel()))
+            kernel = np.where(close, df((rows + cols) / 2.0), apart)
+    bad_rows = ~np.isfinite(kernel).all(axis=-1)
+    if _any(bad_rows.any(axis=-1)):
+        index, where = _first_failure(bad_rows.any(axis=-1))
         raise SpectralDomainError(
-            f"function {name!r} is undefined near eigenvalue "
-            f"{lam[bad // lam.size]!r}"
+            f"{where}function {name!r} is undefined near eigenvalue "
+            f"{lam[index][np.argmax(bad_rows[index])]!r}"
         )
     return DividedDifferenceKernel(eigenbasis=eig, kernel=kernel)
+
+
+def _hermitian_result(arr: np.ndarray) -> HermitianMatrix:
+    """``HermitianMatrix(hermitian_part(arr))``, for one matrix or a stack."""
+    return _hermitian_value(_hermitian_checked(hermitian_part(arr)))
 
 
 def frechet(
@@ -132,12 +160,14 @@ def frechet(
     """Frechet derivative ``Df(X)(Y)`` of a spectral matrix function.
 
     ``name`` is one of ``sqrt``, ``log``, ``exp``, ``pow_t`` (the latter with
-    exponent ``t``).  Linear in ``Y``; Hermitian for Hermitian ``Y``.
+    exponent ``t``).  Linear in ``Y``; Hermitian for Hermitian ``Y``.  A
+    stack ``X`` with a stack ``Y`` of the same shape gives one derivative
+    per pair.
     """
-    yarr = as_array(y)
-    _require_same_dim(x.dim, len(yarr))
+    yarr = _as_stack(y)
+    _require_same_dim(x.dim, yarr.shape[-1])
     kernel = divided_difference_kernel(name, x.eig(), t)
-    return HermitianMatrix(hermitian_part(kernel.apply(yarr)))
+    return _hermitian_result(kernel.apply(yarr))
 
 
 def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -153,7 +183,7 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     middle = SpdMatrix(hermitian_part(inv_root @ x.entries @ inv_root))
     pushed = hermitian_part(inv_root @ yarr @ inv_root)
     kernel = divided_difference_kernel("sqrt", middle.eig())
-    return HermitianMatrix(hermitian_part(root @ kernel.apply(pushed) @ root))
+    return _hermitian_result(root @ kernel.apply(pushed) @ root)
 
 
 def frechet_geometric_quadrature(
@@ -181,7 +211,7 @@ def frechet_geometric_quadrature(
         left = np.linalg.solve(shift + xa, yarr)
         return _adjoint(np.linalg.solve(_adjoint(shift + ax), _adjoint(left)))
 
-    return HermitianMatrix(hermitian_part(measure.integrate_matrix(integrand)))
+    return _hermitian_result(measure.integrate_matrix(integrand))
 
 
 def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
@@ -193,14 +223,15 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
 
     using that the divided-difference map is self-adjoint for the trace
     pairing.  Vanishes at ``X = A``; on commuting diagonal inputs it reduces
-    to ``diag(1 - sqrt(a_i / x_i))``.
+    to ``diag(1 - sqrt(a_i / x_i))``.  Stacks ``A`` and ``X`` of one shape
+    give one gradient per pair.
     """
     _require_same_dim(a.dim, x.dim)
     _, inv_root = sqrt_pair_entries(a)
-    middle = SpdMatrix(hermitian_part(inv_root @ x.entries @ inv_root))
+    middle = _spd_stack(hermitian_part(inv_root @ x.entries @ inv_root))
     kernel = divided_difference_kernel("sqrt", middle.eig())
     pulled = inv_root @ kernel.apply(a.entries) @ inv_root
-    return HermitianMatrix(hermitian_part(np.eye(a.dim) - 2.0 * pulled))
+    return _hermitian_result(np.eye(a.dim) - 2.0 * pulled)
 
 
 def hessian_phi3_diag(a: SpdMatrix, y: MatrixLike) -> float | np.ndarray:
@@ -226,7 +257,7 @@ def d_tr_log_euclidean(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     """
     mean = log_euclidean_pair(a, x)
     kernel = divided_difference_kernel("log", x.eig())
-    return HermitianMatrix(hermitian_part(0.5 * kernel.apply(mean.entries)))
+    return _hermitian_result(0.5 * kernel.apply(mean.entries))
 
 
 @cache
@@ -377,11 +408,14 @@ def fd_frechet(
     step: float = FD_STEP,
 ) -> np.ndarray:
     """Central finite difference ``(f(X + hY) - f(X - hY)) / 2h`` of a
-    matrix function; the independent oracle for :func:`frechet`."""
+    matrix function; the independent oracle for :func:`frechet`.  Each
+    shifted point gets the checked eigensolve of
+    :func:`~helmat.linalg.apply_spectral`; a stack ``X`` with a stack ``Y``
+    of the same shape gives one difference per pair."""
     f, _ = _pair_for(name, t)
-    yarr = as_array(y)
-    plus = apply_spectral(f, hermitian_part(x.entries + step * yarr)).entries
-    minus = apply_spectral(f, hermitian_part(x.entries - step * yarr)).entries
+    yarr = _as_stack(y)
+    plus, minus = (_spectral(f, _hermitian_result(x.entries + h * yarr).eig())
+                   for h in (step, -step))
     return (plus - minus) / (2.0 * step)
 
 

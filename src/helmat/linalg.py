@@ -117,11 +117,11 @@ def _frobenius_norms(arr: np.ndarray) -> np.ndarray:
     return np.sqrt(sum((part @ _adjoint(part))[..., 0, 0] for part in parts))
 
 
-def _per_matrix(values: np.ndarray) -> float | np.ndarray:
-    """One value per matrix: a float for a single matrix, the array for a
-    stack."""
+def _per_matrix(values: np.ndarray) -> float | bool | np.ndarray:
+    """One value per matrix: a Python scalar (a float, or a bool for
+    flags) for a single matrix, the array for a stack."""
     values = np.asarray(values)
-    return values if values.ndim else float(values)
+    return values if values.ndim else values.item()
 
 
 def _adjoint(arr: np.ndarray) -> np.ndarray:
@@ -458,10 +458,11 @@ def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     eigenvalues are positive, and it has a unique square root with positive
     eigenvalues:  ``A^{1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``.  The result
     is similar to ``(A^{1/2} B A^{1/2})^{1/2}`` and shares its eigenvalues.
+    On stacks ``a`` and ``b`` it gives one root per pair.
     """
     _require_same_dim(a.dim, b.dim)
     root, inv_root = sqrt_pair_entries(a)
-    inner = sqrt_entries(SpdMatrix(hermitian_part(root @ b.entries @ root)))
+    inner = sqrt_entries(_spd_stack(hermitian_part(root @ b.entries @ root)))
     return root @ inner @ inv_root
 
 

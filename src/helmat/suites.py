@@ -5,18 +5,23 @@ pass/fail rows with a short witness string per row.  Results are
 deterministic for a fixed ``(seed, samples)`` pair: all randomness flows
 through the package PRNG (see :mod:`helmat.sampling`).
 
-The sampled loops of the counterexamples and trace-chain suites, and the
-divergence-axiom loop of the divergence-axioms suite, draw every sample
+The sampled loops of the counterexamples and trace-chain suites, the
+divergence-axiom, ``grad_phi3`` and Frechet rows of the divergence-axioms
+suite and the closed-form pair loop of the d4-guess suite draw every sample
 first, in sample order, and then evaluate one stack per dimension
 (:class:`_DrawsByDim`): an :class:`~helmat.linalg.SpdMatrix` over
 ``(k, n, n)`` built by :func:`~helmat.linalg._spd_stack`, which the
-distances take as they take one matrix.  The legendre-cex suite evaluates
-its matrix samples and its stationarity grid as two stacks (see
+distances, the derivatives of :mod:`~helmat.calculus` and the closed forms
+and residuals of :mod:`~helmat.barycentre` take as they take one matrix.
+The 500 random unitaries of the ``d2-unitary-minimum`` row are one draw and
+one stacked QR.  The legendre-cex suite evaluates its matrix samples and
+its stationarity grid as two stacks (see
 :func:`~helmat.legendre_cex.verify_matrix_cex`).  Each matrix of a stack
 gets the bits it would get alone, and a row reports a minimum or maximum
-over all samples, so the rows do not depend on the grouping.  The
-``grad_phi3`` row, the Frechet and quadrature rows, the vector case of
-legendre-cex and the d4-guess suite still evaluate one sample at a time.
+over all samples, so the rows do not depend on the grouping.  Still one
+sample at a time: the quadrature row (its node doubling stops per sample),
+the vector case of legendre-cex, the Picard solves of the d4-guess suite
+and the bregman families.
 """
 
 from __future__ import annotations
@@ -38,13 +43,13 @@ from .linalg import (
 )
 from .means import WeightVector
 from .sampling import (
+    _haar_basis,
     build_spd,
     draw_spd,
     make_rng,
     random_hermitian,
     random_orthogonal,
     random_spd,
-    random_unitary,
 )
 
 #: The 2x2 triple on which the geometric-mean distance fails the triangle
@@ -112,6 +117,17 @@ def generic_noncommuting_pair(
     ``min_misalignment``, keeping the residual well above the reporting
     threshold.
     """
+    a, b = _noncommuting_pair_entries(rng, dim, min_cond, max_cond, min_misalignment)
+    return SpdMatrix(a), SpdMatrix(b)
+
+
+def _noncommuting_pair_entries(
+    rng, dim: int, min_cond: float = 12.0, max_cond: float = 100.0,
+    min_misalignment: float = 0.45,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of :func:`generic_noncommuting_pair`, from the same
+    random numbers; rejected draws are never validated, so no eigensolve is
+    made here."""
 
     def draw():
         # endpoint levels are exact so the drawn condition number is realized;
@@ -126,15 +142,14 @@ def generic_noncommuting_pair(
         scale = np.exp(rng.uniform(-1.0, 1.0))
         lam = scale * np.exp(levels)
         basis = random_orthogonal(rng, dim)
-        return SpdMatrix((basis * lam) @ basis.T)
+        return hermitian_part((basis * lam) @ basis.T)
 
     eye_frac = np.eye(dim)
     while True:
         a, b = draw(), draw()
-        a0 = a.entries - np.trace(a.entries) / dim * eye_frac
-        b0 = b.entries - np.trace(b.entries) / dim * eye_frac
-        commutator = a.entries @ b.entries - b.entries @ a.entries
-        misalignment = np.linalg.norm(commutator) / (
+        a0 = a - np.trace(a) / dim * eye_frac
+        b0 = b - np.trace(b) / dim * eye_frac
+        misalignment = np.linalg.norm(a @ b - b @ a) / (
             np.sqrt(2.0) * np.linalg.norm(a0) * np.linalg.norm(b0)
         )
         if misalignment >= min_misalignment:
@@ -146,9 +161,9 @@ class _DrawsByDim:
 
     Each sample is a fixed sequence of real draws of one dimension: a
     :func:`draw_spd` result (a Gaussian block and a spectrum), or a lone
-    Gaussian block.  A group keeps its draws as raw float64 bytes, not as
-    arrays: a thousand samples would otherwise hold thousands of small
-    arrays.
+    block (a Gaussian block, or the entries of a drawn matrix).  A group
+    keeps its draws as raw float64 bytes, not as arrays: a thousand samples
+    would otherwise hold thousands of small arrays.
     """
 
     def __init__(self) -> None:
@@ -167,7 +182,7 @@ class _DrawsByDim:
         """For each dimension, in order of first appearance, one stack per
         position in the sample: an :class:`SpdMatrix` over ``(k, n, n)``
         built from the :func:`draw_spd` results there, or the ``(k, n, n)``
-        Gaussian blocks."""
+        lone blocks."""
         for dim, group in self._groups.items():
             width = sum(dim * dim + dim if spd else dim * dim for spd in self._spd_at)
             rows = np.frombuffer(group).reshape(-1, width)
@@ -236,7 +251,6 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     )
 
     gap_polar = 0.0
-    sampled_beats = True
     for _ in range(20):
         dim = int(rng.integers(2, 5))
         a, b = random_spd(rng, dim), random_spd(rng, dim)
@@ -244,14 +258,13 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         gap_polar = max(gap_polar, abs(value - distances.distance(DistanceKind.D2, a, b)))
     a, b = random_spd(rng, 3), random_spd(rng, 3)
     value, _ = distances.d2_unitary(a, b)
-    root_a, root_b = sqrt_entries(a), sqrt_entries(b)
-    for _ in range(500):
-        u = random_unitary(rng, 3)
-        if np.linalg.norm(root_a - root_b @ u) < value - 1e-12:
-            sampled_beats = False
+    # the random numbers of 500 random_unitary(rng, 3) calls, in one draw
+    g = rng.standard_normal((500, 2, 3, 3))
+    u = _haar_basis(g[:, 0] + 1j * g[:, 1])
+    misses = _frobenius_norms(sqrt_entries(a) - sqrt_entries(b) @ u)
     result.add(
         "d2-unitary-minimum",
-        gap_polar <= 1e-9 and sampled_beats,
+        gap_polar <= 1e-9 and not np.any(misses < value - 1e-12),
         f"max |min_U - d2| = {gap_polar:.3e}; no random unitary beat the polar factor",
     )
     return result
@@ -292,21 +305,24 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     rng = make_rng(seed)
     n_points = max(20, samples // 10)
 
-    points = _DrawsByDim()
-    for _ in range(n_points):
-        dim = int(rng.integers(2, 5))
-        points.add([draw_spd(rng, dim, cond=20.0), rng.standard_normal((dim, dim))])
+    def draw_points() -> _DrawsByDim:
+        # one SPD base point and one Hermitian direction per sample
+        points = _DrawsByDim()
+        for _ in range(n_points):
+            dim = int(rng.integers(2, 5))
+            points.add([draw_spd(rng, dim, cond=20.0), rng.standard_normal((dim, dim))])
+        return points
+
     worst_diag = 0.0
     worst_grad3 = 0.0
     worst_grad4 = 0.0
     worst_hessian = 0.0
-    for a, gaussian in points.stacks():
+    for a, gaussian in draw_points().stacks():
         y = hermitian_part(gaussian)
         for kind in (DistanceKind.D3, DistanceKind.D4):
             worst_diag = max(worst_diag, float(distances.divergence(kind, a, a).max()))
-        for entries in a.entries:
-            a_i = SpdMatrix(entries)
-            worst_grad3 = max(worst_grad3, frobenius_norm(calculus.grad_phi3(a_i, a_i)))
+        gradients = calculus.grad_phi3(a, a).entries
+        worst_grad3 = max(worst_grad3, float(_frobenius_norms(gradients).max()))
 
         def phi4_at(x):
             return distances.divergence(DistanceKind.D4, a, _spd_stack(x))
@@ -331,21 +347,16 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     result.add("d3-hessian-identity", worst_hessian <= 1e-4,
                f"max relative Hessian error over {n_points} pairs: {worst_hessian:.3e}")
 
-    n_frechet = max(20, samples // 10)
     worst_fd = 0.0
-    for _ in range(n_frechet):
-        dim = int(rng.integers(2, 5))
-        x = random_spd(rng, dim, cond=20.0)
-        y = random_hermitian(rng, dim)
+    for x, gaussian in draw_points().stacks():
+        y = hermitian_part(gaussian)
         for name in ("sqrt", "log", "exp"):
             exact = calculus.frechet(name, x, y).entries
             approx = calculus.fd_frechet(name, x, y)
-            worst_fd = max(
-                worst_fd,
-                float(np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-30)),
-            )
+            errors = _frobenius_norms(exact - approx) / np.maximum(_frobenius_norms(exact), 1e-30)
+            worst_fd = max(worst_fd, float(errors.max()))
     result.add("frechet-finite-difference", worst_fd <= 1e-6,
-               f"max relative error over {n_frechet} triples: {worst_fd:.3e}")
+               f"max relative error over {n_points} triples: {worst_fd:.3e}")
 
     worst_quad = 0.0
     for _ in range(25):
@@ -496,16 +507,20 @@ def d4_guess_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     n_pairs = max(10, samples // 10)
     w2 = WeightVector.uniform(2)
 
-    worst = {barycentre.WASSERSTEIN: 0.0, barycentre.PowerMean(0.5): 0.0}
-    min_refuted = np.inf
+    pairs = _DrawsByDim()
     for _ in range(n_pairs):
         dim = int(rng.integers(2, 5))
-        a, b = generic_noncommuting_pair(rng, dim)
+        pairs.add(_noncommuting_pair_entries(rng, dim))
+    worst = {barycentre.WASSERSTEIN: 0.0, barycentre.PowerMean(0.5): 0.0}
+    min_refuted = np.inf
+    for entries in pairs.stacks():
+        a, b = (_spd_stack(block) for block in entries)
         for kind in worst:
             x = barycentre.closed_form_m2(kind, a, b)
-            worst[kind] = max(worst[kind], barycentre.fixed_point_residual(kind, x, [a, b], w2))
+            residuals = barycentre.fixed_point_residual(kind, x, [a, b], w2)
+            worst[kind] = max(worst[kind], float(residuals.max()))
         min_refuted = min(
-            min_refuted, barycentre.refute_d4_guess(a, b).relative_residual
+            min_refuted, float(barycentre.refute_d4_guess(a, b).relative_residual.min())
         )
     for name, res in zip(("wasserstein", "power-half"), worst.values()):
         result.add(f"{name}-closed-form", res <= 1e-8,

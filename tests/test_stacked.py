@@ -4,11 +4,23 @@ single-matrix call gives it, and a failing matrix is named."""
 import numpy as np
 import pytest
 
+from helmat.barycentre import (
+    LOG_EUCLIDEAN,
+    WASSERSTEIN,
+    PowerMean,
+    closed_form_m2,
+    fixed_point_residual,
+    refute_d4_guess,
+)
 from helmat.calculus import (
     IntegrationMeasure,
+    divided_difference_kernel,
     fd_directional,
+    fd_frechet,
     fd_hessian_quadform,
+    frechet,
     frechet_geometric_quadrature,
+    grad_phi3,
     hessian_phi3_diag,
 )
 from helmat.distances import (
@@ -18,9 +30,15 @@ from helmat.distances import (
     divergence,
     trace_chain,
 )
-from helmat.errors import HermitianError, NotPositiveDefiniteError
+from helmat.errors import (
+    HermitianError,
+    NotPositiveDefiniteError,
+    SpectralDomainError,
+    UnsupportedObjectiveError,
+)
 from helmat.legendre_cex import CexParams, psibar_matrix
 from helmat.linalg import (
+    EigenDecomposition,
     HermitianMatrix,
     SpdMatrix,
     _frobenius_norms,
@@ -29,9 +47,11 @@ from helmat.linalg import (
     eigh,
     hermitian_part,
     invm,
+    product_sqrt,
 )
-from helmat.means import fidelity
+from helmat.means import WeightVector, fidelity
 from helmat.sampling import build_spd, draw_spd, make_rng, random_hermitian, random_spd
+from helmat.suites import _noncommuting_pair_entries, generic_noncommuting_pair
 
 DIMS = range(2, 17)
 STACK = 6
@@ -268,3 +288,122 @@ def test_geometric_quadrature_is_the_per_node_formula(dim, complex_entries):
 
     expected = hermitian_part(_per_node_integral(IntegrationMeasure.half_power(), one_node))
     assert np.array_equal(frechet_geometric_quadrature(a, x, y).entries, expected)
+
+
+PAIR_DIMS = range(2, 8)
+FRECHET_TAGS = [("sqrt", None), ("log", None), ("exp", None), ("pow_t", 0.3)]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", PAIR_DIMS)
+def test_closed_forms_and_residuals_per_slice(dim, complex_entries):
+    a, b, singles = _pair_stacks(dim, complex_entries)
+    x = build_spd(*_draws(300 + dim, dim, complex_entries))
+    w2 = WeightVector.uniform(2)
+    roots = product_sqrt(a, b)
+    for kind in (WASSERSTEIN, PowerMean(0.5)):
+        stacked = closed_form_m2(kind, a, b)
+        for i, (a_i, b_i) in enumerate(singles):
+            assert np.array_equal(stacked.entries[i], closed_form_m2(kind, a_i, b_i).entries)
+    for kind in (WASSERSTEIN, PowerMean(0.5), LOG_EUCLIDEAN):
+        residuals = fixed_point_residual(kind, x, [a, b], w2)
+        for i, (a_i, b_i) in enumerate(singles):
+            x_i = SpdMatrix(x.entries[i])
+            assert residuals[i] == fixed_point_residual(kind, x_i, [a_i, b_i], w2)
+    for i, (a_i, b_i) in enumerate(singles):
+        assert np.array_equal(roots[i], product_sqrt(a_i, b_i))
+    with pytest.raises(UnsupportedObjectiveError):
+        closed_form_m2(PowerMean(0.3), a, b)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", PAIR_DIMS)
+def test_refute_d4_guess_per_slice(dim, complex_entries):
+    a, b, singles = _pair_stacks(dim, complex_entries)
+    # slice 2 becomes a commuting pair, on which the check is inconclusive
+    a_entries, b_entries = a.entries.copy(), b.entries.copy()
+    a_entries[2] = np.diag(np.arange(1.0, dim + 1.0))
+    b_entries[2] = np.diag(np.arange(1.0, dim + 1.0) ** 2 + 1.0)
+    a, b = _spd_stack(a_entries), _spd_stack(b_entries)
+    singles[2] = (SpdMatrix(a_entries[2]), SpdMatrix(b_entries[2]))
+    stacked = refute_d4_guess(a, b)
+    for i, (a_i, b_i) in enumerate(singles):
+        one = refute_d4_guess(a_i, b_i)
+        assert np.array_equal(stacked.candidate.entries[i], one.candidate.entries)
+        assert stacked.residual[i] == one.residual
+        assert stacked.relative_residual[i] == one.relative_residual
+        assert stacked.inconclusive[i] == one.inconclusive
+        assert stacked.refuted[i] == one.refuted
+    assert stacked.inconclusive.tolist() == [i == 2 for i in range(STACK)]
+    assert not stacked.refuted[2]
+    # one pair keeps plain Python flags and residuals
+    one = refute_d4_guess(*singles[0])
+    assert type(one.inconclusive) is bool and type(one.refuted) is bool
+    assert type(one.residual) is float and type(one.relative_residual) is float
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", PAIR_DIMS)
+def test_frechet_and_fd_frechet_per_slice(dim, complex_entries):
+    x, b, singles = _pair_stacks(dim, complex_entries)
+    for name, t in FRECHET_TAGS:
+        exact = frechet(name, x, b.entries, t=t).entries
+        approx = fd_frechet(name, x, b.entries, t=t)
+        for i, (x_i, b_i) in enumerate(singles):
+            assert np.array_equal(exact[i], frechet(name, x_i, b_i.entries, t=t).entries)
+            assert np.array_equal(approx[i], fd_frechet(name, x_i, b_i.entries, t=t))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("dim", PAIR_DIMS)
+def test_grad_phi3_per_slice(dim, complex_entries):
+    a, x, singles = _pair_stacks(dim, complex_entries)
+    stacked = grad_phi3(a, x).entries
+    diagonal = grad_phi3(a, a).entries
+    for i, (a_i, x_i) in enumerate(singles):
+        assert np.array_equal(stacked[i], grad_phi3(a_i, x_i).entries)
+        assert np.array_equal(diagonal[i], grad_phi3(a_i, a_i).entries)
+
+
+def _count(eigensolves, call) -> int:
+    eigensolves.clear()
+    call()
+    return len(eigensolves)
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda a, b: closed_form_m2(WASSERSTEIN, a, b), 2),
+        (lambda a, b: closed_form_m2(PowerMean(0.5), a, b), 2),
+        (refute_d4_guess, 4),
+        # the base point comes with an empty eigen cache
+        (lambda a, b: frechet("log", invm(a), b.entries), 1),
+        (lambda a, b: fd_frechet("log", a, b.entries), 2),
+        (grad_phi3, 1),
+    ],
+    ids=["closed-form-wasserstein", "closed-form-power-half", "refute-d4-guess",
+         "frechet", "fd-frechet", "grad-phi3"],
+)
+def test_stack_makes_the_eigensolves_of_one_pair(call, expected, eigensolves):
+    a, b, singles = _pair_stacks(4, False)
+    assert _count(eigensolves, lambda: call(*singles[0])) == expected
+    assert _count(eigensolves, lambda: call(a, b)) == expected
+
+
+def test_noncommuting_pair_draw_makes_no_eigensolve(eigensolves):
+    a, b = _noncommuting_pair_entries(make_rng(3), 4)
+    assert not eigensolves
+    pair = generic_noncommuting_pair(make_rng(3), 4)
+    assert np.array_equal(pair[0].entries, a) and np.array_equal(pair[1].entries, b)
+
+
+def test_divided_difference_kernel_names_the_failing_slice():
+    spectra = np.array([[1.0, 2.0, 3.0], [-1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+    vectors = np.array([np.eye(3)] * 3)
+    with pytest.raises(SpectralDomainError) as single:
+        divided_difference_kernel("log", EigenDecomposition(spectra[1], vectors[1]))
+    assert str(single.value) == "function 'log' is undefined near eigenvalue np.float64(-1.0)"
+    with pytest.raises(SpectralDomainError) as stacked:
+        divided_difference_kernel("log", EigenDecomposition(spectra, vectors))
+    assert str(stacked.value) == f"slice 1: {single.value}"
