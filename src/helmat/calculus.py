@@ -137,8 +137,9 @@ def divided_difference_kernel(
                 apart = (f(high) - f(low)) / spread
             kernel = np.where(close, df((rows + cols) / 2.0), apart)
     bad_rows = ~np.isfinite(kernel).all(axis=-1)
-    if _any(bad_rows.any(axis=-1)):
-        index, where = _first_failure(bad_rows.any(axis=-1))
+    failing = bad_rows.any(axis=-1)
+    if _any(failing):
+        index, where = _first_failure(failing)
         raise SpectralDomainError(
             f"{where}function {name!r} is undefined near eigenvalue "
             f"{lam[index][np.argmax(bad_rows[index])]!r}"

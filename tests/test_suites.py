@@ -4,9 +4,10 @@ to the per-sample loops over the public scalar API that they replaced."""
 import numpy as np
 import pytest
 
-from helmat import calculus, distances, legendre_cex, suites
+from helmat import barycentre, calculus, distances, legendre_cex, means, suites
 from helmat.distances import DistanceKind
 from helmat.linalg import SpdMatrix, frobenius_norm, sqrt_entries
+from helmat.means import WeightVector
 from helmat.sampling import make_rng, random_hermitian, random_spd, random_unitary
 
 
@@ -264,6 +265,69 @@ def _reference_legendre_cex(seed, samples):
     return result
 
 
+def _reference_d4_guess(seed, samples):
+    """``d4_guess_suite`` with the closed-form pairs drawn and evaluated one
+    pair at a time."""
+    result = suites.SuiteResult("d4-guess")
+    rng = make_rng(seed)
+    n_pairs = max(10, samples // 10)
+    w2 = WeightVector.uniform(2)
+
+    worst = {barycentre.WASSERSTEIN: 0.0, barycentre.PowerMean(0.5): 0.0}
+    min_refuted = np.inf
+    for _ in range(n_pairs):
+        dim = int(rng.integers(2, 5))
+        a, b = suites.generic_noncommuting_pair(rng, dim)
+        for kind in worst:
+            x = barycentre.closed_form_m2(kind, a, b)
+            worst[kind] = max(worst[kind], barycentre.fixed_point_residual(kind, x, [a, b], w2))
+        min_refuted = min(min_refuted, barycentre.refute_d4_guess(a, b).relative_residual)
+    for name, res in zip(("wasserstein", "power-half"), worst.values()):
+        result.add(f"{name}-closed-form", res <= 1e-8,
+                   f"max fixed-point residual over {n_pairs} pairs: {res:.3e}")
+
+    a, b, _ = (SpdMatrix(m) for m in suites.D3_TRIANGLE_TRIPLE)
+    pinned = barycentre.refute_d4_guess(a, b)
+    result.add(
+        "log-euclidean-guess-refuted",
+        pinned.refuted and min_refuted > 1e-6,
+        f"pinned-pair relative residual {pinned.relative_residual:.6e}; "
+        f"min over random pairs {min_refuted:.6e}",
+    )
+
+    worst_res = 0.0
+    worst_restart = 0.0
+    worst_collapse = 0.0
+    brackets = True
+    for kind in (barycentre.WASSERSTEIN, barycentre.PowerMean(0.5), barycentre.LOG_EUCLIDEAN):
+        dim = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 6))
+        mats = [random_spd(rng, dim, cond=20.0) for _ in range(m)]
+        w = WeightVector(rng.uniform(0.5, 2.0, m))
+        x, report = barycentre.solve(kind, mats, w)
+        worst_res = max(worst_res, report.final_residual)
+        brackets = brackets and report.bracket_ok and report.converged
+
+        alpha, beta = report.spectral_bounds
+        for _ in range(2):
+            start = random_spd(rng, dim, cond=min(beta / alpha, 1e4),
+                               scale=float(np.sqrt(alpha * beta)))
+            x_again, _ = barycentre.solve(kind, mats, w, x0=start)
+            worst_restart = max(worst_restart, frobenius_norm(x.entries - x_again.entries))
+
+        diag_mats = [SpdMatrix(np.diag(rng.uniform(0.3, 3.0, dim))) for _ in range(m)]
+        x_diag, _ = barycentre.solve(kind, diag_mats, w)
+        collapse = frobenius_norm(x_diag.entries - means.q_half(diag_mats, w).entries)
+        worst_collapse = max(worst_collapse, collapse)
+    result.add("fixed-point-residuals", worst_res <= 1e-12 and brackets,
+               f"max converged residual {worst_res:.3e}; brackets held")
+    result.add("restart-agreement", worst_restart <= 1e-8,
+               f"max restart deviation {worst_restart:.3e}")
+    result.add("commuting-collapse", worst_collapse <= 1e-8,
+               f"max deviation from the half-power mean {worst_collapse:.3e}")
+    return result
+
+
 @pytest.mark.parametrize("samples", [1, 7, 200])
 @pytest.mark.parametrize("seed", [42, 310])
 @pytest.mark.parametrize(
@@ -273,8 +337,9 @@ def _reference_legendre_cex(seed, samples):
         (suites.trace_chain_suite, _reference_trace_chain),
         (suites.divergence_axioms_suite, _reference_divergence_axioms),
         (suites.legendre_cex_suite, _reference_legendre_cex),
+        (suites.d4_guess_suite, _reference_d4_guess),
     ],
-    ids=["counterexamples", "trace-chain", "divergence-axioms", "legendre-cex"],
+    ids=["counterexamples", "trace-chain", "divergence-axioms", "legendre-cex", "d4-guess"],
 )
 def test_stacked_suite_rows_equal_the_per_sample_loop(suite, reference, seed, samples):
     assert suite(seed, samples).checks == reference(seed, samples).checks
