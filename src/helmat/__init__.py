@@ -74,16 +74,16 @@ from .errors import (
     UnsupportedObjectiveError,
 )
 from .legendre_cex import (
-    CexParams,
-    MatrixCexReport,
-    StrictnessReport,
-    VectorInstance,
-    build_vector_instance,
+    ANCHOR_SCALE,
+    EXPONENT,
+    GRADIENT_COEFFICIENT,
     grad_psibar_vector,
+    grid_residuals,
+    matrix_gradient_at_zero,
+    matrix_minima,
     psibar_matrix,
     psibar_vector,
-    verify_matrix_cex,
-    verify_vector_strictness,
+    vector_minima,
 )
 from .linalg import (
     EigenDecomposition,

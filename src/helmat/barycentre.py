@@ -78,7 +78,6 @@ from .means import (
     arithmetic_mean,
     check_family,
     geometric_mean_entries,
-    log_euclidean_pair,
 )
 
 #: Relative slack allowed on the spectral bracket of the iterates.
@@ -467,9 +466,9 @@ class D4GuessReport:
 def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     """Test the would-be closed form of the log-Euclidean two-point barycentre.
 
-    Evaluates :func:`fixed_point_residual` of the candidate with equal
-    weights; stacks ``a`` and ``b`` of one shape give one report over all
-    pairs.
+    Evaluates the :func:`fixed_point_residual` of the candidate with equal
+    weights, from the ``log A`` and ``log B`` the candidate is built from;
+    stacks ``a`` and ``b`` of one shape give one report over all pairs.
     """
     _require_same_dim(a.dim, b.dim)
     commutator = a.entries @ b.entries - b.entries @ a.entries
@@ -478,12 +477,11 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     )
     inconclusive = _per_matrix(_frobenius_norms(commutator) / comm_scale <= _COMMUTATOR_TOL)
 
+    logs = [LOG_EUCLIDEAN._a_side(m) for m in (a, b)]
     candidate = _spd_stack(hermitian_part(
-        (a.entries + b.entries + 2.0 * log_euclidean_pair(a, b).entries) / 4.0
+        (a.entries + b.entries + 2.0 * _log_euclidean_from_logs(*logs)) / 4.0
     ))
-    relative = fixed_point_residual(
-        LOG_EUCLIDEAN, candidate, [a, b], WeightVector.uniform(2)
-    )
+    _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, logs, WeightVector.uniform(2).weights)
     return D4GuessReport(
         candidate=candidate,
         residual=_per_matrix(relative * _frobenius_norms(candidate.entries)),

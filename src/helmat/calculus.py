@@ -55,6 +55,8 @@ from .means import log_euclidean_pair
 
 #: Central finite-difference step used by the cross-check helpers.
 FD_STEP = 1e-5
+#: First step of :func:`fd_hessian_quadform`, relative to ``||A||_F / ||Y||_F``.
+HESSIAN_BASE_STEP = 1e-2
 
 #: Relative eigenvalue gap below which divided differences switch to the
 #: analytic derivative at the midpoint: ``|lam_i - lam_j|`` at most this
@@ -187,12 +189,7 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     return _hermitian_result(root @ kernel.apply(pushed) @ root)
 
 
-def frechet_geometric_quadrature(
-    a: SpdMatrix,
-    x: SpdMatrix,
-    y: MatrixLike,
-    measure: "IntegrationMeasure | None" = None,
-) -> HermitianMatrix:
+def frechet_geometric_quadrature(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
     """Same derivative through its integral representation.
 
     Evaluates ``int (lam + X A^{-1})^{-1} Y (lam + A^{-1} X)^{-1} dnu(lam)``
@@ -201,7 +198,6 @@ def frechet_geometric_quadrature(
     """
     yarr = as_array(y)
     _require_same_dim(a.dim, x.dim, len(yarr))
-    measure = measure or IntegrationMeasure.half_power()
     a_inv = invm(a).entries
     xa = x.entries @ a_inv
     ax = a_inv @ x.entries
@@ -212,7 +208,7 @@ def frechet_geometric_quadrature(
         left = np.linalg.solve(shift + xa, yarr)
         return _adjoint(np.linalg.solve(_adjoint(shift + ax), _adjoint(left)))
 
-    return _hermitian_result(measure.integrate_matrix(integrand))
+    return _hermitian_result(IntegrationMeasure.half_power().integrate_matrix(integrand))
 
 
 def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
@@ -401,13 +397,7 @@ def fd_directional(
     return _per_matrix((f(xarr + shift) - f(xarr - shift)) / (2.0 * h))
 
 
-def fd_frechet(
-    name: str,
-    x: SpdMatrix,
-    y: MatrixLike,
-    t: float | None = None,
-    step: float = FD_STEP,
-) -> np.ndarray:
+def fd_frechet(name: str, x: SpdMatrix, y: MatrixLike, t: float | None = None) -> np.ndarray:
     """Central finite difference ``(f(X + hY) - f(X - hY)) / 2h`` of a
     matrix function; the independent oracle for :func:`frechet`.  Each
     shifted point gets the checked eigensolve of
@@ -416,27 +406,27 @@ def fd_frechet(
     f, _ = _pair_for(name, t)
     yarr = _as_stack(y)
     plus, minus = (_spectral(f, _hermitian_result(x.entries + h * yarr).eig())
-                   for h in (step, -step))
-    return (plus - minus) / (2.0 * step)
+                   for h in (FD_STEP, -FD_STEP))
+    return (plus - minus) / (2.0 * FD_STEP)
 
 
 def fd_hessian_quadform(
     phi: Callable[[np.ndarray], float | np.ndarray],
     a: SpdMatrix,
     y: MatrixLike,
-    base_step: float = 1e-2,
 ) -> float | np.ndarray:
     """Richardson-extrapolated limit of ``2 phi(A + tY) / t^2`` as ``t -> 0``.
 
     ``phi`` must vanish to second order at ``A`` (a divergence evaluated
     against its own diagonal point).  Three extrapolation levels over the
-    steps ``t, t/2, t/4, t/8`` cancel the first-, second- and third-order
-    error terms of the quotient.  On a stack ``A`` with a stack ``Y`` of the
-    same shape, ``phi`` gives one value per matrix and each matrix gets its
-    own step ``t``; each gets, bit for bit, the value of a call on it alone.
+    steps ``t, t/2, t/4, t/8``, with ``t = HESSIAN_BASE_STEP ||A||_F /
+    ||Y||_F``, cancel the first-, second- and third-order error terms of
+    the quotient.  On a stack ``A`` with a stack ``Y`` of the same shape,
+    ``phi`` gives one value per matrix and each matrix gets its own step
+    ``t``; each gets, bit for bit, the value of a call on it alone.
     """
     yarr = _as_stack(y)
-    scale = base_step * np.maximum(_frobenius_norms(a.entries), 1e-12) / np.maximum(
+    scale = HESSIAN_BASE_STEP * np.maximum(_frobenius_norms(a.entries), 1e-12) / np.maximum(
         _frobenius_norms(yarr), 1e-300
     )
 

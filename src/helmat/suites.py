@@ -15,10 +15,12 @@ distances, the derivatives of :mod:`~helmat.calculus` and the closed forms
 and residuals of :mod:`~helmat.barycentre` take as they take one matrix.
 The 500 random unitaries of the ``d2-unitary-minimum`` row are one draw and
 one stacked QR.  The legendre-cex suite evaluates its matrix samples and
-its stationarity grid as two stacks (see
-:func:`~helmat.legendre_cex.verify_matrix_cex`).  Each matrix of a stack
-gets the bits it would get alone, and a row reports a minimum or maximum
-over all samples, so the rows do not depend on the grouping.  Still one
+its stationarity grid as two stacks
+(:func:`~helmat.legendre_cex.matrix_minima`,
+:func:`~helmat.legendre_cex.grid_residuals`), and each of its pass
+conditions is written here, once.  Each matrix of a stack gets the bits it
+would get alone, and a row reports a minimum or maximum over all samples,
+so the rows do not depend on the grouping.  Still one
 sample at a time: the quadrature row (its node doubling stops per sample),
 the vector case of legendre-cex, the Picard solves of the d4-guess suite
 and the bregman families.
@@ -93,13 +95,13 @@ class SuiteResult:
         self.checks.append(Check(name=name, passed=bool(passed), detail=detail))
 
 
-def generic_noncommuting_pair(
-    rng,
-    dim: int,
-    min_cond: float = 12.0,
-    max_cond: float = 100.0,
-    min_misalignment: float = 0.45,
-):
+#: The condition-number range and the least misalignment of the witnesses
+#: :func:`generic_noncommuting_pair` draws.
+PAIR_COND_RANGE = (12.0, 100.0)
+PAIR_MIN_MISALIGNMENT = 0.45
+
+
+def generic_noncommuting_pair(rng, dim: int):
     """An SPD pair that is a robust witness against the would-be
     log-Euclidean closed form.
 
@@ -108,26 +110,24 @@ def generic_noncommuting_pair(
     commutator times a high power of the log-spectral spreads, so weakly
     misaligned or weakly spread pairs make the refutation arbitrarily
     faint.  Witnesses are therefore drawn with log-spaced, jittered spectra
-    of condition number in ``[min_cond, max_cond]`` and rejected until the
+    of condition number in :data:`PAIR_COND_RANGE` and rejected until the
     normalized traceless commutator
 
         ||[A, B]||_F / (sqrt(2) ||A - tr(A)/n I||_F ||B - tr(B)/n I||_F)
 
-    (which is |sin| of twice the eigenbasis angle for 2x2) exceeds
-    ``min_misalignment``, keeping the residual well above the reporting
-    threshold.
+    (which is |sin| of twice the eigenbasis angle for 2x2) reaches
+    :data:`PAIR_MIN_MISALIGNMENT`, keeping the residual well above the
+    reporting threshold.
     """
-    a, b = _noncommuting_pair_entries(rng, dim, min_cond, max_cond, min_misalignment)
+    a, b = _noncommuting_pair_entries(rng, dim)
     return SpdMatrix(a), SpdMatrix(b)
 
 
-def _noncommuting_pair_entries(
-    rng, dim: int, min_cond: float = 12.0, max_cond: float = 100.0,
-    min_misalignment: float = 0.45,
-) -> tuple[np.ndarray, np.ndarray]:
+def _noncommuting_pair_entries(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """The entries of :func:`generic_noncommuting_pair`, from the same
     random numbers; rejected draws are never validated, so no eigensolve is
     made here."""
+    min_cond, max_cond = PAIR_COND_RANGE
 
     def draw():
         # endpoint levels are exact so the drawn condition number is realized;
@@ -152,7 +152,7 @@ def _noncommuting_pair_entries(
         misalignment = np.linalg.norm(a @ b - b @ a) / (
             np.sqrt(2.0) * np.linalg.norm(a0) * np.linalg.norm(b0)
         )
-        if misalignment >= min_misalignment:
+        if misalignment >= PAIR_MIN_MISALIGNMENT:
             return a, b
 
 
@@ -453,16 +453,15 @@ def bregman_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
 def legendre_cex_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     """The boundary-minimum counterexample, vector and matrix cases."""
     result = SuiteResult("legendre-cex")
-    params = legendre_cex.CexParams()
 
-    grad0 = legendre_cex.grad_psibar_vector(params, np.zeros(2))
-    coeff = params.gradient_coefficient
+    grad0 = legendre_cex.grad_psibar_vector(np.zeros(2))
+    coeff = legendre_cex.GRADIENT_COEFFICIENT
     closed_err = float(np.max(np.abs(grad0 - coeff)))
+    h = 1e-6
     fd = np.array([
-        (legendre_cex.psibar_vector(params, h * e_i)
-         - legendre_cex.psibar_vector(params, -h * e_i)) / (2.0 * h)
+        (legendre_cex.psibar_vector(h * e_i) - legendre_cex.psibar_vector(-h * e_i))
+        / (2.0 * h)
         for e_i in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        for h in (1e-6,)
     ])
     fd_err = float(np.max(np.abs(fd - grad0)))
     result.add(
@@ -471,30 +470,31 @@ def legendre_cex_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         f"closed form {coeff:.6f}; deviation {closed_err:.3e}; FD error {fd_err:.3e}",
     )
 
-    vec_report = legendre_cex.verify_vector_strictness(params, samples, seed=seed)
+    gap, margin = legendre_cex.vector_minima(samples, seed)
     result.add(
         "vector-strict-minimum",
-        vec_report.passed and vec_report.min_margin >= -1e-10,
-        f"min gap {vec_report.min_gap:.6e}, min margin {vec_report.min_margin:.3e} "
-        f"over {vec_report.samples} samples",
+        gap > 0.0 and margin >= -1e-10,
+        f"min gap {gap:.6e}, min margin {margin:.3e} over {samples} samples",
     )
 
-    mat_report = legendre_cex.verify_matrix_cex(params, samples, seed=seed)
+    gradient = legendre_cex.matrix_gradient_at_zero()
     result.add(
         "matrix-gradient-positive",
-        mat_report.gradient_is_positive_definite,
-        f"gradient at zero = {mat_report.gradient_coefficient:.6f} x identity",
+        np.linalg.eigvalsh(gradient)[0] > 0.0,
+        f"gradient at zero = {coeff:.6f} x identity",
     )
+    gap, margin = legendre_cex.matrix_minima(samples, seed)
     result.add(
         "matrix-strict-minimum",
-        not mat_report.failures and mat_report.min_gap > 0.0,
-        f"min gap {mat_report.min_gap:.6e} over {mat_report.samples} PSD samples",
+        gap > 0.0 and margin >= -1e-10,
+        f"min gap {gap:.6e} over {samples} PSD samples",
     )
+    residuals = legendre_cex.grid_residuals()
     result.add(
         "matrix-stationarity-unsolvable",
-        mat_report.min_grid_residual > 0.0,
-        f"min stationarity residual {mat_report.min_grid_residual:.6e} "
-        f"over {mat_report.grid_size} grid points",
+        residuals.min() > 0.0,
+        f"min stationarity residual {residuals.min():.6e} "
+        f"over {len(residuals)} grid points",
     )
     return result
 

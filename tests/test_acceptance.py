@@ -329,7 +329,7 @@ def test_criterion_08_bregman_suite():
 
 
 def test_criterion_09_boundary_counterexample():
-    coeff = legendre_cex.CexParams().gradient_coefficient
+    coeff = legendre_cex.GRADIENT_COEFFICIENT
     pinned = (abs(coeff - 0.744324) <= 1e-6,
               f"; gradient at zero {coeff:.6f} (pinned 0.744324)")
     _report_rows(9, "boundary-minimum counterexample",

@@ -120,6 +120,15 @@ DIGESTS = {
     ("verify", "all", "--seed", "42", "--samples", "1000"):
         (0, "a5c8071b956b8f2754248823a3e8ca76147ce5cf34e457c3b904fff690b612aa",
          "97ed24b821b9143d32bd50da5cb936eed79fd380541a0dee6f0752d149624986"),
+    ("verify", "all", "--seed", "7", "--samples", "1000"):
+        (0, "0702c78fad80d855d6b81dbbac0757b0984642ff6f524dc7f1ade821d530d4b7",
+         "fede73b6066807cfa7e7607fb9689ec6ebe36cb852c5e738559f89720add1fb7"),
+    ("verify", "all", "--seed", "310", "--samples", "1000"):
+        (0, "aa2ae58ce812db177ac9ff10d20698de2a610dd4cdd29d4951da2e910a8e2926",
+         "b249b0de24564f5a9dec7c28d190ffdf9d0410c692e186ea259c9ba274b40afb"),
+    ("verify", "legendre-cex", "--seed", "123", "--samples", "37"):
+        (0, "90b0d4351df167ec5728ef30de9ea934b7c60670d100e1426e17b15489ef68a0",
+         "11e6358325e7cb68311115761f569fac029e2acbe93087c0bf36bde7bc992b3a"),
 }
 
 

@@ -36,7 +36,7 @@ from helmat.errors import (
     SpectralDomainError,
     UnsupportedObjectiveError,
 )
-from helmat.legendre_cex import CexParams, psibar_matrix
+from helmat.legendre_cex import psibar_matrix
 from helmat.linalg import (
     EigenDecomposition,
     HermitianMatrix,
@@ -234,12 +234,11 @@ def test_psibar_matrix_per_slice():
     g = rng.standard_normal((50, 2, 2))
     psd = (g @ np.swapaxes(g, -1, -2)) * 10.0 ** rng.uniform(-3, 3, (50, 1, 1))
     indefinite = hermitian_part(rng.standard_normal((50, 2, 2)))
-    params = CexParams()
     for stack in (psd, indefinite, np.zeros((1, 2, 2))):
-        values = psibar_matrix(params, stack)
+        values = psibar_matrix(stack)
         assert values.shape == stack.shape[:1]
-        assert np.array_equal(values, [psibar_matrix(params, x) for x in stack])
-    assert isinstance(psibar_matrix(params, psd[0]), float)
+        assert np.array_equal(values, [psibar_matrix(x) for x in stack])
+    assert isinstance(psibar_matrix(psd[0]), float)
 
 
 def _per_node_integral(measure, f):

@@ -173,24 +173,45 @@ def _reference_divergence_axioms(seed, samples):
     return result
 
 
-def _reference_matrix_cex(params, samples, seed):
-    """The sampled and grid parts of ``verify_matrix_cex`` as loops, one
-    2x2 matrix at a time: ``(min_gap, min_margin, failures, min_residual,
-    grid_size)``."""
+def _reference_vector_cex(samples, seed):
+    """The sampled vector case of the legendre-cex suite with each sample
+    judged as it is drawn: ``(min_gap, min_margin, failures)``."""
     rng = make_rng(seed)
-    p = params.exponent
-    grad_a, grad_b = params.matrix_anchors.gradients
-    centre = 0.5 * (grad_a + grad_b)
-    grad_zero = legendre_cex._forward(params, p * np.eye(2)) - centre
+    base = legendre_cex.psibar_vector(np.zeros(2))
+    grad0 = legendre_cex.grad_psibar_vector(np.zeros(2))
+    min_gap, min_margin = np.inf, np.inf
+    failures = []
+    for _ in range(samples):
+        x = rng.exponential(1.0, 2) * 10.0 ** rng.uniform(-2.0, 2.0)
+        if x.max() <= 0.0:
+            continue
+        gap = legendre_cex.psibar_vector(x) - base
+        margin = gap - grad0 @ x
+        min_gap = min(min_gap, gap)
+        min_margin = min(min_margin, margin)
+        if gap <= 0.0 or margin < -1e-10:
+            failures.append(x.tolist())
+    return float(min_gap), float(min_margin), failures
 
-    base = legendre_cex.psibar_matrix(params, np.zeros((2, 2)))
+
+def _reference_matrix_cex(samples, seed):
+    """The sampled and grid parts of the matrix case of the legendre-cex
+    suite as loops, one 2x2 matrix at a time, with each sample judged as it
+    is drawn: ``(min_gap, min_margin, failures, residuals)``."""
+    rng = make_rng(seed)
+    p = legendre_cex.EXPONENT
+    grad_a, grad_b = legendre_cex._MATRIX_GRADIENTS
+    centre = 0.5 * (grad_a + grad_b)
+    grad_zero = legendre_cex._forward(p * np.eye(2)) - centre
+
+    base = legendre_cex.psibar_matrix(np.zeros((2, 2)))
     min_gap, min_margin = np.inf, np.inf
     failures = []
     for _ in range(samples):
         g = rng.standard_normal((2, 2))
         w = g @ g.T
         x = w * (10.0 ** rng.uniform(-2.0, 2.0) / max(np.linalg.norm(w), 1e-300))
-        gap = legendre_cex.psibar_matrix(params, x) - base
+        gap = legendre_cex.psibar_matrix(x) - base
         margin = gap - np.trace(grad_zero @ x).real
         min_gap = min(min_gap, gap)
         min_margin = min(min_margin, float(margin))
@@ -198,33 +219,32 @@ def _reference_matrix_cex(params, samples, seed):
             failures.append(x.tolist())
 
     grid = np.logspace(-6.0, 3.0, 13)
-    min_residual = np.inf
-    count = 0
+    residuals = []
     for theta in (0.0, np.pi / 8, np.pi / 4, 3 * np.pi / 8):
         c, s = np.cos(theta), np.sin(theta)
         basis = np.array([[c, -s], [s, c]])
         for lam_1 in grid:
             for lam_2 in grid:
                 x = (basis * np.array([lam_1, lam_2])) @ basis.T
-                inner = legendre_cex._grad_trace_abs_power(legendre_cex._affine(params, x), p)
-                grad = legendre_cex._forward(params, inner)
-                min_residual = min(min_residual, float(np.linalg.norm(grad - centre)))
-                count += 1
-    return float(min_gap), float(min_margin), failures, min_residual, count
+                inner = legendre_cex._grad_trace_abs_power(legendre_cex._affine(x), p)
+                grad = legendre_cex._forward(inner)
+                residuals.append(float(np.linalg.norm(grad - centre)))
+    return float(min_gap), float(min_margin), failures, residuals
 
 
 def _reference_legendre_cex(seed, samples):
-    """``legendre_cex_suite`` with the matrix case as a loop over samples
-    and grid points, one matrix at a time."""
+    """``legendre_cex_suite`` with each sample judged one at a time, as the
+    failure lists of :func:`_reference_vector_cex` and
+    :func:`_reference_matrix_cex`, and the matrix case as a loop over samples
+    and grid points."""
     result = suites.SuiteResult("legendre-cex")
-    params = legendre_cex.CexParams()
 
-    grad0 = legendre_cex.grad_psibar_vector(params, np.zeros(2))
-    coeff = params.gradient_coefficient
+    grad0 = legendre_cex.grad_psibar_vector(np.zeros(2))
+    coeff = legendre_cex.GRADIENT_COEFFICIENT
     closed_err = float(np.max(np.abs(grad0 - coeff)))
     fd = np.array([
-        (legendre_cex.psibar_vector(params, h * e_i)
-         - legendre_cex.psibar_vector(params, -h * e_i)) / (2.0 * h)
+        (legendre_cex.psibar_vector(h * e_i)
+         - legendre_cex.psibar_vector(-h * e_i)) / (2.0 * h)
         for e_i in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
         for h in (1e-6,)
     ])
@@ -235,22 +255,19 @@ def _reference_legendre_cex(seed, samples):
         f"closed form {coeff:.6f}; deviation {closed_err:.3e}; FD error {fd_err:.3e}",
     )
 
-    vec_report = legendre_cex.verify_vector_strictness(params, samples, seed=seed)
+    min_gap, min_margin, failures = _reference_vector_cex(samples, seed)
     result.add(
         "vector-strict-minimum",
-        vec_report.passed and vec_report.min_margin >= -1e-10,
-        f"min gap {vec_report.min_gap:.6e}, min margin {vec_report.min_margin:.3e} "
-        f"over {vec_report.samples} samples",
+        not failures and min_gap > 0.0 and min_margin >= -1e-10,
+        f"min gap {min_gap:.6e}, min margin {min_margin:.3e} over {samples} samples",
     )
 
-    min_gap, _, failures, min_residual, grid_size = _reference_matrix_cex(
-        params, samples, seed
-    )
-    grad_zero = legendre_cex.verify_matrix_cex(params, 0, seed=seed)
+    min_gap, _, failures, residuals = _reference_matrix_cex(samples, seed)
+    grad_zero = legendre_cex.matrix_gradient_at_zero()
     result.add(
         "matrix-gradient-positive",
-        grad_zero.gradient_is_positive_definite,
-        f"gradient at zero = {grad_zero.gradient_coefficient:.6f} x identity",
+        np.linalg.eigvalsh(grad_zero)[0] > 0.0,
+        f"gradient at zero = {coeff:.6f} x identity",
     )
     result.add(
         "matrix-strict-minimum",
@@ -259,8 +276,8 @@ def _reference_legendre_cex(seed, samples):
     )
     result.add(
         "matrix-stationarity-unsolvable",
-        min_residual > 0.0,
-        f"min stationarity residual {min_residual:.6e} over {grid_size} grid points",
+        min(residuals) > 0.0,
+        f"min stationarity residual {min(residuals):.6e} over {len(residuals)} grid points",
     )
     return result
 
@@ -348,10 +365,9 @@ def test_stacked_suite_rows_equal_the_per_sample_loop(suite, reference, seed, sa
 @pytest.mark.parametrize("samples", [1, 7, 200])
 @pytest.mark.parametrize("seed", [42, 310])
 def test_stacked_matrix_cex_report_equals_the_per_sample_loop(seed, samples):
-    params = legendre_cex.CexParams()
-    report = legendre_cex.verify_matrix_cex(params, samples, seed=seed)
-    assert (report.min_gap, report.min_margin, report.failures, report.min_grid_residual,
-            report.grid_size) == _reference_matrix_cex(params, samples, seed)
+    min_gap, min_margin, _, residuals = _reference_matrix_cex(samples, seed)
+    assert legendre_cex.matrix_minima(samples, seed) == (min_gap, min_margin)
+    assert legendre_cex.grid_residuals().tolist() == residuals
 
 
 @pytest.mark.parametrize(
