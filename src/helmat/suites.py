@@ -24,6 +24,15 @@ so the rows do not depend on the grouping.  Still one
 sample at a time: the quadrature row (its node doubling stops per sample),
 the vector case of legendre-cex, the Picard solves of the d4-guess suite
 and the bregman families.
+
+A sampled row collects its values, scalars or per-dimension arrays, in a
+list and reduces them with :func:`_largest` or :func:`_least`: a left-to-right
+builtin ``max``/``min`` over each part's extreme, starting from -inf/+inf, so
+the start value of every row's extreme is chosen here, once.
+:meth:`SuiteResult.at_most` and :meth:`SuiteResult.at_least` add the row
+``worst <= bound`` or ``worst >= bound`` with a detail that ends in the
+value as ``.3e``; a row whose verdict joins other conditions folds with
+:func:`_largest`/:func:`_least` and adds itself.
 """
 
 from __future__ import annotations
@@ -75,6 +84,17 @@ D4_TRIANGLE_REFERENCE = (3.3349, 3.3146)
 REFERENCE_TOL = 5e-4
 
 
+def _largest(parts: Sequence[float | np.ndarray]) -> float:
+    """The largest value in ``parts``, folded left to right from -inf; like
+    the builtin ``max``, the fold passes over a NaN."""
+    return max([-np.inf, *(float(np.max(part)) for part in parts)])
+
+
+def _least(parts: Sequence[float | np.ndarray]) -> float:
+    """The least value in ``parts``, folded left to right from +inf."""
+    return min([np.inf, *(float(np.min(part)) for part in parts)])
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -94,16 +114,30 @@ class SuiteResult:
     def add(self, name: str, passed: bool, detail: str) -> None:
         self.checks.append(Check(name=name, passed=bool(passed), detail=detail))
 
+    def at_most(self, name: str, parts: Sequence[float | np.ndarray],
+                bound: float, label: str) -> None:
+        """The row ``worst <= bound``, ``worst`` the :func:`_largest` of
+        ``parts``, with the detail ``label`` then ``worst`` as ``.3e``."""
+        worst = _largest(parts)
+        self.add(name, worst <= bound, f"{label}{worst:.3e}")
+
+    def at_least(self, name: str, parts: Sequence[float | np.ndarray],
+                 bound: float, label: str) -> None:
+        """The row ``worst >= bound``, ``worst`` the :func:`_least` of
+        ``parts``, with the detail ``label`` then ``worst`` as ``.3e``."""
+        worst = _least(parts)
+        self.add(name, worst >= bound, f"{label}{worst:.3e}")
+
 
 #: The condition-number range and the least misalignment of the witnesses
-#: :func:`generic_noncommuting_pair` draws.
+#: :func:`_noncommuting_pair_entries` draws.
 PAIR_COND_RANGE = (12.0, 100.0)
 PAIR_MIN_MISALIGNMENT = 0.45
 
 
-def generic_noncommuting_pair(rng, dim: int):
-    """An SPD pair that is a robust witness against the would-be
-    log-Euclidean closed form.
+def _noncommuting_pair_entries(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of an SPD pair that is a robust witness against the
+    would-be log-Euclidean closed form.
 
     The fixed-point residual of that closed form vanishes on the commuting
     set (where the form is exact) and fades like the squared normalized
@@ -117,16 +151,9 @@ def generic_noncommuting_pair(rng, dim: int):
 
     (which is |sin| of twice the eigenbasis angle for 2x2) reaches
     :data:`PAIR_MIN_MISALIGNMENT`, keeping the residual well above the
-    reporting threshold.
+    reporting threshold.  Rejected draws are never validated, so no
+    eigensolve is made here.
     """
-    a, b = _noncommuting_pair_entries(rng, dim)
-    return SpdMatrix(a), SpdMatrix(b)
-
-
-def _noncommuting_pair_entries(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of :func:`generic_noncommuting_pair`, from the same
-    random numbers; rejected draws are never validated, so no eigensolve is
-    made here."""
     min_cond, max_cond = PAIR_COND_RANGE
 
     def draw():
@@ -235,27 +262,22 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
         triples.add([draw_spd(rng, dim, cond=50.0) for _ in range(3)])
-    worst = -np.inf
-    for a, b, c in triples.stacks():
-        for kind in (DistanceKind.D1, DistanceKind.D2):
-            violation = (
-                distances.distance(kind, a, b)
-                - distances.distance(kind, a, c)
-                - distances.distance(kind, c, b)
-            )
-            worst = max(worst, float(violation.max()))
-    result.add(
-        "d1-d2-triangle-holds",
-        worst <= 1e-10,
-        f"max triangle violation over {samples} random triples: {worst:.3e}",
-    )
+    violations = [
+        distances.distance(kind, a, b) - distances.distance(kind, a, c)
+        - distances.distance(kind, c, b)
+        for a, b, c in triples.stacks()
+        for kind in (DistanceKind.D1, DistanceKind.D2)
+    ]
+    result.at_most("d1-d2-triangle-holds", violations, 1e-10,
+                   f"max triangle violation over {samples} random triples: ")
 
-    gap_polar = 0.0
+    gaps = []
     for _ in range(20):
         dim = int(rng.integers(2, 5))
         a, b = random_spd(rng, dim), random_spd(rng, dim)
         value, _ = distances.d2_unitary(a, b)
-        gap_polar = max(gap_polar, abs(value - distances.distance(DistanceKind.D2, a, b)))
+        gaps.append(abs(value - distances.distance(DistanceKind.D2, a, b)))
+    gap_polar = _largest(gaps)
     a, b = random_spd(rng, 3), random_spd(rng, 3)
     value, _ = distances.d2_unitary(a, b)
     # the random numbers of 500 random_unitary(rng, 3) calls, in one draw
@@ -279,23 +301,15 @@ def trace_chain_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         dim = int(rng.integers(2, 7))
         cond = 10.0 ** rng.uniform(0.0, 4.0)
         pairs.add([draw_spd(rng, dim, cond=cond), draw_spd(rng, dim, cond=cond)])
-    min_chain_gap = np.inf
-    min_order_gap = np.inf
+    chain_gaps, order_gaps = [], []
     for a, b in pairs.stacks():
         chain = distances.trace_chain(a, b)
-        min_chain_gap = min(min_chain_gap, float(np.diff(chain, axis=0).min()))
-        squares = distances.chain_divergences(a, b, chain)
-        min_order_gap = min(min_order_gap, float((-np.diff(squares, axis=0)).min()))
-    result.add(
-        "trace-chain-monotone",
-        min_chain_gap >= -1e-10,
-        f"min consecutive gap over {samples} pairs: {min_chain_gap:.3e}",
-    )
-    result.add(
-        "squared-distance-ordering",
-        min_order_gap >= -1e-10,
-        f"min ordering gap over {samples} pairs: {min_order_gap:.3e}",
-    )
+        chain_gaps.append(np.diff(chain, axis=0))
+        order_gaps.append(-np.diff(distances.chain_divergences(a, b, chain), axis=0))
+    result.at_least("trace-chain-monotone", chain_gaps, -1e-10,
+                    f"min consecutive gap over {samples} pairs: ")
+    result.at_least("squared-distance-ordering", order_gaps, -1e-10,
+                    f"min ordering gap over {samples} pairs: ")
     return result
 
 
@@ -313,52 +327,46 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
             points.add([draw_spd(rng, dim, cond=20.0), rng.standard_normal((dim, dim))])
         return points
 
-    worst_diag = 0.0
-    worst_grad3 = 0.0
-    worst_grad4 = 0.0
-    worst_hessian = 0.0
+    diag, grad3, grad4, hessian = [], [], [], []
     for a, gaussian in draw_points().stacks():
         y = hermitian_part(gaussian)
         for kind in (DistanceKind.D3, DistanceKind.D4):
-            worst_diag = max(worst_diag, float(distances.divergence(kind, a, a).max()))
-        gradients = calculus.grad_phi3(a, a).entries
-        worst_grad3 = max(worst_grad3, float(_frobenius_norms(gradients).max()))
+            diag.append(distances.divergence(kind, a, a))
+        grad3.append(_frobenius_norms(calculus.grad_phi3(a, a).entries))
 
         def phi4_at(x):
             return distances.divergence(DistanceKind.D4, a, _spd_stack(x))
 
         fd4 = calculus.fd_directional(phi4_at, a.entries, y)
-        worst_grad4 = max(worst_grad4, float((np.abs(fd4) / _frobenius_norms(y)).max()))
+        grad4.append(np.abs(fd4) / _frobenius_norms(y))
 
         def phi3_at(x):
             return distances.divergence(DistanceKind.D3, a, _spd_stack(x))
 
         target = calculus.hessian_phi3_diag(a, y)
         estimate = calculus.fd_hessian_quadform(phi3_at, a, y)
-        worst_hessian = max(
-            worst_hessian, float((np.abs(estimate - target) / np.abs(target)).max())
-        )
-    result.add("diagonal-vanishing", worst_diag <= 1e-12,
-               f"max divergence on the diagonal: {worst_diag:.3e}")
-    result.add("d3-gradient-diagonal", worst_grad3 <= 1e-10,
-               f"max analytic gradient norm at the diagonal: {worst_grad3:.3e}")
-    result.add("d4-gradient-diagonal", worst_grad4 <= 1e-6,
-               f"max finite-difference directional derivative: {worst_grad4:.3e}")
-    result.add("d3-hessian-identity", worst_hessian <= 1e-4,
-               f"max relative Hessian error over {n_points} pairs: {worst_hessian:.3e}")
+        hessian.append(np.abs(estimate - target) / np.abs(target))
+    result.at_most("diagonal-vanishing", diag, 1e-12,
+                   "max divergence on the diagonal: ")
+    result.at_most("d3-gradient-diagonal", grad3, 1e-10,
+                   "max analytic gradient norm at the diagonal: ")
+    result.at_most("d4-gradient-diagonal", grad4, 1e-6,
+                   "max finite-difference directional derivative: ")
+    result.at_most("d3-hessian-identity", hessian, 1e-4,
+                   f"max relative Hessian error over {n_points} pairs: ")
 
-    worst_fd = 0.0
+    frechet_errors = []
     for x, gaussian in draw_points().stacks():
         y = hermitian_part(gaussian)
         for name in ("sqrt", "log", "exp"):
             exact = calculus.frechet(name, x, y).entries
             approx = calculus.fd_frechet(name, x, y)
-            errors = _frobenius_norms(exact - approx) / np.maximum(_frobenius_norms(exact), 1e-30)
-            worst_fd = max(worst_fd, float(errors.max()))
-    result.add("frechet-finite-difference", worst_fd <= 1e-6,
-               f"max relative error over {n_points} triples: {worst_fd:.3e}")
+            frechet_errors.append(_frobenius_norms(exact - approx)
+                                  / np.maximum(_frobenius_norms(exact), 1e-30))
+    result.at_most("frechet-finite-difference", frechet_errors, 1e-6,
+                   f"max relative error over {n_points} triples: ")
 
-    worst_quad = 0.0
+    quad_errors = []
     for _ in range(25):
         dim = int(rng.integers(2, 5))
         a = random_spd(rng, dim)
@@ -366,12 +374,9 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         y = random_hermitian(rng, dim)
         chain = calculus.frechet_geometric(a, x, y).entries
         quad = calculus.frechet_geometric_quadrature(a, x, y).entries
-        worst_quad = max(
-            worst_quad,
-            float(np.linalg.norm(chain - quad) / max(np.linalg.norm(chain), 1e-30)),
-        )
-    result.add("geometric-derivative-quadrature", worst_quad <= 1e-7,
-               f"max chain-rule vs quadrature error: {worst_quad:.3e}")
+        quad_errors.append(np.linalg.norm(chain - quad) / max(np.linalg.norm(chain), 1e-30))
+    result.at_most("geometric-derivative-quadrature", quad_errors, 1e-7,
+                   "max chain-rule vs quadrature error: ")
 
     sqrt_err = max(
         abs(calculus.quad_check("sqrt_resolvent", x) - np.sqrt(x))
@@ -394,11 +399,7 @@ def bregman_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     rng = make_rng(seed)
     n_fam = max(5, samples // 100)
 
-    worst_right = 0.0
-    worst_left = 0.0
-    worst_var = 0.0
-    worst_min = 0.0
-    worst_scalar = 0.0
+    right, left, var, as_min, scalar = [], [], [], [], []
     for _ in range(n_fam):
         dim = int(rng.integers(2, 5))
         m = int(rng.integers(2, 6))
@@ -408,45 +409,37 @@ def bregman_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         r_entropy = bregman.right_barycentre(bregman.ENTROPY, mats, w)
         r_square = bregman.right_barycentre(bregman.SQUARE, mats, w)
         reference = means.arithmetic_mean(mats, w)
-        worst_right = max(
-            worst_right,
-            frobenius_norm(r_entropy.entries - r_square.entries),
-            frobenius_norm(r_entropy.entries - reference.entries),
-        )
+        right += [frobenius_norm(r_entropy.entries - r_square.entries),
+                  frobenius_norm(r_entropy.entries - reference.entries)]
 
-        left = bregman.left_barycentre(bregman.ENTROPY, mats, w)
         log_euc = means.log_euclidean_multi(mats, w)
-        worst_left = max(worst_left, frobenius_norm(left.entries - log_euc.entries))
+        left.append(frobenius_norm(
+            bregman.left_barycentre(bregman.ENTROPY, mats, w).entries - log_euc.entries))
 
         spread = bregman.variance(bregman.ENTROPY, mats, w)
         gap = means.arithmetic_mean(mats, w).trace() - log_euc.trace()
-        worst_var = max(worst_var, abs(spread - gap))
+        var.append(abs(spread - gap))
 
         a, b = mats[0], mats[1]
-        worst_min = max(
-            worst_min,
-            abs(bregman.phi4_via_min(a, b)
-                - distances.divergence(DistanceKind.D4, a, b)),
-        )
+        as_min.append(abs(bregman.phi4_via_min(a, b)
+                          - distances.divergence(DistanceKind.D4, a, b)))
 
         scalars = rng.uniform(0.2, 5.0, m)
         ones = [SpdMatrix(np.array([[s]])) for s in scalars]
         for mother in (bregman.ENTROPY, bregman.SQUARE, bregman.power_mother(1.5)):
             left_scalar = bregman.left_barycentre(mother, ones, w)
             kolmogorov = mother.inv_dpsi(np.sum(w.weights * mother.dpsi(scalars)))
-            worst_scalar = max(
-                worst_scalar, abs(float(left_scalar.entries[0, 0].real) - kolmogorov)
-            )
-    result.add("right-barycentre-arithmetic", worst_right <= 1e-12,
-               f"max deviation from the arithmetic mean: {worst_right:.3e}")
-    result.add("left-barycentre-log-euclidean", worst_left <= 1e-10,
-               f"max deviation over {n_fam} families: {worst_left:.3e}")
-    result.add("variance-trace-identity", worst_var <= 1e-10,
-               f"max |variance - trace gap|: {worst_var:.3e}")
-    result.add("d4-square-as-minimum", worst_min <= 1e-9,
-               f"max |min value - divergence|: {worst_min:.3e}")
-    result.add("scalar-quasi-arithmetic", worst_scalar <= 1e-12,
-               f"max deviation from the scalar closed form: {worst_scalar:.3e}")
+            scalar.append(abs(float(left_scalar.entries[0, 0].real) - kolmogorov))
+    result.at_most("right-barycentre-arithmetic", right, 1e-12,
+                   "max deviation from the arithmetic mean: ")
+    result.at_most("left-barycentre-log-euclidean", left, 1e-10,
+                   f"max deviation over {n_fam} families: ")
+    result.at_most("variance-trace-identity", var, 1e-10,
+                   "max |variance - trace gap|: ")
+    result.at_most("d4-square-as-minimum", as_min, 1e-9,
+                   "max |min value - divergence|: ")
+    result.at_most("scalar-quasi-arithmetic", scalar, 1e-12,
+                   "max deviation from the scalar closed form: ")
     return result
 
 
@@ -511,20 +504,18 @@ def d4_guess_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     for _ in range(n_pairs):
         dim = int(rng.integers(2, 5))
         pairs.add(_noncommuting_pair_entries(rng, dim))
-    worst = {barycentre.WASSERSTEIN: 0.0, barycentre.PowerMean(0.5): 0.0}
-    min_refuted = np.inf
+    closed = {barycentre.WASSERSTEIN: [], barycentre.PowerMean(0.5): []}
+    refuted = []
     for entries in pairs.stacks():
         a, b = (_spd_stack(block) for block in entries)
-        for kind in worst:
+        for kind, residuals in closed.items():
             x = barycentre.closed_form_m2(kind, a, b)
-            residuals = barycentre.fixed_point_residual(kind, x, [a, b], w2)
-            worst[kind] = max(worst[kind], float(residuals.max()))
-        min_refuted = min(
-            min_refuted, float(barycentre.refute_d4_guess(a, b).relative_residual.min())
-        )
-    for name, res in zip(("wasserstein", "power-half"), worst.values()):
-        result.add(f"{name}-closed-form", res <= 1e-8,
-                   f"max fixed-point residual over {n_pairs} pairs: {res:.3e}")
+            residuals.append(barycentre.fixed_point_residual(kind, x, [a, b], w2))
+        refuted.append(barycentre.refute_d4_guess(a, b).relative_residual)
+    min_refuted = _least(refuted)
+    for name, residuals in zip(("wasserstein", "power-half"), closed.values()):
+        result.at_most(f"{name}-closed-form", residuals, 1e-8,
+                       f"max fixed-point residual over {n_pairs} pairs: ")
 
     a, b, _ = (SpdMatrix(m) for m in D3_TRIANGLE_TRIPLE)
     pinned = barycentre.refute_d4_guess(a, b)
@@ -535,9 +526,7 @@ def d4_guess_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         f"min over random pairs {min_refuted:.6e}",
     )
 
-    worst_res = 0.0
-    worst_restart = 0.0
-    worst_collapse = 0.0
+    final, restarts, collapses = [], [], []
     brackets = True
     for kind in (barycentre.WASSERSTEIN, barycentre.PowerMean(0.5), barycentre.LOG_EUCLIDEAN):
         dim = int(rng.integers(2, 6))
@@ -545,7 +534,7 @@ def d4_guess_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
         mats = [random_spd(rng, dim, cond=20.0) for _ in range(m)]
         w = WeightVector(rng.uniform(0.5, 2.0, m))
         x, report = barycentre.solve(kind, mats, w)
-        worst_res = max(worst_res, report.final_residual)
+        final.append(report.final_residual)
         brackets = brackets and report.bracket_ok and report.converged
 
         alpha, beta = report.spectral_bounds
@@ -553,24 +542,19 @@ def d4_guess_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
             start = random_spd(rng, dim, cond=min(beta / alpha, 1e4),
                                scale=float(np.sqrt(alpha * beta)))
             x_again, _ = barycentre.solve(kind, mats, w, x0=start)
-            worst_restart = max(
-                worst_restart, frobenius_norm(x.entries - x_again.entries)
-            )
+            restarts.append(frobenius_norm(x.entries - x_again.entries))
 
         diag_mats = [
             SpdMatrix(np.diag(rng.uniform(0.3, 3.0, dim))) for _ in range(m)
         ]
         x_diag, _ = barycentre.solve(kind, diag_mats, w)
-        collapse = frobenius_norm(
-            x_diag.entries - means.q_half(diag_mats, w).entries
-        )
-        worst_collapse = max(worst_collapse, collapse)
+        collapses.append(frobenius_norm(x_diag.entries - means.q_half(diag_mats, w).entries))
+    worst_res = _largest(final)
     result.add("fixed-point-residuals", worst_res <= 1e-12 and brackets,
                f"max converged residual {worst_res:.3e}; brackets held")
-    result.add("restart-agreement", worst_restart <= 1e-8,
-               f"max restart deviation {worst_restart:.3e}")
-    result.add("commuting-collapse", worst_collapse <= 1e-8,
-               f"max deviation from the half-power mean {worst_collapse:.3e}")
+    result.at_most("restart-agreement", restarts, 1e-8, "max restart deviation ")
+    result.at_most("commuting-collapse", collapses, 1e-8,
+                   "max deviation from the half-power mean ")
     return result
 
 

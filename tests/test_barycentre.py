@@ -26,7 +26,7 @@ from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm, hermitian_part
 from helmat.means import WeightVector, arithmetic_mean, geometric_mean, q_half
 from helmat.sampling import make_rng, random_spd
-from helmat.suites import D3_TRIANGLE_TRIPLE, generic_noncommuting_pair
+from helmat.suites import D3_TRIANGLE_TRIPLE, _noncommuting_pair_entries
 
 ALL_KINDS = (WASSERSTEIN, PowerMean(0.5), LOG_EUCLIDEAN)
 
@@ -550,7 +550,7 @@ def test_refute_d4_guess_random_pairs():
     rng = make_rng(16)
     for _ in range(20):
         dim = int(rng.integers(2, 4))
-        a, b = generic_noncommuting_pair(rng, dim)
+        a, b = (SpdMatrix(m) for m in _noncommuting_pair_entries(rng, dim))
         report = refute_d4_guess(a, b)
         assert not report.inconclusive
         assert report.residual > 0.0

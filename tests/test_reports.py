@@ -126,6 +126,12 @@ DIGESTS = {
     ("verify", "all", "--seed", "310", "--samples", "1000"):
         (0, "aa2ae58ce812db177ac9ff10d20698de2a610dd4cdd29d4951da2e910a8e2926",
          "b249b0de24564f5a9dec7c28d190ffdf9d0410c692e186ea259c9ba274b40afb"),
+    ("verify", "all", "--seed", "5", "--samples", "100"):
+        (0, "0b35822476494b4150e31fe38f5d980bd4687cd34fcb227e3fb7d7371765ed88",
+         "1c1250103722073a1bce156ac211ee8c536b6077a2e53bb640c019dfdfb27883"),
+    ("verify", "all", "--seed", "99", "--samples", "1"):
+        (0, "63d0f52f9db12f400d8a97dc314a6876c0e902d0493df31fba2bc53b6ef208f7",
+         "be733414d9678d9bfd155714b0be988e8d8c8b65950b8b93c854fa5ca76d7d3c"),
     ("verify", "legendre-cex", "--seed", "123", "--samples", "37"):
         (0, "90b0d4351df167ec5728ef30de9ea934b7c60670d100e1426e17b15489ef68a0",
          "11e6358325e7cb68311115761f569fac029e2acbe93087c0bf36bde7bc992b3a"),

@@ -1,6 +1,10 @@
 """The sampled suites evaluate one stack per dimension; these tests hold them
 to the per-sample loops over the public scalar API that they replaced."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -294,7 +298,7 @@ def _reference_d4_guess(seed, samples):
     min_refuted = np.inf
     for _ in range(n_pairs):
         dim = int(rng.integers(2, 5))
-        a, b = suites.generic_noncommuting_pair(rng, dim)
+        a, b = (SpdMatrix(m) for m in suites._noncommuting_pair_entries(rng, dim))
         for kind in worst:
             x = barycentre.closed_form_m2(kind, a, b)
             worst[kind] = max(worst[kind], barycentre.fixed_point_residual(kind, x, [a, b], w2))
@@ -382,3 +386,51 @@ def test_sampled_suites_make_a_fixed_number_of_eigensolves(suite, eigensolves):
     suite(42, 1000)
     assert len(eigensolves) == 2 * few
     assert {dtype for _, dtype in eigensolves} == {np.dtype(np.float64)}
+
+
+def test_verify_rows_are_the_benchmark_rows(monkeypatch):
+    # the benchmark's verify-all run fails on any other (suite, check) names,
+    # so a renamed, dropped or added row must fail here first
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    rows = [(r.suite, [c.name for c in r.checks]) for r in suites.run_suite("all", 42, 1)]
+    assert rows == list(workloads.VERIFY_CHECKS.items())
+
+
+def test_fold_reports_a_negative_extreme():
+    # a fold started at 0.0 would print 0.000e+00 here
+    result = suites.SuiteResult("fold")
+    result.at_most("row", [-3.0, np.array([-2.5, -4.0])], 1e-10, "max violation: ")
+    assert result.checks == [suites.Check("row", True, "max violation: -2.500e+00")]
+
+
+def test_fold_mixes_scalars_and_arrays():
+    parts = [np.array([1.0, 5.0]), 2.0, np.float64(7.0), np.array([[3.0], [0.5]])]
+    assert suites._largest(parts) == 7.0
+    assert suites._least(parts) == 0.5
+    # like the builtin max and min, the fold passes over a NaN
+    assert suites._largest([1.0, np.array([np.nan]), 2.0]) == 2.0
+    assert suites._least([np.nan]) == np.inf
+
+
+def test_fold_bound_is_inclusive():
+    result = suites.SuiteResult("fold")
+    result.at_most("at", [np.array([1e-9, 1e-8]), 0.0], 1e-8, "")
+    result.at_most("above", [np.nextafter(1e-8, 1.0)], 1e-8, "")
+    result.at_least("at", [np.array([3.0, -1e-10]), 0.0], -1e-10, "")
+    result.at_least("below", [np.nextafter(-1e-10, -1.0)], -1e-10, "")
+    assert [c.passed for c in result.checks] == [True, False, True, False]
+
+
+@pytest.mark.parametrize("bound, passed", [(-0.5, True), (-0.25, False)])
+def test_at_least_mirrors_at_most(bound, passed):
+    parts = [np.array([0.25, -0.5]), 1.5]
+    low, high = suites.SuiteResult("low"), suites.SuiteResult("high")
+    low.at_least("row", parts, bound, "min gap ")
+    high.at_most("row", [-np.asarray(part) for part in parts], -bound, "max gap ")
+    assert low.checks == [suites.Check("row", passed, "min gap -5.000e-01")]
+    assert high.checks == [suites.Check("row", passed, "max gap 5.000e-01")]
