@@ -64,7 +64,6 @@ from .linalg import (
     _per_matrix,
     _require_same_dim,
     _spd_stack,
-    hermitian_part,
     logm,
     product_sqrt,
     sqrt_entries,
@@ -127,11 +126,11 @@ class Wasserstein(MeanKind):
         return sqrt_entries(x)
 
     def _term(self, x_side: np.ndarray, a_side: np.ndarray) -> np.ndarray:
-        return sqrtm(_spd_stack(hermitian_part(x_side @ a_side @ x_side))).entries
+        return sqrtm(_spd_stack(x_side @ a_side @ x_side)).entries
 
     def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
         cross = product_sqrt(a, b)
-        return _spd_stack(hermitian_part((a.entries + b.entries + cross + _adjoint(cross)) / 4.0))
+        return _spd_stack((a.entries + b.entries + cross + _adjoint(cross)) / 4.0)
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,7 @@ class PowerMean(MeanKind):
         if self.t != 0.5:
             return super()._closed_form(a, b)
         mid = geometric_mean_entries(a, b, 0.5)
-        return _spd_stack(hermitian_part((a.entries + b.entries + 2.0 * mid) / 4.0))
+        return _spd_stack((a.entries + b.entries + 2.0 * mid) / 4.0)
 
 
 @dataclass(frozen=True)
@@ -182,7 +181,7 @@ class LogEuclidean(MeanKind):
     _a_side = _x_side
 
     def _term(self, x_side: np.ndarray, a_side: np.ndarray) -> np.ndarray:
-        return _log_euclidean_from_logs(x_side, a_side)
+        return _log_euclidean_from_logs(x_side, a_side).entries
 
 
 WASSERSTEIN = Wasserstein()
@@ -238,7 +237,7 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     ``t = 1/2`` reduce to the entrywise root ``sqrt(x_i a_i)``.
     """
     _require_same_dim(x.dim, a.dim)
-    return SpdMatrix(kind._term(kind._x_side(x), kind._a_side(a)))
+    return _spd_stack(kind._term(kind._x_side(x), kind._a_side(a)))
 
 
 def _picard_sum(
@@ -306,7 +305,7 @@ def _bracketed(proposal: np.ndarray, lower: float, upper: float) -> SpdMatrix | 
     """``proposal`` as the next iterate, or ``None`` if it is not SPD or its
     spectrum leaves ``[lower, upper]``."""
     try:
-        candidate = SpdMatrix(hermitian_part(proposal))
+        candidate = _spd_stack(proposal)
     except (NotPositiveDefiniteError, HermitianError):
         return None
     spectrum = candidate.eig().eigenvalues
@@ -384,7 +383,7 @@ def solve(
         if proposal is not None and mixed is None:
             fallbacks += 1
             history.clear()
-        current = mixed if mixed is not None else SpdMatrix(hermitian_part(stepped))
+        current = mixed if mixed is not None else _spd_stack(stepped)
 
     return current, SolverReport(
         iterations=iterations,
@@ -478,9 +477,9 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     inconclusive = _per_matrix(_frobenius_norms(commutator) / comm_scale <= _COMMUTATOR_TOL)
 
     logs = [LOG_EUCLIDEAN._a_side(m) for m in (a, b)]
-    candidate = _spd_stack(hermitian_part(
-        (a.entries + b.entries + 2.0 * _log_euclidean_from_logs(*logs)) / 4.0
-    ))
+    candidate = _spd_stack(
+        (a.entries + b.entries + 2.0 * _log_euclidean_from_logs(*logs).entries) / 4.0
+    )
     _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, logs, WeightVector.uniform(2).weights)
     return D4GuessReport(
         candidate=candidate,

@@ -21,12 +21,11 @@ import numpy as np
 
 from .errors import InternalConsistencyError, SpectralDomainError
 from .linalg import (
-    HermitianMatrix,
     SpdMatrix,
+    _hermitian_stack,
     _require_same_dim,
     _spd_spectral,
     apply_spectral,
-    hermitian_part,
     logm,
 )
 from .means import (
@@ -185,7 +184,7 @@ def left_barycentre(
     averaged = sum(
         wj * apply_spectral(m.dpsi, a).entries for wj, a in zip(w.weights, mats)
     )
-    averaged = HermitianMatrix(hermitian_part(averaged))
+    averaged = _hermitian_stack(averaged)
     lo, hi = m.dpsi_image
     spectrum = averaged.eig().eigenvalues
     if spectrum[0] <= lo or spectrum[-1] >= hi:

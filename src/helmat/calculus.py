@@ -39,13 +39,12 @@ from .linalg import (
     _as_stack,
     _first_failure,
     _frobenius_norms,
-    _hermitian_checked,
-    _hermitian_value,
+    _hermitian_stack,
     _per_matrix,
     _require_same_dim,
     _spd_stack,
-    _spectral,
     _trace,
+    apply_spectral,
     as_array,
     hermitian_part,
     invm,
@@ -149,11 +148,6 @@ def divided_difference_kernel(
     return DividedDifferenceKernel(eigenbasis=eig, kernel=kernel)
 
 
-def _hermitian_result(arr: np.ndarray) -> HermitianMatrix:
-    """``HermitianMatrix(hermitian_part(arr))``, for one matrix or a stack."""
-    return _hermitian_value(_hermitian_checked(hermitian_part(arr)))
-
-
 def frechet(
     name: str,
     x: SpdMatrix,
@@ -170,7 +164,7 @@ def frechet(
     yarr = _as_stack(y)
     _require_same_dim(x.dim, yarr.shape[-1])
     kernel = divided_difference_kernel(name, x.eig(), t)
-    return _hermitian_result(kernel.apply(yarr))
+    return _hermitian_stack(kernel.apply(yarr))
 
 
 def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -183,10 +177,10 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     yarr = as_array(y)
     _require_same_dim(a.dim, x.dim, len(yarr))
     root, inv_root = sqrt_pair_entries(a)
-    middle = SpdMatrix(hermitian_part(inv_root @ x.entries @ inv_root))
+    middle = _spd_stack(inv_root @ x.entries @ inv_root)
     pushed = hermitian_part(inv_root @ yarr @ inv_root)
     kernel = divided_difference_kernel("sqrt", middle.eig())
-    return _hermitian_result(root @ kernel.apply(pushed) @ root)
+    return _hermitian_stack(root @ kernel.apply(pushed) @ root)
 
 
 def frechet_geometric_quadrature(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -208,7 +202,7 @@ def frechet_geometric_quadrature(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> H
         left = np.linalg.solve(shift + xa, yarr)
         return _adjoint(np.linalg.solve(_adjoint(shift + ax), _adjoint(left)))
 
-    return _hermitian_result(IntegrationMeasure.half_power().integrate_matrix(integrand))
+    return _hermitian_stack(IntegrationMeasure.half_power().integrate_matrix(integrand))
 
 
 def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
@@ -225,10 +219,10 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     """
     _require_same_dim(a.dim, x.dim)
     _, inv_root = sqrt_pair_entries(a)
-    middle = _spd_stack(hermitian_part(inv_root @ x.entries @ inv_root))
+    middle = _spd_stack(inv_root @ x.entries @ inv_root)
     kernel = divided_difference_kernel("sqrt", middle.eig())
     pulled = inv_root @ kernel.apply(a.entries) @ inv_root
-    return _hermitian_result(np.eye(a.dim) - 2.0 * pulled)
+    return _hermitian_stack(np.eye(a.dim) - 2.0 * pulled)
 
 
 def hessian_phi3_diag(a: SpdMatrix, y: MatrixLike) -> float | np.ndarray:
@@ -240,7 +234,7 @@ def hessian_phi3_diag(a: SpdMatrix, y: MatrixLike) -> float | np.ndarray:
     """
     yarr = hermitian_part(y)
     _require_same_dim(a.dim, yarr.shape[-1])
-    inverse = _spectral(lambda x: 1.0 / x, a.eig(), positive=True)
+    inverse = invm(a).entries
     return _per_matrix(0.5 * _trace(yarr @ inverse @ yarr))
 
 
@@ -254,7 +248,7 @@ def d_tr_log_euclidean(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     """
     mean = log_euclidean_pair(a, x)
     kernel = divided_difference_kernel("log", x.eig())
-    return _hermitian_result(0.5 * kernel.apply(mean.entries))
+    return _hermitian_stack(0.5 * kernel.apply(mean.entries))
 
 
 @cache
@@ -405,7 +399,7 @@ def fd_frechet(name: str, x: SpdMatrix, y: MatrixLike, t: float | None = None) -
     of the same shape gives one difference per pair."""
     f, _ = _pair_for(name, t)
     yarr = _as_stack(y)
-    plus, minus = (_spectral(f, _hermitian_result(x.entries + h * yarr).eig())
+    plus, minus = (apply_spectral(f, _hermitian_stack(x.entries + h * yarr)).entries
                    for h in (FD_STEP, -FD_STEP))
     return (plus - minus) / (2.0 * FD_STEP)
 

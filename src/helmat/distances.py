@@ -39,10 +39,10 @@ from .linalg import (
     sqrt_entries,
 )
 from .means import (
-    _log_euclidean_entries,
     _number_vector,
     fidelity,
     geometric_mean_entries,
+    log_euclidean_pair,
 )
 
 #: Radicand magnitude at or below which the squared distance is reported as
@@ -116,7 +116,7 @@ def _mean_trace(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float | np.nd
     if kind is DistanceKind.D3:
         return _trace(geometric_mean_entries(a, b, 0.5))
     if kind is DistanceKind.D4:
-        return _trace(_log_euclidean_entries(a, b))
+        return _trace(log_euclidean_pair(a, b).entries)
     raise ValueError(f"unknown distance kind {kind!r}")
 
 

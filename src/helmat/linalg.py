@@ -5,25 +5,31 @@ are computed through the eigendecomposition: the matrices handled here are
 small and Hermitian, so the spectral mapping is exact up to roundoff and its
 eigensystem can be reused for divided-difference derivatives.
 
-Where SPD-ness is checked: ``SpdMatrix(...)`` (user input, CLI files,
-congruence means returned as values) runs a checked eigensolve; spectral
-results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` (see :class:`SpdMatrix`).
+Where input is checked: the public constructors ``HermitianMatrix(...)``
+and ``SpdMatrix(...)`` are the input boundary.  They take one n-by-n matrix
+the library did not compute (user input, CLI files, test data), check that
+it is finite and Hermitian up to ``HERMITIAN_RTOL``, and ``SpdMatrix`` runs
+the checked eigensolve and the SPD threshold.  Values the library computes
+are built by :func:`_hermitian_stack` and :func:`_spd_stack` instead, from
+one matrix or a stack ``(..., n, n)``: they take the exact Hermitian part
+themselves, so no defect is scanned for, check that the entries are finite
+and, for SPD values, run the checked eigensolve and the threshold.
+Spectral results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` instead of
+by an eigensolve (see :class:`SpdMatrix`).
 
 Every check and kernel is defined once, over stacks ``(..., n, n)``: the
-finite and Hermitian check with its symmetrisation, the checked eigensolve
-with its reconstruction and unitarity invariants, the SPD threshold, the
+finiteness check, the Hermitian check of input, the checked eigensolve with
+its reconstruction and unitarity invariants, the SPD threshold, the
 synthesis ``V diag(f) V*`` and the spectral map.  A value holds one matrix
 or a stack: :class:`HermitianMatrix` and :class:`SpdMatrix` (a
 :class:`HermitianMatrix` whose spectrum also passed the SPD threshold) are
-built from one n-by-n matrix by their public constructors, which reject
-anything else, and :func:`_spd_stack` builds an :class:`SpdMatrix` over
-``(..., n, n)`` from k matrices of one dimension with the same checks and
-one stacked eigensolve.  ``dim`` is ``n`` and ``.trace()`` gives one value
-per matrix: a float for one matrix, an array for a stack.  numpy's
-``eigh``, ``qr``, ``@`` and reductions give each matrix of a stack the same
-bits as a call on that matrix alone, so a stack is checked and mapped
-exactly as its slices would be one by one.  A check that fails on a stack
-raises the error class of the single-matrix check and names the first
+built from one matrix by their public constructors and from a stack by the
+builders, with one stacked eigensolve.  ``dim`` is ``n`` and ``.trace()``
+gives one value per matrix: a float for one matrix, an array for a stack.
+numpy's ``eigh``, ``qr``, ``@`` and reductions give each matrix of a stack
+the same bits as a call on that matrix alone, so a stack is checked and
+mapped exactly as its slices would be one by one.  A check that fails on a
+stack raises the error class of the single-matrix check and names the first
 failing slice.
 
 Real input stays real: entries are float64 when the caller gives real (or
@@ -194,8 +200,8 @@ def _hermitian_checked(arr: np.ndarray) -> np.ndarray:
 
 class HermitianMatrix:
     """An n-by-n Hermitian matrix value: real symmetric (float64) or complex
-    Hermitian (complex128), as :func:`as_array` gives it.  Values built
-    inside the library (see :func:`_spd_stack`) may hold a stack
+    Hermitian (complex128), as :func:`as_array` gives it.  Values the
+    library computes (see :func:`_hermitian_stack`) may hold a stack
     ``(..., n, n)`` instead; the constructor accepts one matrix only.
 
     The constructor checks ``M[i, j] == conj(M[j, i])`` up to a defect of
@@ -240,13 +246,23 @@ def _hermitian(h: MatrixLike) -> HermitianMatrix:
     return h if isinstance(h, HermitianMatrix) else HermitianMatrix(h)
 
 
-def _hermitian_value(sym: np.ndarray, cls: type = HermitianMatrix) -> HermitianMatrix:
-    """Wrap an array ``(..., n, n)`` whose checks for ``cls`` have passed as
-    a value of ``cls``, with an empty eigen cache."""
-    value = cls.__new__(cls)
+def _hermitian_stack(arrays: MatrixLike, cls: type = HermitianMatrix) -> HermitianMatrix:
+    """A value of ``cls`` over ``(..., n, n)`` built from arrays the library
+    computed: their exact Hermitian parts, checked finite, with an empty
+    eigen cache.  No Hermitian defect is scanned for: such arrays are
+    Hermitian up to roundoff by construction, and the part of an array that
+    is already exactly Hermitian is that array bit for bit.
+
+    Raises
+    ------
+    HermitianError
+        On a non-finite entry, which overflow can make.
+    """
+    sym = hermitian_part(arrays)
+    _finite_scale(sym)
     sym.flags.writeable = False
-    value._entries = sym
-    value._eig = None
+    value = cls.__new__(cls)
+    value._entries, value._eig = sym, None
     return value
 
 
@@ -280,11 +296,12 @@ class SpdMatrix(HermitianMatrix):
 
 
 def _spd_stack(arrays: MatrixLike) -> SpdMatrix:
-    """An :class:`SpdMatrix` over ``(..., n, n)``: the checks of the
-    constructor run on every matrix at once, with one stacked eigensolve
-    kept for reuse, so the array formulas of the means and distances give
-    one value per matrix."""
-    value = _hermitian_value(_hermitian_checked(_as_stack(arrays)), SpdMatrix)
+    """An :class:`SpdMatrix` over ``(..., n, n)`` built from arrays the
+    library computed, as :func:`_hermitian_stack` builds it, whose checked
+    eigensolve (one for the stack, kept for reuse) passed the SPD threshold,
+    so the array formulas of the means and distances give one value per
+    matrix."""
+    value = _hermitian_stack(arrays, SpdMatrix)
     _check_positive(value.eig().eigenvalues)
     return value
 
@@ -368,11 +385,11 @@ def eigh(h: MatrixLike) -> EigenDecomposition:
 
 
 def _spectral(
-    f: Callable[[np.ndarray], np.ndarray], eig: EigenDecomposition, positive: bool = False
-) -> np.ndarray:
-    """``V f(Lambda) V*`` for each eigensystem of ``eig``, made exactly
-    Hermitian and checked finite; with ``positive``, ``f(Lambda)`` must also
-    pass the SPD threshold.
+    f: Callable[[np.ndarray], np.ndarray], h: MatrixLike, cls: type
+) -> HermitianMatrix:
+    """``V f(Lambda) V*`` for each eigensystem of ``h``, built as a value of
+    ``cls`` by :func:`_hermitian_stack`; for :class:`SpdMatrix`,
+    ``f(Lambda)`` must also pass the SPD threshold.
 
     Raises
     ------
@@ -380,6 +397,7 @@ def _spectral(
         If ``f`` is undefined (non-finite) at some eigenvalue, naming the
         offending eigenvalue.
     """
+    eig = _hermitian(h).eig()
     with np.errstate(all="ignore"):
         mapped = np.asarray(f(eig.eigenvalues), dtype=float)
     if mapped.shape != eig.eigenvalues.shape:
@@ -391,11 +409,10 @@ def _spectral(
         raise SpectralDomainError(
             f"{where}scalar function is undefined at eigenvalue {offender!r}"
         )
-    entries = hermitian_part(eig.synthesize(mapped))
-    _finite_scale(entries)
-    if positive:
+    value = _hermitian_stack(eig.synthesize(mapped), cls)
+    if cls is SpdMatrix:
         _check_positive(mapped)
-    return entries
+    return value
 
 
 def apply_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> HermitianMatrix:
@@ -409,13 +426,13 @@ def apply_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> Herm
         If ``f`` is undefined (non-finite) at some eigenvalue, naming the
         offending eigenvalue.
     """
-    return _hermitian_value(_spectral(f, _hermitian(h).eig()))
+    return _spectral(f, h, HermitianMatrix)
 
 
 def _spd_spectral(f: Callable[[np.ndarray], np.ndarray], h: MatrixLike) -> SpdMatrix:
     """``V f(Lambda) V*`` as an SPD value checked on ``f(Lambda)`` (see
     :class:`SpdMatrix`)."""
-    return _hermitian_value(_spectral(f, _hermitian(h).eig(), positive=True), SpdMatrix)
+    return _spectral(f, h, SpdMatrix)
 
 
 def sqrtm(a: SpdMatrix) -> SpdMatrix:
@@ -462,7 +479,7 @@ def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """
     _require_same_dim(a.dim, b.dim)
     root, inv_root = sqrt_pair_entries(a)
-    inner = sqrt_entries(_spd_stack(hermitian_part(root @ b.entries @ root)))
+    inner = sqrt_entries(_spd_stack(root @ b.entries @ root))
     return root @ inner @ inv_root
 
 
@@ -487,7 +504,7 @@ def congruence(k: MatrixLike, a: SpdMatrix) -> SpdMatrix:
             f"congruence factor is numerically singular "
             f"(sigma_min/sigma_max = {singular_values[-1] / singular_values[0]:.3e})"
         )
-    return SpdMatrix(hermitian_part(karr @ a.entries @ karr.conj().T))
+    return _spd_stack(karr @ a.entries @ karr.conj().T)
 
 
 def _require_same_dim(dim: int, *others: int) -> None:

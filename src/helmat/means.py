@@ -22,14 +22,12 @@ from .errors import DimensionMismatchError, InternalConsistencyError
 from .linalg import (
     SpdMatrix,
     _any,
-    _checked_eigh,
     _first_failure,
-    _hermitian_checked,
-    _hermitian_value,
+    _hermitian_stack,
     _per_matrix,
     _require_same_dim,
     _spd_stack,
-    _spectral,
+    apply_spectral,
     expm,
     hermitian_part,
     logm,
@@ -102,8 +100,7 @@ def check_family(mats: Sequence[SpdMatrix], w: WeightVector) -> int:
 def arithmetic_mean(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     """Weighted arithmetic mean ``sum_j w_j A_j``."""
     check_family(mats, w)
-    acc = sum(wj * a.entries for wj, a in zip(w.weights, mats))
-    return SpdMatrix(hermitian_part(acc))
+    return _spd_stack(sum(wj * a.entries for wj, a in zip(w.weights, mats)))
 
 
 def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
@@ -116,7 +113,7 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geometric-mean parameter must lie in [0, 1], got {t}")
     _require_same_dim(a.dim, b.dim)
-    return SpdMatrix(geometric_mean_entries(a, b, t))
+    return _spd_stack(geometric_mean_entries(a, b, t))
 
 
 def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
@@ -130,8 +127,8 @@ def _geometric_mean_from_roots(
 ) -> np.ndarray:
     """:func:`geometric_mean_entries` given the arrays ``A^{1/2}``,
     ``A^{-1/2}`` and ``B``, for callers that pair one ``A`` with many ``B``."""
-    middle = _spd_stack(hermitian_part(inv_root @ b @ inv_root))
-    powered = _spectral(lambda x: x**t, middle.eig())
+    middle = _spd_stack(inv_root @ b @ inv_root)
+    powered = apply_spectral(lambda x: x**t, middle).entries
     return hermitian_part(root @ powered @ root)
 
 
@@ -143,20 +140,13 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
     _require_same_dim(a.dim, b.dim)
-    return _hermitian_value(_log_euclidean_entries(a, b), SpdMatrix)
+    return _log_euclidean_from_logs(logm(a).entries, logm(b).entries)
 
 
-def _log_euclidean_entries(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
-    """Hermitian array of :func:`log_euclidean_pair`; dimensions are unchecked."""
-    return _log_euclidean_from_logs(_spectral(np.log, a.eig()), _spectral(np.log, b.eig()))
-
-
-def _log_euclidean_from_logs(log_a: np.ndarray, log_b: np.ndarray) -> np.ndarray:
-    """``exp((log A + log B)/2)`` given the arrays ``log A`` and ``log B``,
-    checked as :func:`~helmat.linalg.expm` checks its result, for callers
-    that pair one ``A`` with many ``B``."""
-    half_sum = (log_a + log_b) / 2
-    return _spectral(np.exp, _checked_eigh(_hermitian_checked(half_sum)), positive=True)
+def _log_euclidean_from_logs(log_a: np.ndarray, log_b: np.ndarray) -> SpdMatrix:
+    """:func:`log_euclidean_pair` given the arrays ``log A`` and ``log B``,
+    for callers that pair one ``A`` with many ``B``."""
+    return expm(_hermitian_stack((log_a + log_b) / 2))
 
 
 def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
@@ -167,7 +157,7 @@ def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix
     weighted geometric mean of the spectra.
     """
     check_family(mats, w)
-    return expm(sum(wj * logm(a).entries for wj, a in zip(w.weights, mats)))
+    return expm(_hermitian_stack(sum(wj * logm(a).entries for wj, a in zip(w.weights, mats))))
 
 
 def fidelity(a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
@@ -206,4 +196,4 @@ def q_half(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
     """
     check_family(mats, w)
     acc = sum(wj * sqrt_entries(a) for wj, a in zip(w.weights, mats))
-    return SpdMatrix(hermitian_part(acc @ acc))
+    return _spd_stack(acc @ acc)

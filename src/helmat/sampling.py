@@ -11,18 +11,19 @@ random numbers from the generator, in this order: the Gaussian block
 of a complex matrix), then the ``dim`` uniforms of the log-spectrum.
 :func:`build_spd` turns draws into validated matrices and takes no random
 numbers: the QR factor of the block with its sign (or phase) fix is the Haar
-basis ``Q``, and ``Q diag(lam) Q*`` is checked as :class:`SpdMatrix` checks
-it.  :func:`random_spd` is one draw and one build; a caller that wants many
-matrices can draw them all, in its own order, and build each dimension as
-one :class:`SpdMatrix` over ``(k, n, n)`` (see
-:func:`~helmat.linalg._spd_stack`), with the same bits per matrix.
+basis ``Q``, and ``Q diag(lam) Q*`` is built by
+:func:`~helmat.linalg._spd_stack`, which takes its Hermitian part and runs
+the SPD checks.  :func:`random_spd` is one draw and one build; a caller that
+wants many matrices can draw them all, in its own order, and build each
+dimension as one :class:`SpdMatrix` over ``(k, n, n)``, with the same bits
+per matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import HermitianMatrix, SpdMatrix, _adjoint, _spd_stack, hermitian_part
+from .linalg import SpdMatrix, _adjoint, _hermitian_stack, _spd_stack
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -35,7 +36,7 @@ def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool =
     g = rng.standard_normal((dim, dim))
     if complex_entries:
         g = g + 1j * rng.standard_normal((dim, dim))
-    return HermitianMatrix(hermitian_part(g))
+    return _hermitian_stack(g)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -88,7 +89,7 @@ def build_spd(gaussians: np.ndarray, spectra: np.ndarray) -> SpdMatrix:
 
 def _spd_entries(gaussian: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
     basis = _haar_basis(gaussian)
-    return hermitian_part((basis * spectrum[..., None, :]) @ _adjoint(basis))
+    return (basis * spectrum[..., None, :]) @ _adjoint(basis)
 
 
 def random_spd(
@@ -105,4 +106,4 @@ def random_spd(
     bounds the realized condition number.  Spectra of independent draws are
     distinct almost surely (no pinned eigenvalues).
     """
-    return SpdMatrix(_spd_entries(*draw_spd(rng, dim, cond, scale, complex_entries)))
+    return _spd_stack(_spd_entries(*draw_spd(rng, dim, cond, scale, complex_entries)))

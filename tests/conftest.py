@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from helmat import linalg
 from helmat.sampling import random_orthogonal
 
 settings.register_profile(
@@ -28,6 +29,23 @@ def eigensolves(monkeypatch):
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.fixture
+def hermitian_checks(monkeypatch):
+    """Log of the input checks ``helmat.linalg._hermitian_checked`` made
+    while the test runs: one entry per call, the shape of the checked
+    array.  linalg holds the only binding of the check, so every call is
+    counted."""
+    calls = []
+    original = linalg._hermitian_checked
+
+    def counted(arr):
+        calls.append(np.shape(arr))
+        return original(arr)
+
+    monkeypatch.setattr(linalg, "_hermitian_checked", counted)
     return calls
 
 

@@ -15,7 +15,7 @@ from helmat.distances import (
 )
 from helmat.errors import DimensionMismatchError
 from helmat.linalg import SpdMatrix, frobenius_norm, sqrt_entries
-from helmat.sampling import make_rng, random_spd, random_unitary
+from helmat.sampling import make_rng, random_orthogonal, random_spd, random_unitary
 from helmat.suites import (
     D3_TRIANGLE_REFERENCE,
     D3_TRIANGLE_TRIPLE,
@@ -240,3 +240,33 @@ def test_distance_eigensolves_with_warm_caches(eigensolves):
         eigensolves.clear()
         distance(kind, a, b)
         assert len(eigensolves) == expected, kind
+
+
+def _homogeneity_pairs():
+    """A with spectrum {1, 2, 3} and B with spectrum {1.5, 2, 2.5}, each in
+    its own Haar basis, real and complex, at seeds 0-19."""
+    pairs = []
+    for seed in range(20):
+        rng = make_rng(seed)
+        for haar in (random_orthogonal, random_unitary):
+            u, v = haar(rng, 3), haar(rng, 3)
+            pairs.append(((u * [1.0, 2.0, 3.0]) @ u.conj().T,
+                          (v * [1.5, 2.0, 2.5]) @ v.conj().T))
+    return pairs
+
+
+@pytest.mark.parametrize("s", [
+    1e-6,
+    1e6,
+    1e12,
+    pytest.param(1e-12, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2: s d^2 ~ 1e-13 falls under the absolute "
+        "radicand clamp, so every kind reads 0.0")),
+])
+def test_distances_are_jointly_homogeneous(s):
+    """d(sA, sB) = sqrt(s) d(A, B) for all four kinds."""
+    for a, b in _homogeneity_pairs():
+        for kind in ALL_KINDS:
+            expected = np.sqrt(s) * distance(kind, SpdMatrix(a), SpdMatrix(b))
+            scaled = distance(kind, SpdMatrix(s * a), SpdMatrix(s * b))
+            assert abs(scaled - expected) <= 1e-12 * expected, (kind, scaled, expected)

@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from helmat import linalg
+from helmat import cli, linalg
+from helmat.barycentre import LOG_EUCLIDEAN, WASSERSTEIN, PowerMean, solve
+from helmat.distances import DistanceKind, distance
 from helmat.errors import (
     DimensionMismatchError,
     EigenDecompositionError,
@@ -33,6 +35,8 @@ from helmat.linalg import (
     product_sqrt,
     sqrtm,
 )
+from helmat.matio import write_matrix_file
+from helmat.means import WeightVector
 from helmat.sampling import (
     make_rng,
     random_hermitian,
@@ -343,3 +347,38 @@ def test_spectral_map_preserves_spectrum(diag, seed):
         rtol=1e-9,
         atol=1e-9,
     )
+
+
+def _family(rng, dim, m):
+    return [random_spd(rng, dim, cond=20.0, complex_entries=True) for _ in range(m)]
+
+
+@pytest.mark.parametrize("kind", [WASSERSTEIN, PowerMean(0.5), LOG_EUCLIDEAN],
+                         ids=["wasserstein", "p-half", "log-euclid"])
+def test_solve_checks_no_computed_value_as_input(kind, hermitian_checks):
+    # every iterate and term is built by the builders, never by the
+    # input check of the public constructors
+    mats = _family(make_rng(17), 4, 3)
+    hermitian_checks.clear()
+    solve(kind, mats, WeightVector.uniform(3))
+    assert hermitian_checks == []
+
+
+def test_distances_check_no_computed_value_as_input(hermitian_checks):
+    a, b = _family(make_rng(18), 4, 2)
+    hermitian_checks.clear()
+    for kind in DistanceKind:
+        distance(kind, a, b)
+    assert hermitian_checks == []
+
+
+@pytest.mark.parametrize("argv, checks", [(["bary", "wasserstein"], 3), (["dist", "d3"], 2)])
+def test_cli_checks_each_input_file_once(argv, checks, tmp_path, capsys, hermitian_checks):
+    paths = []
+    for i, m in enumerate(_family(make_rng(19), 3, checks)):
+        paths.append(str(tmp_path / f"m{i}.json"))
+        write_matrix_file(paths[-1], m.entries)
+    hermitian_checks.clear()
+    assert cli.run(argv + paths) == cli.EXIT_OK
+    capsys.readouterr()
+    assert len(hermitian_checks) == checks
