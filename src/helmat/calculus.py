@@ -8,8 +8,14 @@ base point: for a scalar function ``f`` and a Hermitian ``X = V diag(lam) V*``,
 
 with ``K[i, i] = f'(lam_i)`` (``o`` is the Hadamard product).  Equal or nearly
 equal eigenvalues (relative to their size) fall back to the analytic
-derivative, which removes the 0/0 singularity.  Integral representations of
-the same derivatives are kept as cross-check quadratures.
+derivative, which removes the 0/0 singularity.  The functions are tagged
+``sqrt``, ``log`` and ``exp``, each with a divided difference written
+without cancellation (Higham, *Functions of Matrices*, SIAM 2008, §3.2).
+:func:`fd_frechet` is the independent oracle: one central difference for
+all three tags from one eigensystem per shifted point.  Integral
+representations of the same derivatives are kept as cross-check
+quadratures; they double the Gauss-Legendre nodes from ``QUAD_FIRST_NODES``
+up to ``QUAD_MAX_NODES`` until the result moves by less than ``QUAD_TOL``.
 
 The kernel, :func:`frechet`, :func:`fd_frechet`, :func:`grad_phi3`,
 :func:`hessian_phi3_diag` and the finite-difference helpers
@@ -28,16 +34,15 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, SpectralDomainError
+from .errors import QuadratureError
 from .linalg import (
     EigenDecomposition,
     HermitianMatrix,
     MatrixLike,
     SpdMatrix,
     _adjoint,
-    _any,
     _as_stack,
-    _first_failure,
+    _check_defined,
     _frobenius_norms,
     _hermitian_stack,
     _per_matrix,
@@ -63,20 +68,20 @@ HESSIAN_BASE_STEP = 1e-2
 #: (equal eigenvalues, zeros included, always switch).
 _GAP_RTOL = 1e-7
 
+#: Gauss-Legendre node counts of the cross-check quadratures: the first
+#: rule, and the largest before :class:`IntegrationMeasure` gives up.
+QUAD_FIRST_NODES = 32
+QUAD_MAX_NODES = 4096
+#: Change between two node doublings below which a quadrature has converged,
+#: relative to ``max(1, |result|)``.
+QUAD_TOL = 1e-9
 
-def _pair_for(name: str, t: float | None):
-    """Scalar function and derivative for a supported function tag."""
-    if name == "sqrt":
-        return np.sqrt, lambda x: 0.5 / np.sqrt(x)
-    if name == "log":
-        return np.log, lambda x: 1.0 / x
-    if name == "exp":
-        return np.exp, np.exp
-    if name == "pow_t":
-        if t is None:
-            raise ValueError("function tag 'pow_t' needs the exponent t")
-        return (lambda x: x**t), (lambda x: t * x ** (t - 1.0))
-    raise ValueError(f"unsupported function tag {name!r}; use sqrt, log, exp or pow_t")
+#: The supported function tags: each scalar function and its derivative.
+_FUNCTIONS = {
+    "sqrt": (np.sqrt, lambda x: 0.5 / np.sqrt(x)),
+    "log": (np.log, lambda x: 1.0 / x),
+    "exp": (np.exp, np.exp),
+}
 
 
 @dataclass(frozen=True)
@@ -105,65 +110,50 @@ class DividedDifferenceKernel:
         return v @ (self.kernel * w) @ _adjoint(v)
 
 
-def divided_difference_kernel(
-    name: str,
-    eig: EigenDecomposition,
-    t: float | None = None,
-) -> DividedDifferenceKernel:
+def divided_difference_kernel(name: str, eig: EigenDecomposition) -> DividedDifferenceKernel:
     """Build the divided-difference kernel of a tagged function on a spectrum
     (on each spectrum of a stack).
 
     Raises
     ------
+    ValueError
+        If ``name`` is not one of ``sqrt``, ``log``, ``exp``.
     SpectralDomainError
         If the kernel is undefined somewhere, naming the first failing slice
         of a stack and the eigenvalue of the first row that fails.
     """
+    if name not in _FUNCTIONS:
+        raise ValueError(f"unsupported function tag {name!r}; use sqrt, log or exp")
     lam = eig.eigenvalues
-    rows, cols = lam[..., :, None], lam[..., None, :]
-    f, df = _pair_for(name, t)
     with np.errstate(all="ignore"):
         if name == "sqrt":
             roots = np.sqrt(lam)
             kernel = 1.0 / (roots[..., :, None] + roots[..., None, :])
         else:
+            rows, cols = lam[..., :, None], lam[..., None, :]
             low, high = np.minimum(rows, cols), np.maximum(rows, cols)
             close = high - low <= _GAP_RTOL * np.maximum(np.abs(rows), np.abs(cols))
             spread = np.where(close, 1.0, high - low)
             if name == "exp":
                 apart = np.exp(low) * np.expm1(spread) / spread
-            elif name == "log":
-                apart = np.where(low > 0, np.log1p(spread / low) / spread, np.nan)
             else:
-                apart = (f(high) - f(low)) / spread
-            kernel = np.where(close, df((rows + cols) / 2.0), apart)
-    bad_rows = ~np.isfinite(kernel).all(axis=-1)
-    failing = bad_rows.any(axis=-1)
-    if _any(failing):
-        index, where = _first_failure(failing)
-        raise SpectralDomainError(
-            f"{where}function {name!r} is undefined near eigenvalue "
-            f"{lam[index][np.argmax(bad_rows[index])]!r}"
-        )
+                apart = np.where(low > 0, np.log1p(spread / low) / spread, np.nan)
+            kernel = np.where(close, _FUNCTIONS[name][1]((rows + cols) / 2.0), apart)
+    _check_defined(~np.isfinite(kernel).all(axis=-1), lam,
+                   f"function {name!r} is undefined near")
     return DividedDifferenceKernel(eigenbasis=eig, kernel=kernel)
 
 
-def frechet(
-    name: str,
-    x: SpdMatrix,
-    y: MatrixLike,
-    t: float | None = None,
-) -> HermitianMatrix:
+def frechet(name: str, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
     """Frechet derivative ``Df(X)(Y)`` of a spectral matrix function.
 
-    ``name`` is one of ``sqrt``, ``log``, ``exp``, ``pow_t`` (the latter with
-    exponent ``t``).  Linear in ``Y``; Hermitian for Hermitian ``Y``.  A
-    stack ``X`` with a stack ``Y`` of the same shape gives one derivative
-    per pair.
+    ``name`` is one of ``sqrt``, ``log``, ``exp``.  Linear in ``Y``;
+    Hermitian for Hermitian ``Y``.  A stack ``X`` with a stack ``Y`` of the
+    same shape gives one derivative per pair.
     """
     yarr = _as_stack(y)
     _require_same_dim(x.dim, yarr.shape[-1])
-    kernel = divided_difference_kernel(name, x.eig(), t)
+    kernel = divided_difference_kernel(name, x.eig())
     return _hermitian_stack(kernel.apply(yarr))
 
 
@@ -271,21 +261,19 @@ class IntegrationMeasure:
     weight is first absorbed by ``lam = s^2`` (so ``s`` is mapped instead),
     otherwise the transplanted integrand has an inverse-square-root endpoint
     singularity that stalls Gauss-Legendre far above the target accuracy.
-    Nodes are doubled until the result moves by less than ``tol``.
+    Nodes are doubled from ``QUAD_FIRST_NODES`` until the result moves by
+    less than ``QUAD_TOL``, up to ``QUAD_MAX_NODES``.
     """
 
     kind: str
-    initial_nodes: int = 32
-    max_nodes: int = 4096
-    tol: float = 1e-9
 
     @classmethod
-    def half_power(cls, **kw) -> "IntegrationMeasure":
-        return cls(kind="half_power", **kw)
+    def half_power(cls) -> "IntegrationMeasure":
+        return cls(kind="half_power")
 
     @classmethod
-    def lebesgue(cls, **kw) -> "IntegrationMeasure":
-        return cls(kind="lebesgue", **kw)
+    def lebesgue(cls) -> "IntegrationMeasure":
+        return cls(kind="lebesgue")
 
     def _nodes_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
         u, w = _gauss_legendre(n)
@@ -303,7 +291,8 @@ class IntegrationMeasure:
         return lam, weights
 
     def integrate(self, f: Callable[[float], float]) -> float:
-        """Scalar integral with node doubling until the update is below tol;
+        """Scalar integral with node doubling until the update is below
+        ``QUAD_TOL``;
         ``f`` is called once per node."""
 
         def total(lam, weights):
@@ -327,18 +316,18 @@ class IntegrationMeasure:
 
     def _integrate(self, weighted_sum, norm):
         previous = None
-        n = self.initial_nodes
-        while n <= self.max_nodes:
+        n = QUAD_FIRST_NODES
+        while n <= QUAD_MAX_NODES:
             total = weighted_sum(*self._nodes_weights(n))
-            if previous is not None and norm(total - previous) <= self.tol * max(
+            if previous is not None and norm(total - previous) <= QUAD_TOL * max(
                 1.0, norm(total)
             ):
                 return total
             previous = total
             n *= 2
         raise QuadratureError(
-            f"quadrature did not converge below {self.tol:.1e} "
-            f"within {self.max_nodes} nodes"
+            f"quadrature did not converge below {QUAD_TOL:.1e} "
+            f"within {QUAD_MAX_NODES} nodes"
         )
 
 
@@ -377,31 +366,31 @@ def fd_directional(
     f: Callable[[np.ndarray], float | np.ndarray],
     x: MatrixLike,
     y: MatrixLike,
-    step: float | np.ndarray = FD_STEP,
 ) -> float | np.ndarray:
-    """Central finite difference of a scalar functional along direction ``y``.
+    """Central finite difference of a scalar functional along direction
+    ``y``, with step ``FD_STEP``.
 
     ``x`` and ``y`` may be stacks ``(..., n, n)`` of one shape, with ``f``
-    giving one value per matrix and ``step`` one step for all or one per
-    matrix; each matrix gets, bit for bit, the value of a call on it alone.
+    giving one value per matrix; each matrix gets, bit for bit, the value of
+    a call on it alone.
     """
     xarr, yarr = _as_stack(x), _as_stack(y)
-    h = np.asarray(step)
-    shift = h[..., None, None] * yarr
-    return _per_matrix((f(xarr + shift) - f(xarr - shift)) / (2.0 * h))
+    shift = FD_STEP * yarr
+    return _per_matrix((f(xarr + shift) - f(xarr - shift)) / (2.0 * FD_STEP))
 
 
-def fd_frechet(name: str, x: SpdMatrix, y: MatrixLike, t: float | None = None) -> np.ndarray:
-    """Central finite difference ``(f(X + hY) - f(X - hY)) / 2h`` of a
-    matrix function; the independent oracle for :func:`frechet`.  Each
-    shifted point gets the checked eigensolve of
-    :func:`~helmat.linalg.apply_spectral`; a stack ``X`` with a stack ``Y``
-    of the same shape gives one difference per pair."""
-    f, _ = _pair_for(name, t)
+def fd_frechet(x: SpdMatrix, y: MatrixLike) -> dict[str, np.ndarray]:
+    """Central finite differences ``(f(X + hY) - f(X - hY)) / 2h`` of the
+    three tagged matrix functions, as ``{tag: difference}`` in the order
+    ``sqrt``, ``log``, ``exp``; the independent oracle for :func:`frechet`.
+    The two shifted points get one checked eigensolve each, shared by the
+    three functions through :func:`~helmat.linalg.apply_spectral`; a stack
+    ``X`` with a stack ``Y`` of the same shape gives one difference per
+    pair."""
     yarr = _as_stack(y)
-    plus, minus = (apply_spectral(f, _hermitian_stack(x.entries + h * yarr)).entries
-                   for h in (FD_STEP, -FD_STEP))
-    return (plus - minus) / (2.0 * FD_STEP)
+    plus, minus = (_hermitian_stack(x.entries + h * yarr) for h in (FD_STEP, -FD_STEP))
+    return {name: (apply_spectral(f, plus).entries - apply_spectral(f, minus).entries)
+            / (2.0 * FD_STEP) for name, (f, _) in _FUNCTIONS.items()}
 
 
 def fd_hessian_quadform(

@@ -67,19 +67,16 @@ def _power_grad(y: np.ndarray, p: float) -> np.ndarray:
 
 
 # The matrix analogue of the cone map on 2x2 Hermitian matrices (each
-# accepts a stack (..., 2, 2)): the endomorphism (n-1) X - 2 swap X swap,
-# its inverse, and the affine map I + forward.  The inverse map is
-# completely positive (a positive combination of conjugations), so it
-# carries positive semidefinite matrices to positive semidefinite matrices;
-# the forward map does not.
+# accepts a stack (..., 2, 2)): the endomorphism (n-1) X - 2 swap X swap and
+# the affine map I + forward.  The forward map is invertible, with inverse
+# ((n-1) X + 2 swap X swap) / _DETERMINANT.  That inverse is completely
+# positive (a positive combination of conjugations), so it carries positive
+# semidefinite matrices to positive semidefinite matrices; the forward map
+# does not.
 
 
 def _forward(x: np.ndarray) -> np.ndarray:
     return (ANCHOR_SCALE - 1.0) * x - 2.0 * _SWAP @ x @ _SWAP
-
-
-def _inverse(x: np.ndarray) -> np.ndarray:
-    return ((ANCHOR_SCALE - 1.0) * x + 2.0 * _SWAP @ x @ _SWAP) / _DETERMINANT
 
 
 def _affine(x: np.ndarray) -> np.ndarray:

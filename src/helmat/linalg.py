@@ -93,6 +93,23 @@ def as_array(value: MatrixLike) -> np.ndarray:
     return arr
 
 
+def _number_array(values) -> np.ndarray | None:
+    """``values`` as a new float64 array when they are an array of numbers,
+    as a JSON array of numbers is: ints and floats in nested lists of one
+    shape, or a numpy array of integer or float dtype.  ``None`` otherwise:
+    a bool, string, null or object is not a number even where numpy would
+    convert it, and neither is ragged nesting or an int beyond the float
+    range."""
+    leaves = np.array(values, dtype=object).ravel()
+    if not all(issubclass(t, (int, float, np.integer, np.floating)) and t is not bool
+               for t in set(map(type, leaves))):
+        return None
+    try:
+        return np.array(values, dtype=float)
+    except OverflowError:
+        return None
+
+
 def hermitian_part(value: MatrixLike) -> np.ndarray:
     """Exact Hermitian part ``(M + M*)/2`` of each square matrix."""
     arr = _as_stack(value)
@@ -384,6 +401,23 @@ def eigh(h: MatrixLike) -> EigenDecomposition:
     return _checked_eigh(_hermitian(h).entries)
 
 
+def _check_defined(bad: np.ndarray, eigenvalues: np.ndarray, what: str) -> None:
+    """The one check that a spectral map is defined: ``bad`` flags the
+    eigenvalues (or the kernel rows) where it is not, with the shape of
+    ``eigenvalues``.
+
+    Raises
+    ------
+    SpectralDomainError
+        If any flag is set, naming the first failing slice of a stack and
+        the first flagged eigenvalue in it: ``"{what} eigenvalue {value}"``.
+    """
+    if _any(bad):
+        index, where = _first_failure(bad.any(axis=-1))
+        offender = float(eigenvalues[index][np.argmax(bad[index])])
+        raise SpectralDomainError(f"{where}{what} eigenvalue {offender!r}")
+
+
 def _spectral(
     f: Callable[[np.ndarray], np.ndarray], h: MatrixLike, cls: type
 ) -> HermitianMatrix:
@@ -402,13 +436,7 @@ def _spectral(
         mapped = np.asarray(f(eig.eigenvalues), dtype=float)
     if mapped.shape != eig.eigenvalues.shape:
         raise SpectralDomainError("scalar function must map the spectrum elementwise")
-    bad = ~np.isfinite(mapped)
-    if _any(bad):
-        index, where = _first_failure(bad.any(axis=-1))
-        offender = float(eig.eigenvalues[index][np.argmax(bad[index])])
-        raise SpectralDomainError(
-            f"{where}scalar function is undefined at eigenvalue {offender!r}"
-        )
+    _check_defined(~np.isfinite(mapped), eig.eigenvalues, "scalar function is undefined at")
     value = _hermitian_stack(eig.synthesize(mapped), cls)
     if cls is SpdMatrix:
         _check_positive(mapped)

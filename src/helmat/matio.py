@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import HelmatError
-from .linalg import as_array
+from .linalg import _number_array, as_array
 
 
 class MatrixFileError(HelmatError, ValueError):
@@ -59,10 +59,9 @@ def read_json_file(path: str | Path, build: Callable) -> tuple:
 
 
 def _as_grid(name: str, payload, dim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(payload, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MatrixFileError(f"field {name!r} is not a numeric array") from exc
+    arr = _number_array(payload)
+    if arr is None:
+        raise MatrixFileError(f"field {name!r} is not a numeric array")
     if arr.shape != (dim, dim):
         raise MatrixFileError(
             f"field {name!r} must be a {dim}x{dim} array, got shape {arr.shape}"
@@ -78,7 +77,7 @@ def matrix_from_payload(payload: dict) -> np.ndarray:
     if not isinstance(payload, dict):
         raise MatrixFileError("expected a JSON object at the top level")
     dim = payload.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise MatrixFileError(f"'dim' must be a positive integer, got {dim!r}")
     if "real" not in payload:
         raise MatrixFileError("missing required field 'real'")

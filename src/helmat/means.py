@@ -24,6 +24,7 @@ from .linalg import (
     _any,
     _first_failure,
     _hermitian_stack,
+    _number_array,
     _per_matrix,
     _require_same_dim,
     _spd_stack,
@@ -38,16 +39,12 @@ from .linalg import (
 
 def _number_vector(values, name: str) -> np.ndarray:
     """``values`` as a new float64 array, provided they are a non-empty
-    one-dimensional array of numbers (a JSON object, string, boolean or
-    null is none); otherwise a ``ValueError`` that names ``name`` and the
-    format."""
-    try:
-        arr = np.asarray(values)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iuf":
+    one-dimensional array of numbers (see :func:`~helmat.linalg._number_array`);
+    otherwise a ``ValueError`` that names ``name`` and the format."""
+    arr = _number_array(values)
+    if arr is None or arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name} must be a non-empty one-dimensional array of numbers")
-    return arr.astype(float)
+    return arr
 
 
 class WeightVector:

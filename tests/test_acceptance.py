@@ -104,9 +104,8 @@ def test_criterion_05_derivative_engine():
         dim = int(rng.integers(2, 5))
         x = random_spd(rng, dim, cond=20.0)
         y = random_hermitian(rng, dim)
-        for name in ("sqrt", "log", "exp"):
+        for name, approx in calculus.fd_frechet(x, y).items():
             exact = calculus.frechet(name, x, y).entries
-            approx = calculus.fd_frechet(name, x, y)
             worst_fd = max(
                 worst_fd, np.linalg.norm(exact - approx) / np.linalg.norm(exact)
             )

@@ -22,7 +22,7 @@ from helmat.calculus import (
 from helmat.barycentre import refute_d4_guess
 from helmat.distances import DistanceKind, divergence
 from helmat.errors import DimensionMismatchError, QuadratureError
-from helmat.linalg import SpdMatrix, frobenius_norm
+from helmat.linalg import SpdMatrix, _spd_stack, frobenius_norm, hermitian_part
 from helmat.means import geometric_mean, log_euclidean_pair
 from helmat.sampling import make_rng, random_hermitian, random_spd
 from helmat.suites import divergence_axioms_suite
@@ -103,18 +103,34 @@ def test_frechet_linearity():
     assert np.linalg.norm(combo - split) <= 1e-11 * max(1.0, np.linalg.norm(split))
 
 
-@pytest.mark.parametrize("name,t", [("sqrt", None), ("log", None), ("exp", None), ("pow_t", 0.3)])
-def test_frechet_matches_finite_difference(name, t):
+@pytest.mark.parametrize("name", ["sqrt", "log", "exp"])
+def test_frechet_matches_finite_difference(name):
     rng = make_rng(3)
     worst = 0.0
     for _ in range(25):
         dim = int(rng.integers(2, 5))
         x = random_spd(rng, dim, cond=20.0)
         y = random_hermitian(rng, dim)
-        exact = frechet(name, x, y, t=t).entries
-        approx = fd_frechet(name, x, y, t=t)
+        exact = frechet(name, x, y).entries
+        approx = fd_frechet(x, y)[name]
         worst = max(worst, np.linalg.norm(exact - approx) / np.linalg.norm(exact))
     assert worst <= 1e-6
+
+
+def test_frechet_takes_only_the_three_tags():
+    x = random_spd(make_rng(3), 3)
+    with pytest.raises(ValueError, match="use sqrt, log or exp"):
+        frechet("pow_t", x, np.eye(3))
+
+
+def test_fd_frechet_shares_one_eigensystem_per_shifted_point(eigensolves):
+    rng = make_rng(3)
+    x = _spd_stack(np.array([random_spd(rng, 3, cond=20.0).entries for _ in range(4)]))
+    y = hermitian_part(rng.standard_normal((4, 3, 3)))
+    eigensolves.clear()
+    differences = fd_frechet(x, y)
+    assert list(differences) == ["sqrt", "log", "exp"]
+    assert len(eigensolves) == 2
 
 
 def test_frechet_geometric_at_base_point_is_half():
@@ -317,16 +333,18 @@ def test_quad_check_normalizations():
     assert quad_check("hessian_normalization") == pytest.approx(0.5, abs=1e-8)
 
 
-def test_integration_measure_node_doubling_stability():
+def test_integration_measure_node_doubling_stability(monkeypatch):
     measure = IntegrationMeasure.half_power()
     value = measure.integrate(lambda lam: 1.0 / (1.0 + lam) ** 2)
-    finer = IntegrationMeasure.half_power(initial_nodes=128)
-    value_fine = finer.integrate(lambda lam: 1.0 / (1.0 + lam) ** 2)
+    monkeypatch.setattr(calculus, "QUAD_FIRST_NODES", 128)
+    value_fine = measure.integrate(lambda lam: 1.0 / (1.0 + lam) ** 2)
     assert abs(value - value_fine) < 1e-9
 
 
-def test_integration_measure_reports_nonconvergence():
-    measure = IntegrationMeasure.lebesgue(max_nodes=64, tol=1e-300)
+def test_integration_measure_reports_nonconvergence(monkeypatch):
+    monkeypatch.setattr(calculus, "QUAD_MAX_NODES", 64)
+    monkeypatch.setattr(calculus, "QUAD_TOL", 1e-300)
+    measure = IntegrationMeasure.lebesgue()
     with pytest.raises(QuadratureError):
         measure.integrate(lambda lam: 1.0 / (1.0 + lam) ** 2)
 

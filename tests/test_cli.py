@@ -320,6 +320,34 @@ def test_undecodable_file_exits_3_naming_the_file(capsys, tmp_path, matrix_files
     assert "bad.json: invalid JSON" in err
 
 
+NON_NUMBER_MATRIX_FILES = {
+    "boolean-dim": ("dist", "d1", '{"dim": true, "real": [[2.0]]}'),
+    "string-entries": ("mean", "arith", '{"dim": 2, "real": [["2", "0"], ["0", "1"]]}'),
+    "boolean-entries": ("mean", "arith",
+                        '{"dim": 2, "real": [[true, false], [false, true]]}'),
+    "huge-integer": ("mean", "arith", f'{{"dim": 1, "real": [[{10**400}]]}}'),
+}
+
+
+@pytest.mark.parametrize("command, kind, content", NON_NUMBER_MATRIX_FILES.values(),
+                         ids=NON_NUMBER_MATRIX_FILES.keys())
+def test_non_number_matrix_file_exits_3_naming_the_file(capsys, tmp_path, command, kind,
+                                                        content):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, report, err = run_cli(capsys, [command, kind, str(bad), str(bad)])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err.startswith(f"error: {bad}: ")
+
+
+def test_inline_weights_with_a_boolean_exit_3(capsys, matrix_files):
+    code, report, err = run_cli(capsys, ["mean", "arith", matrix_files["a"], matrix_files["b"],
+                                         "--weights", "[true, 1]"])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err == ("error: inline weights: "
+                   "weights must be a non-empty one-dimensional array of numbers\n")
+
+
 def test_cli_usage_errors(capsys):
     code, _, err = run_cli(capsys, ["dist", "d9", "x.json", "y.json"])
     assert code == EXIT_INPUT_ERROR
@@ -510,6 +538,7 @@ MALFORMED_VECTORS = {
     "non-number": '[1, "x"]',
     "null": "[1, null]",
     "boolean": "[true, true]",
+    "boolean-and-number": "[true, 1]",
     "nested": "[[1, 2]]",
     "ragged": "[[1], [1, 2]]",
     "huge-integer": f"[{10**400}, 1]",

@@ -270,3 +270,19 @@ def test_distances_are_jointly_homogeneous(s):
             expected = np.sqrt(s) * distance(kind, SpdMatrix(a), SpdMatrix(b))
             scaled = distance(kind, SpdMatrix(s * a), SpdMatrix(s * b))
             assert abs(scaled - expected) <= 1e-12 * expected, (kind, scaled, expected)
+
+
+def test_distances_are_unitarily_invariant_and_symmetric():
+    """d(UAU*, UBU*) = d(A, B) and d(B, A) = d(A, B) for all four kinds, with
+    one Haar unitary per pair, drawn in pair order."""
+    rng = make_rng(99)
+    for a, b in _homogeneity_pairs():
+        u = random_unitary(rng, 3)
+        a_value, b_value = SpdMatrix(a), SpdMatrix(b)
+        ua, ub = SpdMatrix(u @ a @ u.conj().T), SpdMatrix(u @ b @ u.conj().T)
+        for kind in ALL_KINDS:
+            value = distance(kind, a_value, b_value)
+            rotated = distance(kind, ua, ub)
+            swapped = distance(kind, b_value, a_value)
+            assert abs(rotated - value) <= 1e-12 * value, (kind, rotated, value)
+            assert abs(swapped - value) <= 1e-12 * value, (kind, swapped, value)

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name the package defines is used in the package.
 
-``__init__.py`` is exempt: it imports names to re-export them.
+``__init__.py`` is exempt from the first rule: it imports names to re-export
+them.
 """
 
 import ast
@@ -31,3 +33,31 @@ def _used_names(tree: ast.Module) -> set[str]:
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     assert sorted(_imported_names(tree) - _used_names(tree)) == []
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Module-level functions, classes and assigned names that start with an
+    underscore, dunders excepted."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read in a module, bare or as an attribute."""
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_private_name_is_used_in_the_package():
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    unused = sorted(f"{module}:{name}" for module, tree in trees.items()
+                    for name in _private_definitions(tree) - used)
+    assert unused == []

@@ -3,10 +3,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helmat.legendre_cex import (
+    _DETERMINANT,
     _LINEAR,
     _MATRIX_GRADIENTS,
     _PREIMAGES,
     _SHIFT,
+    _SWAP,
     _VECTOR_GRADIENTS,
     ANCHOR_SCALE,
     EXPONENT,
@@ -14,7 +16,6 @@ from helmat.legendre_cex import (
     _affine,
     _forward,
     _grad_trace_abs_power,
-    _inverse,
     _trace_abs_power,
     grad_psibar_vector,
     grid_residuals,
@@ -105,6 +106,11 @@ def test_matrix_maps_examples():
     x = np.diag([1.0, 0.0])
     forward = _forward(x)
     assert_allclose(forward, np.diag([n - 1.0, 0.0]) - 2.0 * np.diag([0.0, 1.0]))
+
+
+def _inverse(x: np.ndarray) -> np.ndarray:
+    """The inverse of the matrix cone map ``_forward``."""
+    return ((ANCHOR_SCALE - 1.0) * x + 2.0 * _SWAP @ x @ _SWAP) / _DETERMINANT
 
 
 def test_matrix_maps_roundtrip():

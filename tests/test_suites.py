@@ -137,9 +137,8 @@ def _reference_divergence_axioms(seed, samples):
         dim = int(rng.integers(2, 5))
         x = random_spd(rng, dim, cond=20.0)
         y = random_hermitian(rng, dim)
-        for name in ("sqrt", "log", "exp"):
+        for name, approx in calculus.fd_frechet(x, y).items():
             exact = calculus.frechet(name, x, y).entries
-            approx = calculus.fd_frechet(name, x, y)
             worst_fd = max(
                 worst_fd,
                 float(np.linalg.norm(exact - approx) / max(np.linalg.norm(exact), 1e-30)),
