@@ -37,7 +37,6 @@ from .bregman import (
     variance,
 )
 from .calculus import (
-    DividedDifferenceKernel,
     IntegrationMeasure,
     d_tr_log_euclidean,
     divided_difference_kernel,

@@ -21,10 +21,10 @@ Picard iteration contracts only at rate ``1 - t`` for the power mean (Lim
 and Palfia), about 40 steps at ``t = 1/2``, so each step mixes the last
 Picard images by Anderson acceleration (Walker and Ni), about 12 steps; a
 mixed iterate that is not SPD or leaves the spectral bracket of the inputs
-is replaced by the Picard image.  Damping is a further safety net.
-Existence and uniqueness of the fixed point are known, convergence of the
-iteration is not guaranteed, so non-convergence is a reportable outcome
-rather than an error.
+is replaced by the Picard image.  The Picard step ``eta`` stays as given
+for the whole solve.  Existence and uniqueness of the fixed point are
+known, convergence of the iteration is not guaranteed, so non-convergence
+is a reportable outcome rather than an error.
 
 A kind splits ``G`` into factors of ``X`` alone, formed once per step, and
 factors of ``A_j`` alone, formed once per call; :func:`mean_map`,
@@ -192,7 +192,7 @@ LOG_EUCLIDEAN = LogEuclidean()
 class SolverConfig:
     """Knobs of the fixed-point iteration (see :func:`solve`).
 
-    ``damping`` is the Picard step ``eta``.
+    ``damping`` is the Picard step ``eta``, fixed for the whole solve.
     """
 
     tol: float = 1e-12
@@ -200,8 +200,8 @@ class SolverConfig:
     damping: float = 1.0
 
     def __post_init__(self):
-        if not self.tol > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError(f"tolerance must be finite and positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
         if not 0.0 < self.damping <= 1.0:
@@ -262,8 +262,9 @@ def fixed_point_residual(
 
 
 class _AndersonHistory:
-    """The last ``memory`` differences of the residuals ``f = T(X) - X`` and
-    of the images ``g = T(X)`` of a fixed-point map ``T``.
+    """The last ``_ANDERSON_MEMORY`` differences of the residuals
+    ``f = T(X) - X`` and of the images ``g = T(X)`` of a fixed-point map
+    ``T``.
 
     ``propose`` returns the Anderson (type II) iterate ``g - dG gamma``, with
     ``gamma`` the real least-squares solution of ``dF gamma ~ f`` over the
@@ -273,9 +274,9 @@ class _AndersonHistory:
     dimensions than its length and the Gram matrix is singular.
     """
 
-    def __init__(self, memory: int = _ANDERSON_MEMORY):
-        self.df: deque[np.ndarray] = deque(maxlen=memory)
-        self.dg: deque[np.ndarray] = deque(maxlen=memory)
+    def __init__(self):
+        self.df: deque[np.ndarray] = deque(maxlen=_ANDERSON_MEMORY)
+        self.dg: deque[np.ndarray] = deque(maxlen=_ANDERSON_MEMORY)
         self.last: tuple[np.ndarray, np.ndarray] | None = None
 
     def clear(self) -> None:
@@ -333,10 +334,9 @@ def solve(
     the Anderson mix of the recent images (see :class:`_AndersonHistory`),
     unless the mix is not SPD or its spectrum leaves the bracket
     ``[alpha, beta]`` of the inputs: then the step falls back to the Picard
-    image, which is counted in ``fallbacks``.  A fallback, a residual that
-    grew and a change of ``eta`` each restart the mixing history.  If the
-    residual grows for five consecutive iterations ``eta`` is halved, down
-    to 1/16.  A step costs m + 1 eigensolves, plus one per fallback.
+    image, which is counted in ``fallbacks``.  A fallback and a residual
+    that grew each restart the mixing history; ``eta`` is ``cfg.damping``
+    throughout.  A step costs m + 1 eigensolves, plus one per fallback.
     """
     cfg = cfg or SolverConfig()
     current = x0 if x0 is not None else arithmetic_mean(mats, w)
@@ -348,8 +348,6 @@ def solve(
     a_sides = [kind._a_side(a) for a in mats]
     history = _AndersonHistory()
 
-    damping = cfg.damping
-    consecutive_growth = 0
     previous_residual = np.inf
     bracket_ok = True
     fallbacks = 0
@@ -366,18 +364,10 @@ def solve(
         summed, residual = _picard_sum(kind, current, a_sides, w.weights)
         if residual <= cfg.tol or iterations == cfg.max_iter:
             break
-        # growth restarts the mixing history; so does a halving of eta (a
-        # new map T), which only ever follows growth
+        # growth restarts the mixing history
         grew = residual > previous_residual
-        if grew:
-            consecutive_growth += 1
-            if consecutive_growth >= 5:
-                damping = max(damping / 2.0, 1.0 / 16.0)
-                consecutive_growth = 0
-        else:
-            consecutive_growth = 0
         previous_residual = residual
-        stepped = (1.0 - damping) * current.entries + damping * summed
+        stepped = (1.0 - cfg.damping) * current.entries + cfg.damping * summed
         proposal = history.propose(current.entries, stepped, restart=grew)
         mixed = None if proposal is None else _bracketed(proposal, lower, upper)
         if proposal is not None and mixed is None:

@@ -202,10 +202,7 @@ def variance(m: MotherFunction, mats: Sequence[SpdMatrix], w: WeightVector) -> f
     and log-Euclidean means of the family.
     """
     mu = left_barycentre(m, mats, w)
-    total = sum(
-        wj * bregman_tracial(m, mu, a) for wj, a in zip(w.weights, mats)
-    )
-    return max(float(total), 0.0)
+    return float(sum(wj * bregman_tracial(m, mu, a) for wj, a in zip(w.weights, mats)))
 
 
 def phi4_via_min(a: SpdMatrix, b: SpdMatrix) -> float:
@@ -217,5 +214,4 @@ def phi4_via_min(a: SpdMatrix, b: SpdMatrix) -> float:
     minimiser; no numerical optimisation.
     """
     mean = log_euclidean_pair(a, b)
-    total = bregman_tracial(ENTROPY, mean, a) + bregman_tracial(ENTROPY, mean, b)
-    return max(float(total), 0.0)
+    return float(bregman_tracial(ENTROPY, mean, a) + bregman_tracial(ENTROPY, mean, b))

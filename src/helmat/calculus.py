@@ -84,9 +84,9 @@ _FUNCTIONS = {
 }
 
 
-@dataclass(frozen=True)
-class DividedDifferenceKernel:
-    """First divided differences of a scalar function on a spectrum.
+def divided_difference_kernel(name: str, eig: EigenDecomposition) -> np.ndarray:
+    """First divided differences of a tagged function on the spectrum of
+    ``eig`` (on each spectrum of a stack).
 
     ``kernel[i, j] = (f(lam_i) - f(lam_j)) / (lam_i - lam_j)`` with the
     analytic derivative on (near-)coincident pairs; it is symmetric.  For the
@@ -97,22 +97,6 @@ class DividedDifferenceKernel:
     cancellation of ``f(lam_i) - f(lam_j)`` against ``f(lam)`` itself, which
     for ``exp`` near zero and ``log`` away from one is much larger than the
     difference.
-    """
-
-    eigenbasis: EigenDecomposition
-    kernel: np.ndarray
-
-    def apply(self, y: MatrixLike) -> np.ndarray:
-        """The derivative as a linear map: Hadamard-multiply in the eigenbasis
-        (of each matrix, for a stack of eigensystems and directions)."""
-        v = self.eigenbasis.eigenvectors
-        w = _adjoint(v) @ _as_stack(y) @ v
-        return v @ (self.kernel * w) @ _adjoint(v)
-
-
-def divided_difference_kernel(name: str, eig: EigenDecomposition) -> DividedDifferenceKernel:
-    """Build the divided-difference kernel of a tagged function on a spectrum
-    (on each spectrum of a stack).
 
     Raises
     ------
@@ -141,7 +125,17 @@ def divided_difference_kernel(name: str, eig: EigenDecomposition) -> DividedDiff
             kernel = np.where(close, _FUNCTIONS[name][1]((rows + cols) / 2.0), apart)
     _check_defined(~np.isfinite(kernel).all(axis=-1), lam,
                    f"function {name!r} is undefined near")
-    return DividedDifferenceKernel(eigenbasis=eig, kernel=kernel)
+    return kernel
+
+
+def _daleckii_krein(name: str, eig: EigenDecomposition, y: MatrixLike) -> np.ndarray:
+    """The derivative of the tagged function at ``V diag(lam) V*`` as a
+    linear map on ``y``: ``V (K o (V* Y V)) V*`` with ``K`` the
+    divided-difference kernel (for each eigensystem and direction of a
+    stack)."""
+    v = eig.eigenvectors
+    w = _adjoint(v) @ _as_stack(y) @ v
+    return v @ (divided_difference_kernel(name, eig) * w) @ _adjoint(v)
 
 
 def frechet(name: str, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -153,8 +147,7 @@ def frechet(name: str, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
     """
     yarr = _as_stack(y)
     _require_same_dim(x.dim, yarr.shape[-1])
-    kernel = divided_difference_kernel(name, x.eig())
-    return _hermitian_stack(kernel.apply(yarr))
+    return _hermitian_stack(_daleckii_krein(name, x.eig(), yarr))
 
 
 def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -169,8 +162,7 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     root, inv_root = sqrt_pair_entries(a)
     middle = _spd_stack(inv_root @ x.entries @ inv_root)
     pushed = hermitian_part(inv_root @ yarr @ inv_root)
-    kernel = divided_difference_kernel("sqrt", middle.eig())
-    return _hermitian_stack(root @ kernel.apply(pushed) @ root)
+    return _hermitian_stack(root @ _daleckii_krein("sqrt", middle.eig(), pushed) @ root)
 
 
 def frechet_geometric_quadrature(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -210,8 +202,7 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     _require_same_dim(a.dim, x.dim)
     _, inv_root = sqrt_pair_entries(a)
     middle = _spd_stack(inv_root @ x.entries @ inv_root)
-    kernel = divided_difference_kernel("sqrt", middle.eig())
-    pulled = inv_root @ kernel.apply(a.entries) @ inv_root
+    pulled = inv_root @ _daleckii_krein("sqrt", middle.eig(), a.entries) @ inv_root
     return _hermitian_stack(np.eye(a.dim) - 2.0 * pulled)
 
 
@@ -237,8 +228,7 @@ def d_tr_log_euclidean(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     ``(1/2) diag(sqrt(a_i / x_i))``; at ``X = A`` it is ``I / 2``.
     """
     mean = log_euclidean_pair(a, x)
-    kernel = divided_difference_kernel("log", x.eig())
-    return _hermitian_stack(0.5 * kernel.apply(mean.entries))
+    return _hermitian_stack(0.5 * _daleckii_krein("log", x.eig(), mean.entries))
 
 
 @cache

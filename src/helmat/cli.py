@@ -253,11 +253,12 @@ def run(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
         report, code, summary = _HANDLERS[args.command](args)
+        # strict JSON: a report holding NaN or Infinity is an input error
+        text = json.dumps(report, indent=2, allow_nan=False)
     except (CliUsageError, HelmatError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    json.dump(report, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(text + "\n")
     print(summary, file=sys.stderr)
     return code
 

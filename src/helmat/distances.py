@@ -94,8 +94,15 @@ class TraceChain(NamedTuple):
     product_root: float    # tr((A B)^{1/2})
 
 
-#: The distance kind of each :class:`TraceChain` field, in field order.
-_CHAIN_KINDS = (DistanceKind.D3, DistanceKind.D4, DistanceKind.D1, DistanceKind.D2)
+#: The mean trace ``tr G(A, B)`` of each distance kind, in the field order
+#: of :class:`TraceChain`.
+_MEAN_TRACES = {
+    DistanceKind.D3: lambda a, b: _trace(geometric_mean_entries(a, b, 0.5)),
+    DistanceKind.D4: lambda a, b: _trace(log_euclidean_pair(a, b).entries),
+    DistanceKind.D1: lambda a, b: _trace(sqrt_entries(a) @ sqrt_entries(b)),
+    # tr (AB)^{1/2} = tr (A^{1/2} B A^{1/2})^{1/2}, the fidelity.
+    DistanceKind.D2: fidelity,
+}
 
 
 def hellinger(p: ProbabilityVector, q: ProbabilityVector) -> float:
@@ -105,19 +112,6 @@ def hellinger(p: ProbabilityVector, q: ProbabilityVector) -> float:
         raise DimensionMismatchError(f"length mismatch: {len(p)} vs {len(q)}")
     diff = np.sqrt(p.entries) - np.sqrt(q.entries)
     return float(np.linalg.norm(diff) / np.sqrt(2.0))
-
-
-def _mean_trace(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
-    if kind is DistanceKind.D1:
-        return _trace(sqrt_entries(a) @ sqrt_entries(b))
-    if kind is DistanceKind.D2:
-        # tr (AB)^{1/2} = tr (A^{1/2} B A^{1/2})^{1/2}, the fidelity.
-        return fidelity(a, b)
-    if kind is DistanceKind.D3:
-        return _trace(geometric_mean_entries(a, b, 0.5))
-    if kind is DistanceKind.D4:
-        return _trace(log_euclidean_pair(a, b).entries)
-    raise ValueError(f"unknown distance kind {kind!r}")
 
 
 def _clamped_square(
@@ -145,7 +139,7 @@ def divergence(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float | np.nda
     :class:`InternalConsistencyError`, which names a failing pair of a stack.
     """
     _require_same_dim(a.dim, b.dim)
-    return _per_matrix(_clamped_square(kind, a, b, _mean_trace(kind, a, b)))
+    return _per_matrix(_clamped_square(kind, a, b, _MEAN_TRACES[kind](a, b)))
 
 
 def chain_divergences(
@@ -155,7 +149,7 @@ def chain_divergences(
     (``d3^2, d4^2, d1^2, d2^2``), from the traces of ``trace_chain(a, b)``;
     each equals :func:`divergence` of its kind.  On two stacks each entry
     holds one value per pair."""
-    return [_per_matrix(_clamped_square(kind, a, b, tr)) for kind, tr in zip(_CHAIN_KINDS, chain)]
+    return [_per_matrix(_clamped_square(kind, a, b, tr)) for kind, tr in zip(_MEAN_TRACES, chain)]
 
 
 def distance(kind: DistanceKind, a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
@@ -172,7 +166,7 @@ def trace_chain(a: SpdMatrix, b: SpdMatrix) -> TraceChain:
     collapse to ``sum_i sqrt(alpha_i beta_i)``.
     """
     _require_same_dim(a.dim, b.dim)
-    return TraceChain(*(_per_matrix(_mean_trace(kind, a, b)) for kind in _CHAIN_KINDS))
+    return TraceChain(*(_per_matrix(trace(a, b)) for trace in _MEAN_TRACES.values()))
 
 
 def d2_unitary(a: SpdMatrix, b: SpdMatrix) -> tuple[float, np.ndarray]:

@@ -164,8 +164,6 @@ def vector_minima(samples: int, seed: int) -> Minima:
     min_gap, min_margin = np.inf, np.inf
     for _ in range(samples):
         x = rng.exponential(1.0, 2) * 10.0 ** rng.uniform(-2.0, 2.0)
-        if x.max() <= 0.0:
-            continue
         gap = psibar_vector(x) - base
         min_gap = min(min_gap, gap)
         min_margin = min(min_margin, gap - grad0 @ x)

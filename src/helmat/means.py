@@ -51,7 +51,8 @@ class WeightVector:
     """Positive weights over an m-tuple, normalised to sum to one.
 
     Normalisation happens at construction, so ``sum(w) == 1`` holds to within
-    1e-12 for every instance.
+    1e-12 for every instance; weights whose sum overflows are divided by the
+    largest first.
     """
 
     __slots__ = ("_weights",)
@@ -60,6 +61,9 @@ class WeightVector:
         arr = _number_vector(weights, "weights")
         if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
             raise ValueError("all weights must be finite and strictly positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(arr.sum()):  # scale a sum beyond the float range
+                arr = arr / arr.max()
         arr = arr / arr.sum()
         arr.flags.writeable = False
         self._weights = arr
@@ -74,12 +78,6 @@ class WeightVector:
 
     def __len__(self) -> int:
         return self._weights.size
-
-    def __iter__(self):
-        return iter(self._weights)
-
-    def __repr__(self) -> str:
-        return f"WeightVector({self._weights.tolist()})"
 
 
 def check_family(mats: Sequence[SpdMatrix], w: WeightVector) -> int:

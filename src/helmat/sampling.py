@@ -81,15 +81,11 @@ def draw_spd(
 
 
 def build_spd(gaussians: np.ndarray, spectra: np.ndarray) -> SpdMatrix:
-    """Validated ``Q diag(lam) Q*`` for a stack of draws of one dimension,
-    as one :class:`SpdMatrix` over ``(k, n, n)``: ``gaussians`` is
-    ``(k, n, n)`` and ``spectra`` is ``(k, n)``."""
-    return _spd_stack(_spd_entries(gaussians, spectra))
-
-
-def _spd_entries(gaussian: np.ndarray, spectrum: np.ndarray) -> np.ndarray:
-    basis = _haar_basis(gaussian)
-    return (basis * spectrum[..., None, :]) @ _adjoint(basis)
+    """Validated ``Q diag(lam) Q*`` for one draw, or for a stack of draws of
+    one dimension as one :class:`SpdMatrix` over ``(k, n, n)``:
+    ``gaussians`` is ``(k, n, n)`` and ``spectra`` is ``(k, n)``."""
+    basis = _haar_basis(gaussians)
+    return _spd_stack((basis * spectra[..., None, :]) @ _adjoint(basis))
 
 
 def random_spd(
@@ -106,4 +102,4 @@ def random_spd(
     bounds the realized condition number.  Spectra of independent draws are
     distinct almost surely (no pinned eigenvalues).
     """
-    return _spd_stack(_spd_entries(*draw_spd(rng, dim, cond, scale, complex_entries)))
+    return build_spd(*draw_spd(rng, dim, cond, scale, complex_entries))

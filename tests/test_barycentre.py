@@ -1,9 +1,11 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from helmat import barycentre
 from helmat.barycentre import (
     LOG_EUCLIDEAN,
     WASSERSTEIN,
@@ -21,9 +23,11 @@ from helmat.barycentre import (
     solve,
 )
 from helmat.calculus import fd_directional, grad_phi3
+from helmat.cli import EXIT_OK, run
 from helmat.distances import DistanceKind
 from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm, hermitian_part
+from helmat.matio import write_matrix_file
 from helmat.means import WeightVector, arithmetic_mean, geometric_mean, q_half
 from helmat.sampling import make_rng, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE, _noncommuting_pair_entries
@@ -36,8 +40,11 @@ def test_kind_validation():
         PowerMean(0.0)
     with pytest.raises(ValueError):
         PowerMean(1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=-1.0)
+    for tol in (-1.0, 0.0, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="tolerance must be finite and positive"):
+            SolverConfig(tol=tol)
+    with pytest.raises(ValueError, match="max_iter must be at least 1"):
+        SolverConfig(max_iter=0)
     with pytest.raises(ValueError):
         SolverConfig(damping=0.0)
 
@@ -183,6 +190,50 @@ def test_mixing_on_a_2x2_pair_with_a_singular_gram_system():
         assert fixed_point_residual(kind, x, [a, b], w) <= 1e-12
 
 
+def _census_family(seed):
+    """One family of the hard-family census: its dimension, size, condition
+    number, field and damping are drawn from ``seed``, then its matrices and
+    weights; returns the family, the raw weights and the solver
+    configuration."""
+    rng = make_rng(seed)
+    dim, m = rng.integers(2, 13), rng.integers(2, 9)
+    cond = 10 ** rng.uniform(1, 6)
+    complex_entries = bool(rng.integers(2))
+    damping = (1.0, 0.5)[rng.integers(2)]
+    mats = [random_spd(rng, dim, cond=cond, complex_entries=complex_entries) for _ in range(m)]
+    return mats, rng.uniform(0.1, 3.0, m), SolverConfig(damping=damping)
+
+
+@pytest.mark.parametrize("seed, kind", [(201367, PowerMean(0.1)), (200824, WASSERSTEIN)],
+                         ids=["power-0.1-seed-201367", "wasserstein-seed-200824"])
+def test_hard_families_converge(seed, kind):
+    # ill-conditioned families (cond 9.9e4 and 9.1e5) on which halving the
+    # Picard step after five growing residuals stalled the solve at 500 steps
+    mats, weights, cfg = _census_family(seed)
+    w = WeightVector(weights)
+    x, report = solve(kind, mats, w, cfg)
+    assert report.converged and report.bracket_ok
+    assert fixed_point_residual(kind, x, mats, w) <= 1e-12
+    # on the Wasserstein family neither plain Picard (500 steps) nor the
+    # Alvarez-Esteban map (2,000 steps) converges, so only P_0.1 has a reference
+    if kind is not WASSERSTEIN:
+        reference, _, residual = _plain_picard(kind, mats, w)
+        assert residual <= 1e-12
+        assert frobenius_norm(x.entries - reference.entries) <= 1e-10 * frobenius_norm(reference)
+
+
+def test_hard_family_converges_from_the_cli(capsys, tmp_path):
+    mats, weights, _ = _census_family(201367)
+    files = [str(tmp_path / f"a{j}.json") for j in range(len(mats))]
+    for path, a in zip(files, mats):
+        write_matrix_file(path, a.entries)
+    (tmp_path / "w.json").write_text(json.dumps(weights.tolist()))
+    code = run(["bary", "power-t", *files, "--t", "0.1", "--weights", str(tmp_path / "w.json")])
+    err = capsys.readouterr().err
+    assert code == EXIT_OK
+    assert err.startswith("bary power-t: converged after 40 iterations")
+
+
 def _alvarez_esteban(mats, w, tol=1e-14, max_iter=200):
     """The Wasserstein barycentre by the Alvarez-Esteban, del Barrio,
     Cuesta-Albertos and Matran iteration
@@ -229,9 +280,10 @@ def test_rejected_mixed_iterates_are_not_taken():
     assert _bracketed(np.full((3, 3), np.nan), -np.inf, np.inf) is None
 
 
-def test_anderson_history_mixes_hermitian_matrices_with_real_weights():
+def test_anderson_history_mixes_hermitian_matrices_with_real_weights(monkeypatch):
+    monkeypatch.setattr(barycentre, "_ANDERSON_MEMORY", 2)
     rng = make_rng(24)
-    history = _AndersonHistory(memory=2)
+    history = _AndersonHistory()
     points = [random_spd(rng, 3, complex_entries=True).entries for _ in range(4)]
     images = [random_spd(rng, 3, complex_entries=True).entries for _ in range(4)]
     assert history.propose(points[0], images[0], restart=False) is None

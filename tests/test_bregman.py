@@ -38,6 +38,14 @@ def test_mother_function_construction_validates():
             inv_dpsi=lambda y: 0.25 / (y * y),
             dpsi_image=(0.0, np.inf),
         )
+    with pytest.raises(ValueError, match="nonempty open interval"):
+        MotherFunction(
+            name="empty-image",
+            psi=lambda x: x * x / 2,
+            dpsi=lambda x: x,
+            inv_dpsi=lambda y: y,
+            dpsi_image=(1.0, 1.0),
+        )
     with pytest.raises(ValueError):
         # inconsistent inverse derivative
         MotherFunction(

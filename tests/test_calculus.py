@@ -35,14 +35,14 @@ def test_divided_difference_kernel_sqrt_closed_form():
     kernel = divided_difference_kernel("sqrt", eig)
     lam = eig.eigenvalues
     expected = 1.0 / np.add.outer(np.sqrt(lam), np.sqrt(lam))
-    assert np.max(np.abs(kernel.kernel - expected)) <= 1e-12
-    assert_allclose(kernel.kernel, kernel.kernel.T)
+    assert np.max(np.abs(kernel - expected)) <= 1e-12
+    assert_allclose(kernel, kernel.T)
 
 
 def test_divided_difference_kernel_repeated_eigenvalues():
     eig = SpdMatrix(np.eye(3) * 4.0).eig()
     kernel = divided_difference_kernel("log", eig)
-    assert_allclose(kernel.kernel, np.full((3, 3), 0.25))
+    assert_allclose(kernel, np.full((3, 3), 0.25))
 
 
 @pytest.mark.parametrize("s", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8])
@@ -78,7 +78,7 @@ def test_log_divided_difference_on_near_pairs(s, ratio):
     # log(lam_i) - log(lam_j) cancels against log(lam) itself, which is far
     # from zero away from unit scale; the reference is 40-digit decimal
     lam = np.array([s, s * (1.0 + ratio)])
-    kernel = divided_difference_kernel("log", SpdMatrix(np.diag(lam)).eig()).kernel
+    kernel = divided_difference_kernel("log", SpdMatrix(np.diag(lam)).eig())
     lo, hi = (Decimal(x) for x in lam)
     with localcontext() as ctx:
         ctx.prec = 40
@@ -347,6 +347,11 @@ def test_integration_measure_reports_nonconvergence(monkeypatch):
     measure = IntegrationMeasure.lebesgue()
     with pytest.raises(QuadratureError):
         measure.integrate(lambda lam: 1.0 / (1.0 + lam) ** 2)
+
+
+def test_integration_measure_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown measure kind 'other'"):
+        IntegrationMeasure(kind="other").integrate(lambda lam: 1.0)
 
 
 def test_gradient_of_phi4_vanishes_at_diagonal_via_dlog():

@@ -348,7 +348,57 @@ def test_inline_weights_with_a_boolean_exit_3(capsys, matrix_files):
                    "weights must be a non-empty one-dimensional array of numbers\n")
 
 
-def test_cli_usage_errors(capsys):
+INVALID_MATRIX_FILES = {
+    "top-level-array": ("[[1.0]]", "expected a JSON object at the top level"),
+    "no-real": ('{"dim": 1}', "missing required field 'real'"),
+    "nan": ('{"dim": 1, "real": [[NaN]]}', "field 'real' contains non-finite entries"),
+    "overflow": ('{"dim": 1, "real": [[1e400]]}', "field 'real' contains non-finite entries"),
+}
+
+
+@pytest.mark.parametrize("content, message", INVALID_MATRIX_FILES.values(),
+                         ids=INVALID_MATRIX_FILES.keys())
+def test_invalid_matrix_file_exits_3_naming_the_file(capsys, tmp_path, matrix_files, content,
+                                                     message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    code, report, err = run_cli(capsys, ["dist", "d1", matrix_files["a"], str(bad)])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err == f"error: {bad}: {message}\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    # a non-finite tolerance used to report "converged after 0 iterations"
+    # with "tol": Infinity
+    ("--tol", "inf", "tolerance must be finite and positive, got inf"),
+    ("--tol", "1e400", "tolerance must be finite and positive, got inf"),
+    ("--max-iter", "0", "max_iter must be at least 1"),
+], ids=["tol-inf", "tol-1e400", "max-iter-0"])
+def test_bad_solver_flag_exits_3(capsys, matrix_files, flag, value, message):
+    code, report, err = run_cli(capsys, ["bary", "wasserstein", *matrix_files.values(),
+                                         flag, value])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err == f"error: {message}\n"
+
+
+def test_report_that_is_not_strict_json_exits_3(capsys, monkeypatch, matrix_files):
+    monkeypatch.setitem(helmat.cli._HANDLERS, "dist",
+                        lambda args: ({"distance": float("nan")}, EXIT_OK, "nan"))
+    code, report, err = run_cli(capsys, ["dist", "d1", matrix_files["a"], matrix_files["b"]])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err.startswith("error: Out of range float values are not JSON compliant")
+
+
+def test_weights_whose_sum_overflows_give_the_equal_weight_report(capsys, matrix_files):
+    files = [matrix_files["a"], matrix_files["b"]]
+    captured = []
+    for weights in ("[1e308, 1e308]", "[1, 1]"):
+        assert run(["mean", "arith", *files, "--weights", weights]) == EXIT_OK
+        captured.append(capsys.readouterr())
+    assert captured[0] == captured[1]
+
+
+def test_cli_usage_errors(capsys, matrix_files):
     code, _, err = run_cli(capsys, ["dist", "d9", "x.json", "y.json"])
     assert code == EXIT_INPUT_ERROR
     code, _, err = run_cli(capsys, ["dist", "d1", "/nonexistent.json", "/none.json"])
@@ -356,6 +406,9 @@ def test_cli_usage_errors(capsys):
     assert "nonexistent" in err
     code, _, _ = run_cli(capsys, ["dist", "d1", "a.json", "b.json", "--via-unitary"])
     assert code == EXIT_INPUT_ERROR  # --via-unitary is d2-only, checked before files
+    code, report, err = run_cli(capsys, ["mean", "geo", *matrix_files.values()])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err == "error: mean geo needs exactly two matrices\n"
 
 
 def test_installed_entry_point_smoke(tmp_path):

@@ -113,6 +113,11 @@ def _inverse(x: np.ndarray) -> np.ndarray:
     return ((ANCHOR_SCALE - 1.0) * x + 2.0 * _SWAP @ x @ _SWAP) / _DETERMINANT
 
 
+def test_psibar_matrix_rejects_other_sizes():
+    with pytest.raises(ValueError, match=r"construction is 2x2, got shape \(3, 3\)"):
+        psibar_matrix(np.eye(3))
+
+
 def test_matrix_maps_roundtrip():
     rng = make_rng(1)
     for _ in range(100):

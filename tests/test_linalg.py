@@ -193,6 +193,28 @@ def test_eigh_reconstruction_check_is_relative(monkeypatch, scale):
         SpdMatrix(a)
 
 
+def test_eigh_reports_a_solver_that_does_not_converge(monkeypatch):
+    def failing(arr, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(EigenDecompositionError, match="failed to converge"):
+        SpdMatrix(np.eye(2))
+
+
+def test_eigh_unitarity_check(monkeypatch):
+    # (lam/4, 2V) reconstructs the matrix exactly but V is not unitary
+    original = np.linalg.eigh
+
+    def stretched(arr, *args, **kwargs):
+        values, vectors = original(arr, *args, **kwargs)
+        return values / 4.0, 2.0 * vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", stretched)
+    with pytest.raises(EigenDecompositionError, match="not unitary"):
+        SpdMatrix(np.diag([1.0, 2.0, 3.0]))
+
+
 def test_apply_spectral_examples():
     root = apply_spectral(np.sqrt, SpdMatrix(np.diag([4.0, 9.0])))
     assert_allclose(root.entries, np.diag([2.0, 3.0]))
@@ -215,6 +237,11 @@ def test_apply_spectral_commutes_with_input():
     mapped = apply_spectral(np.sqrt, a)
     comm = mapped.entries @ a.entries - a.entries @ mapped.entries
     assert np.linalg.norm(comm) <= 1e-9 * frobenius_norm(a)
+
+
+def test_apply_spectral_rejects_a_map_that_is_not_elementwise():
+    with pytest.raises(SpectralDomainError, match="must map the spectrum elementwise"):
+        apply_spectral(lambda x: np.sum(x), SpdMatrix(np.eye(2)))
 
 
 def test_apply_spectral_domain_error_names_eigenvalue():
@@ -304,6 +331,11 @@ def test_congruence_rejects_singular():
     a = SpdMatrix(np.eye(2))
     with pytest.raises(SingularMatrixError):
         congruence(np.array([[1.0, 0.0], [0.0, 0.0]]), a)
+
+
+def test_congruence_rejects_a_factor_of_another_dimension():
+    with pytest.raises(DimensionMismatchError, match="2x2 but the matrix has dimension 3"):
+        congruence(np.eye(2), SpdMatrix(np.eye(3)))
 
 
 def test_congruence_preserves_positivity(random_invertible):

@@ -11,6 +11,7 @@ from helmat.linalg import SpdMatrix, congruence, frobenius_norm, sqrt_entries
 from helmat.means import (
     WeightVector,
     arithmetic_mean,
+    check_family,
     fidelity,
     geometric_mean,
     geometric_mean_t,
@@ -32,6 +33,24 @@ def test_weight_vector_rejects_bad_input():
     for bad in ([], [1.0, -2.0], [0.0, 1.0], [np.inf, 1.0]):
         with pytest.raises(ValueError):
             WeightVector(bad)
+
+
+def test_weights_whose_sum_overflows_normalise(recwarn):
+    assert np.array_equal(WeightVector([1e308, 1e308]).weights, [0.5, 0.5])
+    w = WeightVector([1e308, 1.5e308]).weights
+    assert w[1] / w[0] == pytest.approx(1.5, rel=1e-15)
+    assert abs(np.sum(w) - 1.0) <= 1e-12
+    assert not recwarn.list  # no overflow warning either
+
+
+def test_weights_with_a_finite_sum_keep_their_bits():
+    raw = np.array([1e307, 3.0e307, 0.25e307])
+    assert np.array_equal(WeightVector(raw).weights, raw / raw.sum())
+
+
+def test_check_family_rejects_an_empty_family():
+    with pytest.raises(ValueError, match="need at least one matrix"):
+        check_family([], WeightVector([1.0]))
 
 
 def test_arithmetic_mean_examples():

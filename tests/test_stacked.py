@@ -73,6 +73,11 @@ def _pair_stacks(dim, complex_entries):
     return a, b, singles
 
 
+def test_draw_rejects_a_condition_number_below_one():
+    with pytest.raises(ValueError, match="condition number must be at least 1"):
+        draw_spd(make_rng(0), 3, cond=0.5)
+
+
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("dim", DIMS)
 def test_stacked_build_is_random_spd_per_slice(dim, complex_entries):

@@ -400,6 +400,11 @@ def test_verify_rows_are_the_benchmark_rows(monkeypatch):
     assert rows == list(workloads.VERIFY_CHECKS.items())
 
 
+def test_run_suite_rejects_an_unknown_name():
+    with pytest.raises(ValueError, match="unknown suite 'nope'; choose from"):
+        suites.run_suite("nope")
+
+
 def test_fold_reports_a_negative_extreme():
     # a fold started at 0.0 would print 0.000e+00 here
     result = suites.SuiteResult("fold")
