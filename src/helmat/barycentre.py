@@ -26,10 +26,12 @@ for the whole solve.  Existence and uniqueness of the fixed point are
 known, convergence of the iteration is not guaranteed, so non-convergence
 is a reportable outcome rather than an error.
 
-A kind splits ``G`` into factors of ``X`` alone, formed once per step, and
-factors of ``A_j`` alone, formed once per call; :func:`mean_map`,
-:func:`fixed_point_residual` and :func:`solve` share one Picard sum, which
-also gives the relative residual.
+A kind evaluates ``G(X, A_j)`` from the values themselves: the factors of
+one argument (``X^{1/2}``, ``X^{-1/2}``, ``log X``, ``log A_j``) are kept
+in that value's memo (see :func:`~helmat.linalg._memoized`), so a step forms
+those of ``X`` once and a solve those of each ``A_j`` once.
+:func:`mean_map`, :func:`fixed_point_residual` and :func:`solve` share one
+Picard sum, which also gives the relative residual.
 
 :func:`closed_form_m2`, :func:`fixed_point_residual` and
 :func:`refute_d4_guess` also take stacks of pairs ``(..., n, n)`` (built by
@@ -64,19 +66,16 @@ from .linalg import (
     _per_matrix,
     _require_same_dim,
     _spd_stack,
-    logm,
     product_sqrt,
     sqrt_entries,
-    sqrt_pair_entries,
     sqrtm,
 )
 from .means import (
     WeightVector,
-    _geometric_mean_from_roots,
-    _log_euclidean_from_logs,
     arithmetic_mean,
     check_family,
     geometric_mean_entries,
+    log_euclidean_pair,
 )
 
 #: Relative slack allowed on the spectral bracket of the iterates.
@@ -93,10 +92,11 @@ _COMMUTATOR_TOL = 1e-6
 class MeanKind:
     """The two-variable mean ``G(X, A)`` of one fixed-point equation.
 
-    Each kind is the one record of its ``G``, split so that a solve forms
-    the factors of ``X`` once per step and those of ``A_j`` once per call:
-    ``_x_side(x)`` and ``_a_side(a)`` give the factors of each argument and
-    ``_term(x_side, a_side)`` the mean.  ``distance`` is the
+    Each kind is the one record of its ``G``: ``_mean(x, a)`` gives the
+    array of ``G(X, A)``.  The factors it takes of one argument (``X^{1/2}``,
+    ``X^{-1/2}``, ``log X``) are kept in that value's memo, so a solve forms
+    those of the iterate once per step and those of each ``A_j`` once.
+    ``distance`` is the
     :class:`~helmat.distances.DistanceKind` whose squared distance the
     fixed point minimises (see :func:`objective`), or ``None``;
     ``_closed_form(a, b)`` is the equal-weight two-point barycentre (see
@@ -105,9 +105,6 @@ class MeanKind:
     """
 
     _ABORTS_OFF_BRACKET = False
-
-    def _a_side(self, a: SpdMatrix) -> np.ndarray:
-        return a.entries
 
     def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
         raise UnsupportedObjectiveError(
@@ -122,11 +119,9 @@ class Wasserstein(MeanKind):
 
     distance = DistanceKind.D2
 
-    def _x_side(self, x: SpdMatrix) -> np.ndarray:
-        return sqrt_entries(x)
-
-    def _term(self, x_side: np.ndarray, a_side: np.ndarray) -> np.ndarray:
-        return sqrtm(_spd_stack(x_side @ a_side @ x_side)).entries
+    def _mean(self, x: SpdMatrix, a: SpdMatrix) -> np.ndarray:
+        root = sqrt_entries(x)
+        return sqrtm(_spd_stack(root @ a.entries @ root)).entries
 
     def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
         cross = product_sqrt(a, b)
@@ -154,11 +149,8 @@ class PowerMean(MeanKind):
     def distance(self) -> DistanceKind | None:
         return DistanceKind.D3 if self.t == 0.5 else None
 
-    def _x_side(self, x: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-        return sqrt_pair_entries(x)
-
-    def _term(self, x_side: tuple[np.ndarray, np.ndarray], a_side: np.ndarray) -> np.ndarray:
-        return _geometric_mean_from_roots(*x_side, a_side, self.t)
+    def _mean(self, x: SpdMatrix, a: SpdMatrix) -> np.ndarray:
+        return geometric_mean_entries(x, a, self.t)
 
     def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
         if self.t != 0.5:
@@ -175,13 +167,8 @@ class LogEuclidean(MeanKind):
     distance = DistanceKind.D4
     _ABORTS_OFF_BRACKET = True
 
-    def _x_side(self, x: SpdMatrix) -> np.ndarray:
-        return logm(x).entries
-
-    _a_side = _x_side
-
-    def _term(self, x_side: np.ndarray, a_side: np.ndarray) -> np.ndarray:
-        return _log_euclidean_from_logs(x_side, a_side).entries
+    def _mean(self, x: SpdMatrix, a: SpdMatrix) -> np.ndarray:
+        return log_euclidean_pair(x, a).entries
 
 
 WASSERSTEIN = Wasserstein()
@@ -237,16 +224,16 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     ``t = 1/2`` reduce to the entrywise root ``sqrt(x_i a_i)``.
     """
     _require_same_dim(x.dim, a.dim)
-    return _spd_stack(kind._term(kind._x_side(x), kind._a_side(a)))
+    return _spd_stack(kind._mean(x, a))
 
 
 def _picard_sum(
-    kind: MeanKind, x: SpdMatrix, a_sides, weights
+    kind: MeanKind, x: SpdMatrix, mats: Sequence[SpdMatrix], weights
 ) -> tuple[np.ndarray, float | np.ndarray]:
-    """``sum_j w_j G(X, A_j)`` from the factors ``a_sides`` of the ``A_j``,
-    and the relative residual ``||X - sum||_F / ||X||_F`` of each matrix."""
-    x_side = kind._x_side(x)
-    summed = sum(wj * kind._term(x_side, aj) for wj, aj in zip(weights, a_sides))
+    """``sum_j w_j G(X, A_j)`` and the relative residual
+    ``||X - sum||_F / ||X||_F`` of each matrix; the memo of ``X`` serves
+    its factors to every term after the first."""
+    summed = sum(wj * kind._mean(x, aj) for wj, aj in zip(weights, mats))
     relative = _frobenius_norms(x.entries - summed) / _frobenius_norms(x.entries)
     return summed, _per_matrix(relative)
 
@@ -258,7 +245,7 @@ def fixed_point_residual(
     defining equation at a candidate ``X``; one per matrix if ``x`` and the
     ``mats`` are stacks of one shape."""
     _require_same_dim(x.dim, check_family(mats, w))
-    return _picard_sum(kind, x, [kind._a_side(a) for a in mats], w.weights)[1]
+    return _picard_sum(kind, x, mats, w.weights)[1]
 
 
 class _AndersonHistory:
@@ -345,7 +332,6 @@ def solve(
     beta = max(float(a.eig().eigenvalues[-1]) for a in mats)
     lower = alpha * (1.0 - _BRACKET_SLACK)
     upper = beta * (1.0 + _BRACKET_SLACK)
-    a_sides = [kind._a_side(a) for a in mats]
     history = _AndersonHistory()
 
     previous_residual = np.inf
@@ -361,7 +347,7 @@ def solve(
                     f"iterate spectrum [{spectrum[0]:.6e}, {spectrum[-1]:.6e}] left "
                     f"the bracket [{alpha:.6e}, {beta:.6e}] at iteration {iterations}"
                 )
-        summed, residual = _picard_sum(kind, current, a_sides, w.weights)
+        summed, residual = _picard_sum(kind, current, mats, w.weights)
         if residual <= cfg.tol or iterations == cfg.max_iter:
             break
         # growth restarts the mixing history
@@ -456,8 +442,9 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     """Test the would-be closed form of the log-Euclidean two-point barycentre.
 
     Evaluates the :func:`fixed_point_residual` of the candidate with equal
-    weights, from the ``log A`` and ``log B`` the candidate is built from;
-    stacks ``a`` and ``b`` of one shape give one report over all pairs.
+    weights, reusing the ``log A`` and ``log B`` the candidate is built from
+    (kept in the memos of ``a`` and ``b``); stacks ``a`` and ``b`` of one
+    shape give one report over all pairs.
     """
     _require_same_dim(a.dim, b.dim)
     commutator = a.entries @ b.entries - b.entries @ a.entries
@@ -466,11 +453,10 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     )
     inconclusive = _per_matrix(_frobenius_norms(commutator) / comm_scale <= _COMMUTATOR_TOL)
 
-    logs = [LOG_EUCLIDEAN._a_side(m) for m in (a, b)]
     candidate = _spd_stack(
-        (a.entries + b.entries + 2.0 * _log_euclidean_from_logs(*logs).entries) / 4.0
+        (a.entries + b.entries + 2.0 * log_euclidean_pair(a, b).entries) / 4.0
     )
-    _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, logs, WeightVector.uniform(2).weights)
+    _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, (a, b), WeightVector.uniform(2).weights)
     return D4GuessReport(
         candidate=candidate,
         residual=_per_matrix(relative * _frobenius_norms(candidate.entries)),

@@ -38,8 +38,18 @@ every kernel (``eigh``, ``@`` and elementwise maps) keeps that dtype, so
 real matrices never pay for complex arithmetic.  A mix of real and complex
 operands is promoted by numpy itself.
 
+Each value keeps a memo (see :func:`_memoized`): its eigensystem and the
+spectral functions every distance is built from, ``A^{1/2}`` and
+``A^{-1/2}`` (:func:`sqrt_entries`, :func:`sqrt_pair_entries`) and
+``log A`` (:func:`logm`), each computed on first use from the one
+eigensystem, ``V f(Lambda) V*``, and kept read-only.  The first use runs
+the checks it always ran, and later uses return those same bits, so a
+value reused across calls pays for each function once and reports do not
+change.  ``SpdMatrix(h)`` shares the memo of ``h``.
+
 Values are immutable after construction and every operation is a pure
-function, so everything in this module is safe for concurrent use.
+function, so everything in this module is safe for concurrent use: two
+threads that make the first request for a memo entry compute the same bits.
 """
 
 from __future__ import annotations
@@ -66,6 +76,7 @@ SPD_RTOL = 1e-12
 #: Tolerance on the eigendecomposition invariants: the reconstruction defect
 #: relative to the Frobenius norm of the matrix, and the unitarity defect.
 EIG_RECONSTRUCTION_TOL = 1e-10
+_TINY = np.finfo(np.float64).tiny
 
 MatrixLike = Union["HermitianMatrix", np.ndarray]
 
@@ -225,16 +236,17 @@ class HermitianMatrix:
     ``HERMITIAN_RTOL * max |M[i, j]|`` and then symmetrises exactly, so
     roundoff drift at the boundary of validity is removed.  The tolerance is
     relative, so a matrix is accepted or rejected alike at every scale.
-    Entries are frozen after construction.
+    Entries are frozen after construction.  The memo (see :func:`_memoized`)
+    holds what is derived from them.
     """
 
-    __slots__ = ("_entries", "_eig")
+    __slots__ = ("_entries", "_memo")
 
     def __init__(self, entries: MatrixLike):
         sym = _hermitian_checked(as_array(entries))
         sym.flags.writeable = False
         self._entries = sym
-        self._eig: EigenDecomposition | None = None
+        self._memo: dict = {}
 
     @property
     def entries(self) -> np.ndarray:
@@ -246,16 +258,33 @@ class HermitianMatrix:
 
     def eig(self) -> "EigenDecomposition":
         """Eigendecomposition of this matrix (of each matrix of a stack),
-        computed once and cached."""
-        if self._eig is None:
-            self._eig = eigh(self)
-        return self._eig
+        computed once and kept in the memo (see :func:`_memoized`)."""
+        return _memoized(self, _eigensystem)
 
     def trace(self) -> float | np.ndarray:
         return _per_matrix(_trace(self._entries))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(shape={self._entries.shape})"
+
+
+def _memoized(h: HermitianMatrix, compute: Callable[[HermitianMatrix], object]):
+    """``compute(h)``, run at the first request and kept in ``h``'s memo,
+    keyed by ``compute`` (:func:`_eigensystem`, :func:`_root`,
+    :func:`_inverse_root` or :func:`_log`): later requests return that same
+    object, whose arrays are read-only.  Nothing is evicted; the memo lives
+    as long as the value."""
+    value = h._memo.get(compute)
+    if value is None:
+        value = h._memo[compute] = compute(h)
+    return value
+
+
+def _eigensystem(h: HermitianMatrix) -> "EigenDecomposition":
+    """The eigensystem's memo entry.  A function of its own, not ``eigh``,
+    so the key stays put when ``eigh`` is wrapped, as the benchmark's
+    tracer wraps it."""
+    return eigh(h)
 
 
 def _hermitian(h: MatrixLike) -> HermitianMatrix:
@@ -266,7 +295,7 @@ def _hermitian(h: MatrixLike) -> HermitianMatrix:
 def _hermitian_stack(arrays: MatrixLike, cls: type = HermitianMatrix) -> HermitianMatrix:
     """A value of ``cls`` over ``(..., n, n)`` built from arrays the library
     computed: their exact Hermitian parts, checked finite, with an empty
-    eigen cache.  No Hermitian defect is scanned for: such arrays are
+    memo.  No Hermitian defect is scanned for: such arrays are
     Hermitian up to roundoff by construction, and the part of an array that
     is already exactly Hermitian is that array bit for bit.
 
@@ -279,7 +308,7 @@ def _hermitian_stack(arrays: MatrixLike, cls: type = HermitianMatrix) -> Hermiti
     _finite_scale(sym)
     sym.flags.writeable = False
     value = cls.__new__(cls)
-    value._entries, value._eig = sym, None
+    value._entries, value._memo = sym, {}
     return value
 
 
@@ -293,20 +322,21 @@ class SpdMatrix(HermitianMatrix):
     The constructor checks the spectrum of a checked :func:`eigh` and keeps
     it for reuse.  Spectral results ``V f(Lambda) V*`` (:func:`sqrtm`,
     :func:`invm`, :func:`expm`, ...) are checked on ``f(Lambda)`` instead,
-    without an eigensolve, and their eigen cache is left empty: a later
+    without an eigensolve, and their memo is left empty: a later
     ``.eig()`` runs the checked :func:`eigh` of the entries, bit for bit what
     the constructor would have cached, so reports stay byte-identical.
     Given a :class:`HermitianMatrix` of one matrix (an :class:`SpdMatrix`
-    included), the constructor shares its frozen entries and its
-    eigensystem, computing the eigensystem only if that value has not
-    cached it yet.
+    included), the constructor shares its frozen entries and its memo, so
+    the two values compute their eigensystem, ``A^{1/2}``, ``A^{-1/2}`` and
+    ``log A`` once between them; the eigensystem is computed only if that
+    value has not memoized it yet.
     """
 
     __slots__ = ()
 
     def __init__(self, entries: MatrixLike):
         if isinstance(entries, HermitianMatrix):
-            self._entries, self._eig = as_array(entries), entries.eig()
+            self._entries, self._memo = as_array(entries), entries._memo
         else:
             super().__init__(entries)
         _check_positive(self.eig().eigenvalues)
@@ -366,15 +396,22 @@ def _checked_eigh(arr: np.ndarray) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigensolver failed to converge: {exc}") from exc
+    values.flags.writeable = vectors.flags.writeable = False
     eig = EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-    # squared Frobenius norms against the squared tolerance
-    recon = _frobenius_sq(eig.synthesize(values) - arr)
-    bad = recon > EIG_RECONSTRUCTION_TOL**2 * _frobenius_sq(arr)
+    # the defect in units of ||Lambda||_2, which equals ||H||_F up to the
+    # defect checked here: hypot sums the squares of the spectrum without
+    # overflow or underflow, so the check is the same at every scale, and a
+    # NaN anywhere fails it
+    norm = np.hypot.reduce(values, axis=-1, keepdims=True, initial=_TINY)
+    defect = eig.synthesize(values) - arr
+    defect /= norm[..., None]
+    recon = _frobenius_sq(defect)
+    bad = ~(recon <= EIG_RECONSTRUCTION_TOL**2)
     if _any(bad):
         index, where = _first_failure(bad)
         raise EigenDecompositionError(
-            f"{where}eigendecomposition reconstruction defect {np.sqrt(recon[index]):.3e} "
-            "exceeds tolerance"
+            f"{where}eigendecomposition reconstruction defect "
+            f"{np.sqrt(recon[index]):.3e} * ||H||_F exceeds tolerance"
         )
     unit = _frobenius_sq(_adjoint(vectors) @ vectors - np.eye(eig.dim))
     bad = unit > EIG_RECONSTRUCTION_TOL**2
@@ -394,9 +431,12 @@ def eigh(h: MatrixLike) -> EigenDecomposition:
     EigenDecompositionError
         If the eigensolver does not converge or the factorisation fails the
         invariants: a reconstruction defect ``||V Lambda V* - H||_F`` above
-        ``EIG_RECONSTRUCTION_TOL * ||H||_F`` (relative, so the check is the
-        same at every scale) or a unitarity defect ``||V* V - I||_F`` above
-        ``EIG_RECONSTRUCTION_TOL``.  Never fails silently.
+        ``EIG_RECONSTRUCTION_TOL * ||H||_F`` (relative, and measured in
+        units of ``||Lambda||_2`` so that it is the same at every scale, even
+        where a squared norm would overflow or underflow; a NaN in the
+        factorisation fails it) or a unitarity defect
+        ``||V* V - I||_F`` above ``EIG_RECONSTRUCTION_TOL``.  Never fails
+        silently.
     """
     return _checked_eigh(_hermitian(h).entries)
 
@@ -473,9 +513,13 @@ def invm(a: SpdMatrix) -> SpdMatrix:
     return _spd_spectral(lambda x: 1.0 / x, a)
 
 
+def _log(h: HermitianMatrix) -> HermitianMatrix:
+    return apply_spectral(np.log, h)
+
+
 def logm(a: SpdMatrix) -> HermitianMatrix:
-    """Principal logarithm of a positive definite matrix."""
-    return apply_spectral(np.log, a)
+    """Principal logarithm of a positive definite matrix, kept in its memo."""
+    return _memoized(_hermitian(a), _log)
 
 
 def expm(h: MatrixLike) -> SpdMatrix:
@@ -483,17 +527,30 @@ def expm(h: MatrixLike) -> SpdMatrix:
     return _spd_spectral(np.exp, h)
 
 
+def _synthesis(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[HermitianMatrix], np.ndarray]:
+    """The memo entry ``V f(Lambda) V*`` of a value's eigensystem: the raw
+    product (no rewrap), read-only."""
+    def synthesis(h: HermitianMatrix) -> np.ndarray:
+        eig = h.eig()
+        arr = eig.synthesize(f(eig.eigenvalues))
+        arr.flags.writeable = False
+        return arr
+    return synthesis
+
+
+_root = _synthesis(np.sqrt)
+_inverse_root = _synthesis(lambda x: 1.0 / np.sqrt(x))
+
+
 def sqrt_entries(a: SpdMatrix) -> np.ndarray:
-    """Raw array of ``A^{1/2}``, reusing the cached eigensystem (no rewrap)."""
-    eig = a.eig()
-    return eig.synthesize(np.sqrt(eig.eigenvalues))
+    """Raw read-only array of ``A^{1/2}``, kept in ``a``'s memo."""
+    return _memoized(a, _root)
 
 
 def sqrt_pair_entries(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Raw arrays of ``A^{1/2}`` and ``A^{-1/2}`` from one eigensystem."""
-    eig = a.eig()
-    roots = np.sqrt(eig.eigenvalues)
-    return eig.synthesize(roots), eig.synthesize(1.0 / roots)
+    """Raw read-only arrays of ``A^{1/2}`` and ``A^{-1/2}``, kept in
+    ``a``'s memo."""
+    return _memoized(a, _root), _memoized(a, _inverse_root)
 
 
 def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:

@@ -114,15 +114,8 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
 def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
     value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
-    return _geometric_mean_from_roots(*sqrt_pair_entries(a), b.entries, t)
-
-
-def _geometric_mean_from_roots(
-    root: np.ndarray, inv_root: np.ndarray, b: np.ndarray, t: float
-) -> np.ndarray:
-    """:func:`geometric_mean_entries` given the arrays ``A^{1/2}``,
-    ``A^{-1/2}`` and ``B``, for callers that pair one ``A`` with many ``B``."""
-    middle = _spd_stack(inv_root @ b @ inv_root)
+    root, inv_root = sqrt_pair_entries(a)
+    middle = _spd_stack(inv_root @ b.entries @ inv_root)
     powered = apply_spectral(lambda x: x**t, middle).entries
     return hermitian_part(root @ powered @ root)
 
@@ -135,13 +128,7 @@ def geometric_mean(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
 def log_euclidean_pair(a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
     """Log-Euclidean mean ``exp((log A + log B)/2)`` of a pair."""
     _require_same_dim(a.dim, b.dim)
-    return _log_euclidean_from_logs(logm(a).entries, logm(b).entries)
-
-
-def _log_euclidean_from_logs(log_a: np.ndarray, log_b: np.ndarray) -> SpdMatrix:
-    """:func:`log_euclidean_pair` given the arrays ``log A`` and ``log B``,
-    for callers that pair one ``A`` with many ``B``."""
-    return expm(_hermitian_stack((log_a + log_b) / 2))
+    return expm(_hermitian_stack((logm(a).entries + logm(b).entries) / 2))
 
 
 def log_euclidean_multi(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:
@@ -164,6 +151,8 @@ def fidelity(a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
 
     Raises
     ------
+    HermitianError
+        If an entry of ``A^{1/2} B A^{1/2}`` overflows.
     InternalConsistencyError
         If ``A^{1/2} B A^{1/2}`` has an eigenvalue below ``-1e-10`` times
         its spectral radius: a congruence of an SPD matrix is SPD, so only
@@ -172,7 +161,7 @@ def fidelity(a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
     _require_same_dim(a.dim, b.dim)
     root = sqrt_entries(a)
     inner = root @ b.entries @ root
-    lam = np.linalg.eigvalsh(hermitian_part(inner))
+    lam = np.linalg.eigvalsh(_hermitian_stack(inner).entries)
     bad = lam[..., 0] < -1e-10 * np.maximum.reduce(np.abs(lam), axis=-1)
     if _any(bad):
         index, where = _first_failure(bad)

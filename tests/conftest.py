@@ -33,6 +33,22 @@ def eigensolves(monkeypatch):
 
 
 @pytest.fixture
+def syntheses(monkeypatch):
+    """Log of the spectral syntheses ``V diag(f) V*`` made while the test
+    runs: one entry per ``EigenDecomposition.synthesize`` call, the shape
+    of the synthesized values."""
+    calls = []
+    original = linalg.EigenDecomposition.synthesize
+
+    def counted(self, values):
+        calls.append(np.shape(values))
+        return original(self, values)
+
+    monkeypatch.setattr(linalg.EigenDecomposition, "synthesize", counted)
+    return calls
+
+
+@pytest.fixture
 def hermitian_checks(monkeypatch):
     """Log of the input checks ``helmat.linalg._hermitian_checked`` made
     while the test runs: one entry per call, the shape of the checked

@@ -77,7 +77,7 @@ def test_mean_map_entries_are_the_picard_term():
     rng = make_rng(4)
     x, a = random_spd(rng, 4, complex_entries=True), random_spd(rng, 4, cond=50.0)
     for kind in ALL_KINDS:
-        term, _ = _picard_sum(kind, x, [kind._a_side(a)], np.ones(1))
+        term, _ = _picard_sum(kind, x, [a], np.ones(1))
         assert np.array_equal(mean_map(kind, x, a).entries, term), kind
 
 

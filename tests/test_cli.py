@@ -149,6 +149,18 @@ def test_dist_rejects_non_spd_file(capsys, tmp_path, matrix_files):
     assert "notspd.json" in err and "positive definite" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_dist_d2_at_overflowing_scale_exits_on_input(capsys, tmp_path):
+    rng = make_rng(5)
+    paths = [tmp_path / f"{name}.json" for name in "ab"]
+    for path in paths:
+        write_matrix_file(path, 1e160 * random_spd(rng, 3).entries)
+    code, report, err = run_cli(capsys, ["dist", "d2", *map(str, paths)])
+    assert code == EXIT_INPUT_ERROR
+    assert report is None
+    assert "finite" in err
+
+
 def test_mean_geo_idempotent(capsys, matrix_files):
     code, report, _ = run_cli(
         capsys, ["mean", "geo", matrix_files["a"], matrix_files["a"]]

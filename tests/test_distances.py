@@ -13,7 +13,7 @@ from helmat.distances import (
     hellinger,
     trace_chain,
 )
-from helmat.errors import DimensionMismatchError
+from helmat.errors import DimensionMismatchError, HermitianError
 from helmat.linalg import SpdMatrix, frobenius_norm, sqrt_entries
 from helmat.sampling import make_rng, random_orthogonal, random_spd, random_unitary
 from helmat.suites import (
@@ -240,6 +240,17 @@ def test_distance_eigensolves_with_warm_caches(eigensolves):
         eigensolves.clear()
         distance(kind, a, b)
         assert len(eigensolves) == expected, kind
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_d2_at_overflowing_scale_raises_the_library_error():
+    # A^{1/2} B A^{1/2} overflows from s ~ 1.3e154 on; d1, d3 and d4 still
+    # give sqrt(s) d(A, B) there
+    rng = make_rng(5)
+    a, b = (SpdMatrix(1e160 * random_spd(rng, 3).entries) for _ in range(2))
+    with pytest.raises(HermitianError, match="finite"):
+        distance(DistanceKind.D2, a, b)
+    assert np.isfinite(distance(DistanceKind.D1, a, b))
 
 
 def _homogeneity_pairs():

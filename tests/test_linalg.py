@@ -1,4 +1,5 @@
 import importlib.util
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -176,21 +177,46 @@ def test_eigh_reconstruction_random():
     assert np.linalg.norm(recon - h.entries) <= 1e-10 * max(1.0, frobenius_norm(h))
 
 
-@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+@pytest.mark.parametrize(
+    "scale", [1e-300, 1e-200, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e154, 1e160, 1e200, 1e300]
+)
 def test_eigh_reconstruction_check_is_relative(monkeypatch, scale):
-    # an eigensolver whose eigenvalues come out 50% too large must be caught
-    # at every scale, not only where the Frobenius norm exceeds one
+    # an eigensolver whose eigenvalues come out a relative 1e-6 too large
+    # must be caught at every scale, also where a squared Frobenius norm
+    # overflows (||H||_F beyond ~1.3e154) or underflows (below ~1e-154)
     q = random_orthogonal(make_rng(12), 2)
     a = scale * hermitian_part((q * np.array([1.38, 3.62])) @ q.T)
     original = np.linalg.eigh
 
     def inflated(arr, *args, **kwargs):
         values, vectors = original(arr, *args, **kwargs)
-        return 1.5 * values, vectors
+        return (1 + 1e-6) * values, vectors
 
-    monkeypatch.setattr(np.linalg, "eigh", inflated)
-    with pytest.raises(EigenDecompositionError, match="reconstruction"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         SpdMatrix(a)
+        monkeypatch.setattr(np.linalg, "eigh", inflated)
+        with pytest.raises(EigenDecompositionError, match="reconstruction"):
+            SpdMatrix(a)
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["eigenvalues", "eigenvectors"])
+def test_eigh_rejects_a_nan_in_the_factorisation(monkeypatch, part):
+    original = np.linalg.eigh
+
+    def poisoned(arr, *args, **kwargs):
+        factors = [np.array(f) for f in original(arr, *args, **kwargs)]
+        factors[part][..., 0] = np.nan
+        return tuple(factors)
+
+    monkeypatch.setattr(np.linalg, "eigh", poisoned)
+    with pytest.raises(EigenDecompositionError, match="reconstruction"):
+        SpdMatrix(random_spd(make_rng(15), 3).entries)
+
+
+def test_eigh_of_the_zero_matrix_passes_its_checks():
+    eig = eigh(np.zeros((3, 3)))
+    assert np.array_equal(eig.eigenvalues, np.zeros(3))
 
 
 def test_eigh_reports_a_solver_that_does_not_converge(monkeypatch):
