@@ -55,6 +55,7 @@ threads that make the first request for a memo entry compute the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Union
 
 import numpy as np
@@ -73,10 +74,10 @@ HERMITIAN_RTOL = 1e-12
 #: Eigenvalue threshold, relative to the spectral radius, at or below which a
 #: matrix is rejected as not SPD.
 SPD_RTOL = 1e-12
-#: Tolerance on the eigendecomposition invariants: the reconstruction defect
-#: relative to the Frobenius norm of the matrix, and the unitarity defect.
+#: Tolerance on the eigendecomposition invariants: the largest entry of the
+#: reconstruction defect relative to the spectral norm of the matrix, and the
+#: largest entry of the unitarity defect.
 EIG_RECONSTRUCTION_TOL = 1e-10
-_TINY = np.finfo(np.float64).tiny
 
 MatrixLike = Union["HermitianMatrix", np.ndarray]
 
@@ -158,6 +159,12 @@ def _per_matrix(values: np.ndarray) -> float | bool | np.ndarray:
     return values if values.ndim else values.item()
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _adjoint(arr: np.ndarray) -> np.ndarray:
     return arr.conj().swapaxes(-1, -2)
 
@@ -167,10 +174,9 @@ def _trace(arr: np.ndarray) -> np.ndarray:
     return arr.trace(axis1=-2, axis2=-1).real
 
 
-def _frobenius_sq(arr: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of each matrix."""
-    squares = (arr * arr.conj()).real if arr.dtype.kind == "c" else arr * arr
-    return np.add.reduce(squares, axis=(-2, -1))
+def _largest_entry(arr: np.ndarray) -> np.ndarray:
+    """Largest entry magnitude of each matrix (NaN if it holds a NaN)."""
+    return np.maximum.reduce(np.abs(arr), axis=(-2, -1))
 
 
 def _any(flags: np.ndarray) -> bool:
@@ -195,7 +201,7 @@ def _finite_scale(arr: np.ndarray) -> np.ndarray:
         On a non-finite entry.
     """
     # a NaN or infinite entry makes the largest magnitude non-finite
-    scale = np.maximum.reduce(np.abs(arr), axis=(-2, -1))
+    scale = _largest_entry(arr)
     infinite = ~(scale < np.inf)
     if _any(infinite):
         _, where = _first_failure(infinite)
@@ -214,7 +220,7 @@ def _hermitian_checked(arr: np.ndarray) -> np.ndarray:
     """
     scale = _finite_scale(arr)
     adjoint = _adjoint(arr)
-    defect = np.maximum.reduce(np.abs(arr - adjoint), axis=(-2, -1))
+    defect = _largest_entry(arr - adjoint)
     bad = defect > HERMITIAN_RTOL * scale
     if _any(bad):
         index, where = _first_failure(bad)
@@ -243,9 +249,7 @@ class HermitianMatrix:
     __slots__ = ("_entries", "_memo")
 
     def __init__(self, entries: MatrixLike):
-        sym = _hermitian_checked(as_array(entries))
-        sym.flags.writeable = False
-        self._entries = sym
+        self._entries = _frozen(_hermitian_checked(as_array(entries)))
         self._memo: dict = {}
 
     @property
@@ -306,9 +310,8 @@ def _hermitian_stack(arrays: MatrixLike, cls: type = HermitianMatrix) -> Hermiti
     """
     sym = hermitian_part(arrays)
     _finite_scale(sym)
-    sym.flags.writeable = False
     value = cls.__new__(cls)
-    value._entries, value._memo = sym, {}
+    value._entries, value._memo = _frozen(sym), {}
     return value
 
 
@@ -396,31 +399,33 @@ def _checked_eigh(arr: np.ndarray) -> EigenDecomposition:
         values, vectors = np.linalg.eigh(arr)
     except np.linalg.LinAlgError as exc:
         raise EigenDecompositionError(f"eigensolver failed to converge: {exc}") from exc
-    values.flags.writeable = vectors.flags.writeable = False
-    eig = EigenDecomposition(eigenvalues=values, eigenvectors=vectors)
-    # the defect in units of ||Lambda||_2, which equals ||H||_F up to the
-    # defect checked here: hypot sums the squares of the spectrum without
-    # overflow or underflow, so the check is the same at every scale, and a
-    # NaN anywhere fails it
-    norm = np.hypot.reduce(values, axis=-1, keepdims=True, initial=_TINY)
-    defect = eig.synthesize(values) - arr
-    defect /= norm[..., None]
-    recon = _frobenius_sq(defect)
-    bad = ~(recon <= EIG_RECONSTRUCTION_TOL**2)
+    eig = EigenDecomposition(eigenvalues=_frozen(values), eigenvectors=_frozen(vectors))
+    # largest entries, not squared norms, so nothing overflows or underflows
+    # and the check is the same at every scale; a NaN anywhere fails it.
+    # ||H||_2 is the larger of -lambda_min and lambda_max (ascending order)
+    limit = EIG_RECONSTRUCTION_TOL * np.maximum(-values[..., 0], values[..., -1])
+    recon = _largest_entry(eig.synthesize(values) - arr)
+    bad = ~(recon <= limit)
     if _any(bad):
         index, where = _first_failure(bad)
         raise EigenDecompositionError(
-            f"{where}eigendecomposition reconstruction defect "
-            f"{np.sqrt(recon[index]):.3e} * ||H||_F exceeds tolerance"
+            f"{where}eigendecomposition reconstruction defect {recon[index]:.3e} "
+            f"exceeds {limit[index]:.3e} = {EIG_RECONSTRUCTION_TOL:.0e} * ||H||_2"
         )
-    unit = _frobenius_sq(_adjoint(vectors) @ vectors - np.eye(eig.dim))
-    bad = unit > EIG_RECONSTRUCTION_TOL**2
+    unit = _largest_entry(_adjoint(vectors) @ vectors - _identity(eig.dim))
+    bad = unit > EIG_RECONSTRUCTION_TOL
     if _any(bad):
         index, where = _first_failure(bad)
         raise EigenDecompositionError(
-            f"{where}eigenvector matrix is not unitary: defect {np.sqrt(unit[index]):.3e}"
+            f"{where}eigenvector matrix is not unitary: defect {unit[index]:.3e}"
         )
     return eig
+
+
+@cache
+def _identity(n: int) -> np.ndarray:
+    """The read-only n-by-n identity, made once per size."""
+    return _frozen(np.eye(n))
 
 
 def eigh(h: MatrixLike) -> EigenDecomposition:
@@ -430,13 +435,12 @@ def eigh(h: MatrixLike) -> EigenDecomposition:
     ------
     EigenDecompositionError
         If the eigensolver does not converge or the factorisation fails the
-        invariants: a reconstruction defect ``||V Lambda V* - H||_F`` above
-        ``EIG_RECONSTRUCTION_TOL * ||H||_F`` (relative, and measured in
-        units of ``||Lambda||_2`` so that it is the same at every scale, even
-        where a squared norm would overflow or underflow; a NaN in the
+        invariants: a reconstruction defect ``max |(V Lambda V* - H)[i, j]|``
+        above ``EIG_RECONSTRUCTION_TOL * ||H||_2`` (relative, and no square
+        is formed, so it is the same at every scale; a NaN in the
         factorisation fails it) or a unitarity defect
-        ``||V* V - I||_F`` above ``EIG_RECONSTRUCTION_TOL``.  Never fails
-        silently.
+        ``max |(V* V - I)[i, j]|`` above ``EIG_RECONSTRUCTION_TOL``.  Never
+        fails silently.
     """
     return _checked_eigh(_hermitian(h).entries)
 
@@ -527,19 +531,17 @@ def expm(h: MatrixLike) -> SpdMatrix:
     return _spd_spectral(np.exp, h)
 
 
-def _synthesis(f: Callable[[np.ndarray], np.ndarray]) -> Callable[[HermitianMatrix], np.ndarray]:
-    """The memo entry ``V f(Lambda) V*`` of a value's eigensystem: the raw
-    product (no rewrap), read-only."""
-    def synthesis(h: HermitianMatrix) -> np.ndarray:
-        eig = h.eig()
-        arr = eig.synthesize(f(eig.eigenvalues))
-        arr.flags.writeable = False
-        return arr
-    return synthesis
+def _root(h: HermitianMatrix) -> np.ndarray:
+    """The memo entry ``A^{1/2}``: the raw product ``V Lambda^{1/2} V*``
+    (no rewrap), read-only."""
+    eig = h.eig()
+    return _frozen(eig.synthesize(np.sqrt(eig.eigenvalues)))
 
 
-_root = _synthesis(np.sqrt)
-_inverse_root = _synthesis(lambda x: 1.0 / np.sqrt(x))
+def _inverse_root(h: HermitianMatrix) -> np.ndarray:
+    """The memo entry ``A^{-1/2}``, as :func:`_root` builds ``A^{1/2}``."""
+    eig = h.eig()
+    return _frozen(eig.synthesize(1.0 / np.sqrt(eig.eigenvalues)))
 
 
 def sqrt_entries(a: SpdMatrix) -> np.ndarray:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,23 @@ def test_summary_keeps_workloads_apart_and_flags_incorrect_runs():
     assert not summary["pool"]["all_correct"] and summary["other"]["all_correct"]
     assert summary["pool"]["ops_per_s"]["change_wins"] == 0
     assert summary["other"]["ops_per_s"]["parent_iqr"] == [2.0, 2.0]
+
+
+def test_summary_refuses_a_seed_run_twice_on_one_side():
+    runs = [_run(1, "parent", 1.0, 1.0), _run(1, "change", 2.0, 1.0),
+            _run(1, "parent", 3.0, 1.0, exit=1), _run(1, "change", 4.0, 1.0)]
+    with pytest.raises(ValueError, match="twice"):
+        bench_pairs.summarize(runs, DIRECTIONS)
+
+
+@pytest.mark.parametrize("seeds", [["1"], ["2", "2"]], ids=["held", "repeated"])
+def test_a_seed_is_run_once_per_workload(tmp_path, capsys, seeds):
+    # refused before anything runs, so the parent checkout is never used
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"description": "", "runs": [_run(1, "parent", 1.0, 1.0),
+                                                          _run(1, "change", 1.0, 1.0)]}))
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", str(tmp_path), "--workload", "pool",
+                          "--seeds", *seeds, "--out", str(out)])
+    assert exit_info.value.code == 2 and "runs once" in capsys.readouterr().err
+    assert len(json.loads(out.read_text())["runs"]) == 2

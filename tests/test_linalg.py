@@ -22,6 +22,7 @@ from helmat.errors import (
 from helmat.linalg import (
     HermitianMatrix,
     SpdMatrix,
+    _identity,
     _spd_spectral,
     _spd_stack,
     apply_spectral,
@@ -212,6 +213,13 @@ def test_eigh_rejects_a_nan_in_the_factorisation(monkeypatch, part):
     monkeypatch.setattr(np.linalg, "eigh", poisoned)
     with pytest.raises(EigenDecompositionError, match="reconstruction"):
         SpdMatrix(random_spd(make_rng(15), 3).entries)
+
+
+def test_the_cached_identity_is_read_only():
+    # one array per size serves every eigensolve, so no caller may change it
+    assert _identity(3) is _identity(3) and np.array_equal(_identity(3), np.eye(3))
+    with pytest.raises(ValueError, match="read-only"):
+        _identity(3)[0, 0] = 2.0
 
 
 def test_eigh_of_the_zero_matrix_passes_its_checks():

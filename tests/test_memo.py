@@ -1,6 +1,8 @@
 """The per-value memo of A^{1/2}, A^{-1/2} and log A (see
 ``helmat.linalg._memoized``): what it saves, and that it changes no bit."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,16 @@ def test_spd_of_a_value_reuses_its_memo(syntheses, source):
     # and what the new value computes first, the old one reads
     fresh = source(_pair_arrays(7, 4, True)[0])
     assert sqrt_entries(SpdMatrix(fresh)) is sqrt_entries(fresh)
+
+
+def test_a_value_with_a_full_memo_pickles(syntheses):
+    a = SpdMatrix(_pair_arrays(9, 3, True)[0])
+    root, inverse_root = sqrt_pair_entries(a)
+    log = logm(a)
+    copy = pickle.loads(pickle.dumps(a))
+    syntheses.clear()
+    assert np.array_equal(copy.entries, a.entries)
+    assert np.array_equal(sqrt_pair_entries(copy)[0], root)
+    assert np.array_equal(sqrt_pair_entries(copy)[1], inverse_root)
+    assert np.array_equal(logm(copy).entries, log.entries)
+    assert syntheses == []  # the copy's memo came along

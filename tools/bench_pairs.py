@@ -4,17 +4,19 @@ write the runs and their summary as a ``BENCH_<n>.json``.
 Usage::
 
     python3 tools/bench_pairs.py --parent DIR --workload W --seeds S [S ...]
-        --out BENCH_<n>.json [--seconds 15] [--claim W:METRIC]
-        [--description TEXT] [--traced SEED]
+        --out BENCH_<n>.json [--claim W:METRIC] [--description TEXT]
+        [--traced SEED]
 
 ``DIR`` is a checkout of the parent commit (a ``git worktree``, a clone or
 an unpacked ``git archive``); the change is the checkout this tool lives
 in.  For each seed, ``perfbench/run.py --workload W --seed S --seconds T
---trace 0`` runs once in each checkout, one after the other; the side that
-runs first alternates from seed to seed, the parent first on the first
-seed.  The output file is rewritten after every pair, and runs it already
-holds are kept, so one file can collect several workloads over several
-calls.  ``--traced SEED`` adds one ``--trace 1`` run of W per side under
+--trace 0`` runs once in each checkout, one after the other, where ``T`` is
+the ``run_seconds`` of ``BENCHMARK.json``; the side that runs first
+alternates from seed to seed, the parent first on the first seed.  The
+output file is rewritten after every pair, and runs it already holds are
+kept, so one file can collect several workloads over several calls; a seed
+the file already holds for W is refused, so every pair is counted once.
+``--traced SEED`` adds one ``--trace 1`` run of W per side under
 ``traced[W]``.  Nothing under ``perfbench/`` changes.
 
 The file has ``BENCH_14.json``'s layout: ``claimed`` (the workload and
@@ -38,9 +40,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _directions() -> dict[str, str]:
+def _benchmark() -> tuple[dict[str, str], float]:
+    """The direction of each end-to-end metric and the run length in
+    seconds, as ``BENCHMARK.json`` sets them."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}, \
+        spec["run_seconds"]
 
 
 def _spread(values: list[float]) -> dict[str, float | list[float]]:
@@ -53,8 +58,12 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict[str, dict]:
     """Per workload: the pairs (seeds run on both sides, both exiting 0),
     whether every paired run was correct, and for each metric of
     ``directions`` the medians, quartiles and ratio of the two sides and
-    the number of pairs the change wins."""
-    by_key = {(r["workload"], r["seed"], r["side"]): r for r in runs if r["exit"] == 0}
+    the number of pairs the change wins.  A seed run twice on one side of
+    a workload is an error: one of its pairs would go uncounted."""
+    keys = [(r["workload"], r["seed"], r["side"]) for r in runs]
+    if len(set(keys)) < len(keys):
+        raise ValueError("a seed ran twice on one side of a workload")
+    by_key = {key: r for key, r in zip(keys, runs) if r["exit"] == 0}
     summary: dict[str, dict] = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         seeds = [seed for (w, seed, side) in by_key
@@ -112,38 +121,41 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=int, nargs="+", required=True)
-    parser.add_argument("--seconds", type=float, default=15.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     parser.add_argument("--description")
     parser.add_argument("--traced", type=int, metavar="SEED")
     args = parser.parse_args(argv)
 
+    directions, seconds = _benchmark()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"description": ""}
+    runs: list[dict] = doc.setdefault("runs", [])
+    held = sorted({r["seed"] for r in runs if r["workload"] == args.workload})
+    if len(set(held + args.seeds)) < len(held) + len(args.seeds):
+        parser.error(f"each seed of {args.workload} runs once; {args.out} holds {held}")
     doc["description"] = args.description or doc["description"]
     doc["command"] = ("python3 perfbench/run.py --workload W --seed S "
-                      f"--seconds {args.seconds:g} --trace 0")
+                      f"--seconds {seconds:g} --trace 0")
     claim = args.claim or ("{workload}:{metric}".format(**doc["claimed"])
                            if "claimed" in doc else None)
-    runs: list[dict] = doc.setdefault("runs", [])
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     for i, seed in enumerate(args.seeds):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for position, side in enumerate(order):
-            run = _run(sides[side], args.workload, seed, args.seconds, 0)
+            run = _run(sides[side], args.workload, seed, seconds, 0)
             runs.append({"workload": args.workload, "seed": seed, "side": side,
                          "ran_first": position == 0, **run})
             print(f"{args.workload} seed {seed} {side}: exit {run['exit']}", flush=True)
         doc["machine"] = next((r["info"]["env"] for r in runs if r["exit"] == 0), None)
-        doc["summary"] = summarize(runs, _directions())
+        doc["summary"] = summarize(runs, directions)
         if claim and _claim(doc["summary"], claim):
             doc["claimed"] = _claim(doc["summary"], claim)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.traced is not None:
         doc.setdefault("traced", {})[args.workload] = {
             "command": f"python3 perfbench/run.py --workload {args.workload} "
-                       f"--seed {args.traced} --seconds {args.seconds:g} --trace 1",
-            **{side: _run(path, args.workload, args.traced, args.seconds, 1)
+                       f"--seed {args.traced} --seconds {seconds:g} --trace 1",
+            **{side: _run(path, args.workload, args.traced, seconds, 1)
                for side, path in sides.items()},
         }
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
