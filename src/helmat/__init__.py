@@ -27,12 +27,10 @@ from .bregman import (
     ENTROPY,
     SQUARE,
     MotherFunction,
-    bregman_scalar,
     bregman_tracial,
     left_barycentre,
     phi4_via_min,
     power_mother,
-    relative_entropy,
     right_barycentre,
     variance,
 )
@@ -92,7 +90,6 @@ from .linalg import (
     congruence,
     eigh,
     expm,
-    frobenius_inner,
     frobenius_norm,
     invm,
     logm,

@@ -21,10 +21,11 @@ Picard iteration contracts only at rate ``1 - t`` for the power mean (Lim
 and Palfia), about 40 steps at ``t = 1/2``, so each step mixes the last
 Picard images by Anderson acceleration (Walker and Ni), about 12 steps; a
 mixed iterate that is not SPD or leaves the spectral bracket of the inputs
-is replaced by the Picard image.  The Picard step ``eta`` stays as given
-for the whole solve.  Existence and uniqueness of the fixed point are
-known, convergence of the iteration is not guaranteed, so non-convergence
-is a reportable outcome rather than an error.
+(widened to take in the start's spectrum) is replaced by the Picard image.
+The Picard step ``eta`` stays as given for the whole solve.  Existence and
+uniqueness of the fixed point are known, convergence of the iteration is
+not guaranteed, so non-convergence is a reportable outcome rather than an
+error.
 
 A kind evaluates ``G(X, A_j)`` from the values themselves: the factors of
 one argument (``X^{1/2}``, ``X^{-1/2}``, ``log X``, ``log A_j``) are kept
@@ -101,7 +102,7 @@ class MeanKind:
     fixed point minimises (see :func:`objective`), or ``None``;
     ``_closed_form(a, b)`` is the equal-weight two-point barycentre (see
     :func:`closed_form_m2`).  ``_ABORTS_OFF_BRACKET`` says whether an
-    iterate outside the spectral bracket of the inputs stops the solve.
+    iterate outside the spectral bracket stops the solve.
     """
 
     _ABORTS_OFF_BRACKET = False
@@ -200,13 +201,15 @@ class SolverReport:
     """Trace of one solve: converged means the residual met the tolerance.
 
     ``spectral_bounds`` is the interval ``[alpha, beta]`` spanned by the
-    input spectra; every iterate is expected to stay inside it, and
-    ``bracket_ok`` records whether that held (violations abort the solve for
-    the log-Euclidean kind, where the containment is a proven property of
-    the iteration map, and are merely monitored for the other kinds).  Only
-    the start and Picard images are checked this way: a mixed iterate
-    outside the bracket is never taken.  ``fallbacks`` counts the steps whose
-    mixed iterate was rejected for the Picard image.
+    input spectra.  Every iterate is expected to stay inside the bracket:
+    that interval, or, for a start whose spectrum leaves it, the hull of
+    the interval and the start's spectrum, each end with a relative slack
+    of ``1e-9``.  ``bracket_ok`` records whether that held (violations abort
+    the solve for the log-Euclidean kind, where the containment is a proven
+    property of the iteration map, and are merely monitored for the other
+    kinds).  Only the start and Picard images are checked this way: a mixed
+    iterate outside the bracket is never taken.  ``fallbacks`` counts the
+    steps whose mixed iterate was rejected for the Picard image.
     """
 
     iterations: int
@@ -319,8 +322,8 @@ def solve(
     Otherwise the step forms the damped Picard image
     ``T(X) = (1 - eta) X + eta sum_j w_j G(X, A_j)``.  The next iterate is
     the Anderson mix of the recent images (see :class:`_AndersonHistory`),
-    unless the mix is not SPD or its spectrum leaves the bracket
-    ``[alpha, beta]`` of the inputs: then the step falls back to the Picard
+    unless the mix is not SPD or its spectrum leaves the bracket (see
+    :class:`SolverReport`): then the step falls back to the Picard
     image, which is counted in ``fallbacks``.  A fallback and a residual
     that grew each restart the mixing history; ``eta`` is ``cfg.damping``
     throughout.  A step costs m + 1 eigensolves, plus one per fallback.
@@ -332,6 +335,11 @@ def solve(
     beta = max(float(a.eig().eigenvalues[-1]) for a in mats)
     lower = alpha * (1.0 - _BRACKET_SLACK)
     upper = beta * (1.0 + _BRACKET_SLACK)
+    # every kind's Picard map keeps its iterates in the hull of the start's
+    # and the inputs' spectra, so a start outside the bracket widens it
+    start = current.eig().eigenvalues
+    lower = start[0] * (1.0 - _BRACKET_SLACK) if start[0] < lower else lower
+    upper = start[-1] * (1.0 + _BRACKET_SLACK) if start[-1] > upper else upper
     history = _AndersonHistory()
 
     previous_residual = np.inf
@@ -345,7 +353,7 @@ def solve(
             if kind._ABORTS_OFF_BRACKET:
                 raise InternalConsistencyError(
                     f"iterate spectrum [{spectrum[0]:.6e}, {spectrum[-1]:.6e}] left "
-                    f"the bracket [{alpha:.6e}, {beta:.6e}] at iteration {iterations}"
+                    f"the bracket [{lower:.6e}, {upper:.6e}] at iteration {iterations}"
                 )
         summed, residual = _picard_sum(kind, current, mats, w.weights)
         if residual <= cfg.tol or iterations == cfg.max_iter:

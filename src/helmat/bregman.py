@@ -1,4 +1,4 @@
-"""Tracial Bregman divergences, quantum relative entropy and their barycentres.
+"""Tracial Bregman divergences and their barycentres.
 
 A *mother function* is a smooth strictly convex scalar ``psi`` on the
 positive reals.  Lifting it to ``phi(X) = tr psi(X)`` yields the tracial
@@ -10,6 +10,12 @@ whose gradient map is ``psi'`` applied to the spectrum.  Because ``psi'`` is
 strictly increasing it is a homeomorphism onto the open interval
 ``J = psi'((0, inf))``, which makes the left barycentre solvable in closed
 form: apply ``(psi')^{-1}`` to the weighted average of the ``psi'(A_j)``.
+
+With the entropy seed ``x log x - x`` the divergence is the entropy
+divergence ``S(A|B) - tr A + tr B``, where ``S(A|B) = tr A (log A - log B)``
+is the quantum relative entropy; its left barycentre is the log-Euclidean
+mean, which is how :func:`phi4_via_min` ties the log-Euclidean divergence
+to relative entropy.
 """
 
 from __future__ import annotations
@@ -26,7 +32,6 @@ from .linalg import (
     _require_same_dim,
     _spd_spectral,
     apply_spectral,
-    logm,
 )
 from .means import (
     WeightVector,
@@ -109,17 +114,6 @@ def power_mother(p: float) -> MotherFunction:
     )
 
 
-def bregman_scalar(m: MotherFunction, x: float, y: float) -> float:
-    """Scalar Bregman divergence ``psi(x) - psi(y) - psi'(y)(x - y)``.
-
-    Nonnegative, and zero exactly when ``x == y``.
-    """
-    if x <= 0.0 or y <= 0.0:
-        raise ValueError("bregman_scalar needs strictly positive arguments")
-    value = float(m.psi(x)) - float(m.psi(y)) - float(m.dpsi(y)) * (x - y)
-    return max(value, 0.0)
-
-
 def bregman_tracial(m: MotherFunction, a: SpdMatrix, b: SpdMatrix) -> float:
     """Tracial Bregman divergence ``tr psi(A) - tr psi(B) - tr(psi'(B)(A-B))``.
 
@@ -139,16 +133,6 @@ def bregman_tracial(m: MotherFunction, a: SpdMatrix, b: SpdMatrix) -> float:
             f"Bregman divergence for {m.name!r} came out {value:.3e}"
         )
     return max(value, 0.0)
-
-
-def relative_entropy(a: SpdMatrix, b: SpdMatrix) -> float:
-    """Quantum relative entropy ``S(A|B) = tr A (log A - log B)``.
-
-    Nonnegative whenever ``tr A == tr B``; jointly convex in ``(A, B)``.
-    """
-    _require_same_dim(a.dim, b.dim)
-    diff = logm(a).entries - logm(b).entries
-    return float(np.trace(a.entries @ diff).real)
 
 
 def right_barycentre(

@@ -164,8 +164,11 @@ def _cmd_dist(args) -> tuple[dict, int, str]:
 
 
 def _cmd_mean(args) -> tuple[dict, int, str]:
+    pairwise = args.kind in ("geo", "geo-t")
+    if pairwise and args.weights is not None:
+        raise CliUsageError(f"--weights does not apply to mean {args.kind}")
     mats, digest = _load(args.files, _spd)
-    if args.kind in ("geo", "geo-t") and len(mats) != 2:
+    if pairwise and len(mats) != 2:
         raise CliUsageError(f"mean {args.kind} needs exactly two matrices")
     w = _weights_for(args, len(mats))
     result = _MEANS[args.kind](mats, w, args.t)

@@ -128,16 +128,6 @@ def hermitian_part(value: MatrixLike) -> np.ndarray:
     return (arr + _adjoint(arr)) / 2
 
 
-def frobenius_inner(a: MatrixLike, b: MatrixLike) -> complex:
-    """Euclidean inner product ``tr(A* B)`` of two equally sized matrices."""
-    arr_a, arr_b = as_array(a), as_array(b)
-    if arr_a.shape != arr_b.shape:
-        raise DimensionMismatchError(
-            f"inner product needs equal shapes, got {arr_a.shape} and {arr_b.shape}"
-        )
-    return complex(np.sum(arr_a.conj() * arr_b))
-
-
 def frobenius_norm(value: MatrixLike) -> float:
     """Euclidean norm ``sqrt(tr(M* M))``, always real and nonnegative."""
     return float(np.linalg.norm(as_array(value)))

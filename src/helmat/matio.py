@@ -4,9 +4,9 @@ A matrix file is a single JSON object with a ``dim`` field, a ``dim x dim``
 ``real`` array, and an optional ``imag`` array (defaulting to zeros).  A file
 without a nonzero ``imag`` entry reads as a float64 array, and the library
 then computes in real arithmetic; any nonzero ``imag`` entry makes it
-complex128.  Numbers are written with Python's shortest round-trip decimal
-form (at most 17 significant digits), so a write/read cycle reproduces the
-entries bit-exactly.
+complex128.  JSON text holds numbers in Python's shortest round-trip decimal
+form (at most 17 significant digits), so :func:`matrix_from_payload` of the
+JSON text of :func:`matrix_to_payload` gives back the entries bit-exactly.
 
 :func:`read_json_file` is the one reader of input files: it reads a file's
 bytes once, decodes them, and builds a validated value from the JSON, so a
@@ -97,11 +97,3 @@ def matrix_to_payload(matrix: np.ndarray) -> dict:
         payload["imag"] = arr.imag.tolist()
     return payload
 
-
-def read_matrix_file(path: str | Path) -> np.ndarray:
-    """Read a matrix file; parse failures name the file and the problem."""
-    return read_json_file(path, matrix_from_payload)[0]
-
-
-def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
-    Path(path).write_text(json.dumps(matrix_to_payload(matrix)) + "\n")

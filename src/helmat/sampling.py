@@ -39,13 +39,6 @@ def random_hermitian(rng: np.random.Generator, dim: int, complex_entries: bool =
     return _hermitian_stack(g)
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Ginibre matrix with the
-    R-diagonal phase fix."""
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return _haar_basis(g)
-
-
 def random_orthogonal(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-distributed real orthogonal matrix."""
     return _haar_basis(rng.standard_normal((dim, dim)))

@@ -280,7 +280,8 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     gap_polar = _largest(gaps)
     a, b = random_spd(rng, 3), random_spd(rng, 3)
     value, _ = distances.d2_unitary(a, b)
-    # the random numbers of 500 random_unitary(rng, 3) calls, in one draw
+    # 500 Haar unitaries of size 3, each drawn as a complex Ginibre block
+    # (real part, then imaginary part), in one draw
     g = rng.standard_normal((500, 2, 3, 3))
     u = _haar_basis(g[:, 0] + 1j * g[:, 1])
     misses = _frobenius_norms(sqrt_entries(a) - sqrt_entries(b) @ u)

@@ -13,7 +13,7 @@ from helmat import barycentre, calculus, distances, legendre_cex, means, suites
 from helmat.barycentre import LOG_EUCLIDEAN, WASSERSTEIN, PowerMean
 from helmat.distances import DistanceKind
 from helmat.errors import NotPositiveDefiniteError
-from helmat.linalg import SpdMatrix, frobenius_inner, frobenius_norm
+from helmat.linalg import SpdMatrix, frobenius_norm
 from helmat.means import WeightVector
 from helmat.sampling import make_rng, random_hermitian, random_spd
 
@@ -184,7 +184,7 @@ def _d3_minimiser(mats, w, start):
             break
         new_grad = gradient(trial)
         s = trial.entries - x.entries
-        curvature = frobenius_inner(s, new_grad - grad).real
+        curvature = np.sum(s.conj() * (new_grad - grad)).real
         step = frobenius_norm(s) ** 2 / curvature if curvature > 0.0 else 1.0
         x, value, grad = trial, trial_value, new_grad
     return x, frobenius_norm(grad)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from helmat.cli import EXIT_OK, run
 from helmat.distances import DistanceKind
 from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm, hermitian_part
-from helmat.matio import write_matrix_file
+from helmat.matio import matrix_to_payload
 from helmat.means import WeightVector, arithmetic_mean, geometric_mean, q_half
 from helmat.sampling import make_rng, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE, _noncommuting_pair_entries
@@ -226,7 +227,7 @@ def test_hard_family_converges_from_the_cli(capsys, tmp_path):
     mats, weights, _ = _census_family(201367)
     files = [str(tmp_path / f"a{j}.json") for j in range(len(mats))]
     for path, a in zip(files, mats):
-        write_matrix_file(path, a.entries)
+        Path(path).write_text(json.dumps(matrix_to_payload(a.entries)))
     (tmp_path / "w.json").write_text(json.dumps(weights.tolist()))
     code = run(["bary", "power-t", *files, "--t", "0.1", "--weights", str(tmp_path / "w.json")])
     err = capsys.readouterr().err
@@ -462,6 +463,23 @@ def test_solve_random_restarts_agree():
             x_again, rep = solve(kind, mats, w, x0=start)
             assert rep.converged
             assert frobenius_norm(x.entries - x_again.entries) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
+@pytest.mark.parametrize("scale", [1e-2, 10.0])
+def test_solve_accepts_a_start_outside_the_input_bracket(kind, scale):
+    # the Picard map keeps the iterates in the hull of the start's and the
+    # inputs' spectra, so the solve checks that hull
+    rng = make_rng(1)
+    mats = [random_spd(rng, 3) for _ in range(3)]
+    w = WeightVector.uniform(3)
+    x, report = solve(kind, mats, w)
+    x_far, report_far = solve(kind, mats, w, x0=SpdMatrix(scale * np.eye(3)))
+    alpha, beta = report.spectral_bounds
+    assert not alpha <= scale <= beta
+    assert report_far.converged and report_far.bracket_ok
+    assert report_far.spectral_bounds == report.spectral_bounds
+    assert frobenius_norm(x.entries - x_far.entries) <= 1e-10 * frobenius_norm(x)
 
 
 @pytest.mark.parametrize("kind", (WASSERSTEIN, LOG_EUCLIDEAN), ids=lambda k: type(k).__name__)

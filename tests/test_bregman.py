@@ -7,23 +7,32 @@ from helmat.bregman import (
     ENTROPY,
     SQUARE,
     MotherFunction,
-    bregman_scalar,
     bregman_tracial,
     left_barycentre,
     phi4_via_min,
     power_mother,
-    relative_entropy,
     right_barycentre,
     variance,
 )
 from helmat.calculus import fd_directional
 from helmat.distances import DistanceKind, divergence
-from helmat.errors import DimensionMismatchError, SpectralDomainError
-from helmat.linalg import SpdMatrix, frobenius_norm
+from helmat.errors import DimensionMismatchError, NotPositiveDefiniteError, SpectralDomainError
+from helmat.linalg import SpdMatrix, frobenius_norm, logm
 from helmat.means import WeightVector, arithmetic_mean, log_euclidean_multi
 from helmat.sampling import make_rng, random_spd
 
 positive = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def _scalar(x):
+    """``x`` as a 1x1 matrix, whose Bregman divergence is the scalar one."""
+    return SpdMatrix([[x]])
+
+
+def _relative_entropy(a, b):
+    """``S(A|B) = tr A (log A - log B)``, from the entropy divergence
+    ``S(A|B) - tr A + tr B``."""
+    return bregman_tracial(ENTROPY, a, b) + a.trace() - b.trace()
 
 
 def test_mother_function_construction_validates():
@@ -58,21 +67,23 @@ def test_mother_function_construction_validates():
 
 
 def test_bregman_scalar_examples():
-    assert bregman_scalar(ENTROPY, 1.0, 1.0) == 0.0
-    assert bregman_scalar(ENTROPY, 1.0, np.e) == pytest.approx(np.e - 2.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        bregman_scalar(ENTROPY, -1.0, 1.0)
+    assert bregman_tracial(ENTROPY, _scalar(1.0), _scalar(1.0)) == 0.0
+    assert bregman_tracial(ENTROPY, _scalar(1.0), _scalar(np.e)) == pytest.approx(
+        np.e - 2.0, rel=1e-12)
+    with pytest.raises(NotPositiveDefiniteError):
+        bregman_tracial(ENTROPY, _scalar(-1.0), _scalar(1.0))
 
 
 @given(positive, positive)
 def test_bregman_scalar_square_identity(x, y):
-    assert bregman_scalar(SQUARE, x, y) == pytest.approx((x - y) ** 2 / 2, rel=1e-9, abs=1e-12)
+    value = bregman_tracial(SQUARE, _scalar(x), _scalar(y))
+    assert value == pytest.approx((x - y) ** 2 / 2, rel=1e-9, abs=1e-12)
 
 
 @given(positive, positive)
 def test_bregman_scalar_nonnegative(x, y):
     for mother in (ENTROPY, SQUARE):
-        value = bregman_scalar(mother, x, y)
+        value = bregman_tracial(mother, _scalar(x), _scalar(y))
         assert value >= 0.0
         if abs(x - y) > 1e-6 * max(x, y):
             assert value > 0.0
@@ -133,7 +144,8 @@ def test_bregman_tracial_entropy_matches_relative_entropy_form():
     rng = make_rng(1)
     a, b = random_spd(rng, 4), random_spd(rng, 4)
     direct = bregman_tracial(ENTROPY, a, b)
-    reference = relative_entropy(a, b) - (a.trace() - b.trace())
+    relative = np.trace(a.entries @ (logm(a).entries - logm(b).entries)).real
+    reference = relative - (a.trace() - b.trace())
     assert direct == pytest.approx(reference, rel=1e-10, abs=1e-12)
 
 
@@ -144,7 +156,8 @@ def test_bregman_tracial_diagonal_reduces_to_scalar_sum():
     a, b = SpdMatrix(np.diag(da)), SpdMatrix(np.diag(db))
     for mother in (ENTROPY, SQUARE, power_mother(1.7)):
         matrix_value = bregman_tracial(mother, a, b)
-        scalar_value = sum(bregman_scalar(mother, x, y) for x, y in zip(da, db))
+        scalar_value = sum(mother.psi(x) - mother.psi(y) - mother.dpsi(y) * (x - y)
+                           for x, y in zip(da, db))
         assert matrix_value == pytest.approx(scalar_value, rel=1e-10, abs=1e-12)
 
 
@@ -153,18 +166,16 @@ def test_pairwise_divergences_reject_mixed_dimensions():
     a, b = random_spd(rng, 2), random_spd(rng, 3)
     with pytest.raises(DimensionMismatchError):
         bregman_tracial(ENTROPY, a, b)
-    with pytest.raises(DimensionMismatchError):
-        relative_entropy(a, b)
 
 
 def test_relative_entropy_examples():
     rng = make_rng(3)
     a = random_spd(rng, 3)
-    assert relative_entropy(a, a) == pytest.approx(0.0, abs=1e-12)
+    assert _relative_entropy(a, a) == pytest.approx(0.0, abs=1e-12)
     p = SpdMatrix(np.diag([0.5, 0.5]))
     q = SpdMatrix(np.diag([0.25, 0.75]))
     expected = 0.5 * np.log(2.0) + 0.5 * np.log(2.0 / 3.0)
-    assert relative_entropy(p, q) == pytest.approx(expected, rel=1e-12)
+    assert _relative_entropy(p, q) == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.14384, abs=5e-6)
 
 
@@ -173,7 +184,7 @@ def test_bregman_and_entropy_on_complex_inputs():
     a = random_spd(rng, 3, complex_entries=True)
     b = random_spd(rng, 3, complex_entries=True)
     assert bregman_tracial(ENTROPY, a, b) > 0.0
-    assert relative_entropy(a, a) == pytest.approx(0.0, abs=1e-12)
+    assert _relative_entropy(a, a) == pytest.approx(0.0, abs=1e-12)
     left = left_barycentre(ENTROPY, [a, b], WeightVector.uniform(2))
     reference = log_euclidean_multi([a, b], WeightVector.uniform(2))
     assert frobenius_norm(left.entries - reference.entries) <= 1e-10
@@ -184,11 +195,11 @@ def test_relative_entropy_jointly_convex_sampled():
     for _ in range(500):
         dim = int(rng.integers(2, 4))
         a1, a2, b1, b2 = (random_spd(rng, dim) for _ in range(4))
-        lhs = relative_entropy(
+        lhs = _relative_entropy(
             SpdMatrix((a1.entries + a2.entries) / 2),
             SpdMatrix((b1.entries + b2.entries) / 2),
         )
-        rhs = (relative_entropy(a1, b1) + relative_entropy(a2, b2)) / 2
+        rhs = (_relative_entropy(a1, b1) + _relative_entropy(a2, b2)) / 2
         assert lhs <= rhs + 1e-10
 
 

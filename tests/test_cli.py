@@ -23,13 +23,17 @@ from helmat.matio import (
     MatrixFileError,
     matrix_from_payload,
     matrix_to_payload,
-    read_matrix_file,
-    write_matrix_file,
+    read_json_file,
 )
 from helmat.linalg import SpdMatrix
 from helmat.means import WeightVector
 from helmat.sampling import make_rng, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE
+
+
+def write_matrix_file(path, matrix):
+    """Write ``matrix`` as a matrix file, in the format the CLI reads."""
+    Path(path).write_text(json.dumps(matrix_to_payload(matrix)) + "\n")
 
 
 @pytest.fixture()
@@ -54,7 +58,7 @@ def test_matrix_file_roundtrip_bit_exact(tmp_path):
     a = random_spd(rng, 4, complex_entries=True).entries
     path = tmp_path / "m.json"
     write_matrix_file(path, a)
-    back = read_matrix_file(path)
+    back = read_json_file(path, matrix_from_payload)[0]
     assert back.dtype == np.complex128
     assert np.array_equal(back, a)  # bit-exact, not just close
 
@@ -66,7 +70,7 @@ def test_real_matrix_file_roundtrip_bit_exact_without_imag(tmp_path):
     assert "imag" not in json.loads(path.read_text())
     # the bytes are those of the same matrix written as a complex array
     assert matrix_to_payload(a) == matrix_to_payload(a.astype(np.complex128))
-    back = read_matrix_file(path)
+    back = read_json_file(path, matrix_from_payload)[0]
     assert back.dtype == np.float64
     assert np.array_equal(back, a)
 
@@ -75,7 +79,7 @@ def test_readme_matrix_file_reads_as_float64(tmp_path):
     path = tmp_path / "a.json"
     path.write_text('{"dim": 2, "real": [[2.0, 5.0], [5.0, 17.0]], '
                     '"imag": [[0.0, 0.0], [0.0, 0.0]]}')
-    back = read_matrix_file(path)
+    back = read_json_file(path, matrix_from_payload)[0]
     assert back.dtype == np.float64
     assert np.array_equal(back, [[2.0, 5.0], [5.0, 17.0]])
 
@@ -92,7 +96,7 @@ def test_matrix_file_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{")
     with pytest.raises(MatrixFileError, match="bad.json"):
-        read_matrix_file(bad)
+        read_json_file(bad, matrix_from_payload)
     with pytest.raises(MatrixFileError, match="dim"):
         matrix_from_payload({"real": [[1.0]]})
     with pytest.raises(MatrixFileError, match="real"):
@@ -423,6 +427,15 @@ def test_cli_usage_errors(capsys, matrix_files):
     assert err == "error: mean geo needs exactly two matrices\n"
 
 
+@pytest.mark.parametrize("kind", ["geo", "geo-t"])
+def test_weights_do_not_apply_to_the_two_point_means(capsys, matrix_files, kind):
+    # the two-point means take no weights, so a report must not list them
+    files = [matrix_files["a"], matrix_files["b"]]
+    code, report, err = run_cli(capsys, ["mean", kind, *files, "--weights", "[0.1, 0.9]"])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err == f"error: --weights does not apply to mean {kind}\n"
+
+
 def test_installed_entry_point_smoke(tmp_path):
     a = tmp_path / "a.json"
     write_matrix_file(a, np.diag([1.0, 2.0]))
@@ -454,7 +467,7 @@ def family(request, tmp_path):
         path = tmp_path / f"m{i}.json"
         write_matrix_file(path, arr)
         paths.append(str(path))
-    return paths, [SpdMatrix(read_matrix_file(path)) for path in paths]
+    return paths, [SpdMatrix(read_json_file(path, matrix_from_payload)[0]) for path in paths]
 
 
 @pytest.mark.parametrize("kind, extra, expected", [

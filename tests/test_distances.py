@@ -15,7 +15,7 @@ from helmat.distances import (
 )
 from helmat.errors import DimensionMismatchError, HermitianError
 from helmat.linalg import SpdMatrix, frobenius_norm, sqrt_entries
-from helmat.sampling import make_rng, random_orthogonal, random_spd, random_unitary
+from helmat.sampling import _haar_basis, make_rng, random_orthogonal, random_spd
 from helmat.suites import (
     D3_TRIANGLE_REFERENCE,
     D3_TRIANGLE_TRIPLE,
@@ -190,10 +190,16 @@ def test_d1_d2_squares_satisfy_divergence_axioms_by_fd():
             assert curvature >= -1e-8
 
 
+def _random_unitary(rng, dim):
+    """Haar unitary: the basis of a complex Ginibre block, whose real part
+    is drawn before its imaginary part."""
+    return _haar_basis(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+
+
 def test_unitary_invariance():
     rng = make_rng(6)
     a, b = random_spd(rng, 3, complex_entries=True), random_spd(rng, 3, complex_entries=True)
-    u = random_unitary(rng, 3)
+    u = _random_unitary(rng, 3)
     ua = SpdMatrix(u @ a.entries @ u.conj().T)
     ub = SpdMatrix(u @ b.entries @ u.conj().T)
     for kind in ALL_KINDS:
@@ -222,7 +228,7 @@ def test_d2_unitary_matches_distance_and_beats_random_unitaries():
     assert np.linalg.norm(optimal @ optimal.conj().T - np.eye(3)) <= 1e-12
     root_a, root_b = sqrt_entries(a), sqrt_entries(b)
     for _ in range(500):
-        u = random_unitary(rng, 3)
+        u = _random_unitary(rng, 3)
         assert np.linalg.norm(root_a - root_b @ u) >= value - 1e-12
 
 
@@ -259,7 +265,7 @@ def _homogeneity_pairs():
     pairs = []
     for seed in range(20):
         rng = make_rng(seed)
-        for haar in (random_orthogonal, random_unitary):
+        for haar in (random_orthogonal, _random_unitary):
             u, v = haar(rng, 3), haar(rng, 3)
             pairs.append(((u * [1.0, 2.0, 3.0]) @ u.conj().T,
                           (v * [1.5, 2.0, 2.5]) @ v.conj().T))
@@ -288,7 +294,7 @@ def test_distances_are_unitarily_invariant_and_symmetric():
     one Haar unitary per pair, drawn in pair order."""
     rng = make_rng(99)
     for a, b in _homogeneity_pairs():
-        u = random_unitary(rng, 3)
+        u = _random_unitary(rng, 3)
         a_value, b_value = SpdMatrix(a), SpdMatrix(b)
         ua, ub = SpdMatrix(u @ a @ u.conj().T), SpdMatrix(u @ b @ u.conj().T)
         for kind in ALL_KINDS:

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import warnings
 from pathlib import Path
 
@@ -29,7 +30,6 @@ from helmat.linalg import (
     congruence,
     eigh,
     expm,
-    frobenius_inner,
     frobenius_norm,
     hermitian_part,
     invm,
@@ -37,7 +37,7 @@ from helmat.linalg import (
     product_sqrt,
     sqrtm,
 )
-from helmat.matio import write_matrix_file
+from helmat.matio import matrix_to_payload
 from helmat.means import WeightVector
 from helmat.sampling import (
     make_rng,
@@ -381,19 +381,9 @@ def test_congruence_preserves_positivity(random_invertible):
         assert congruence(k, a).eig().eigenvalues[0] > 0.0
 
 
-def test_frobenius_inner_examples():
-    assert frobenius_inner(np.eye(2), np.eye(2)) == pytest.approx(2.0)
-    assert frobenius_inner(np.diag([1.0, 2.0]), np.diag([3.0, 4.0])) == pytest.approx(11.0)
-    with pytest.raises(DimensionMismatchError):
-        frobenius_inner(np.eye(2), np.eye(3))
-
-
 def test_frobenius_norm_matches_entrywise_sum():
     rng = make_rng(9)
     a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    inner = frobenius_inner(a, a)
-    assert inner.imag == pytest.approx(0.0, abs=1e-12)
-    assert inner.real == pytest.approx(np.sum(np.abs(a) ** 2), rel=1e-12)
     assert frobenius_norm(a) == pytest.approx(np.sqrt(np.sum(np.abs(a) ** 2)), rel=1e-12)
 
 
@@ -442,8 +432,9 @@ def test_distances_check_no_computed_value_as_input(hermitian_checks):
 def test_cli_checks_each_input_file_once(argv, checks, tmp_path, capsys, hermitian_checks):
     paths = []
     for i, m in enumerate(_family(make_rng(19), 3, checks)):
-        paths.append(str(tmp_path / f"m{i}.json"))
-        write_matrix_file(paths[-1], m.entries)
+        path = tmp_path / f"m{i}.json"
+        path.write_text(json.dumps(matrix_to_payload(m.entries)))
+        paths.append(str(path))
     hermitian_checks.clear()
     assert cli.run(argv + paths) == cli.EXIT_OK
     capsys.readouterr()

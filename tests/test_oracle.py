@@ -1,0 +1,120 @@
+"""Forward errors of the library against the 50-digit reference of
+``mp_oracle``.
+
+The grid follows the distances' hard cases: a scale ``s``, a condition
+number, real or complex entries, and a gap ``delta`` between the two
+matrices.  A cell that fails today is a strict xfail whose reason names
+the defect; each bound is the worst error measured over the cells that
+pass, rounded up to one significant digit.
+"""
+
+import functools
+import itertools
+
+import numpy as np
+import pytest
+
+from helmat.distances import DistanceKind, divergence
+from helmat.errors import InternalConsistencyError
+from helmat.linalg import SpdMatrix
+from helmat.sampling import make_rng, random_spd
+
+import mp_oracle
+
+SCALES = (1e-12, 1.0, 1e12)
+CONDS = (1.0, 1e3, 1e6)
+FIELDS = ("real", "complex")
+GAPS = (1e-1, 1e-4, 1e-8)
+
+#: Largest relative error of d^2 allowed for each kind and gap.
+BOUNDS = {
+    ("d1", 1e-1): 2e-13, ("d1", 1e-4): 2e-7,
+    ("d2", 1e-1): 2e-8, ("d2", 1e-4): 4e-5,
+    ("d3", 1e-1): 3e-11, ("d3", 1e-4): 2e-7,
+    ("d4", 1e-1): 4e-12, ("d4", 1e-4): 3e-6,
+}
+
+
+def _hermitian(m):
+    return (m + m.conj().T) / 2
+
+
+@functools.cache
+def _pair(s, cond, field, gap):
+    """``(sA, sB)`` at dimension 3: ``A`` has the spectrum
+    ``cond^{-1/2}, 1, cond^{1/2}`` in a random basis, and
+    ``B = K A K*`` with ``K = I + gap E`` for a Hermitian ``E`` of spectral
+    norm one.  Every cell draws its random numbers at one seed, so the
+    cells differ only in their parameters."""
+    rng = make_rng(0)
+    g = rng.standard_normal((2, 2, 3, 3))
+    g = g[:, 0] + 1j * g[:, 1] if field == "complex" else g[:, 0]
+    basis = np.linalg.qr(g[0])[0]
+    e = _hermitian(g[1])
+    k = np.eye(3) + gap * e / np.linalg.norm(e, 2)
+    a = (basis * cond ** np.array([-0.5, 0.0, 0.5])) @ basis.conj().T
+    return _hermitian(s * a), _hermitian(s * (k @ a @ k.conj().T))
+
+
+@functools.cache
+def _truth(s, cond, field, gap):
+    return mp_oracle.divergences(*_pair(s, cond, field, gap))
+
+
+def _fails_today(kind, s, cond, gap):
+    """The reason a cell fails at binary64 today, or ``None``.  At
+    ``s = 1e-12`` only d3 at condition 1e6 and gap 1e-1 clears the clamp."""
+    if s == 1e-12 and not (kind == "d3" and cond == 1e6 and gap == 1e-1):
+        return ("ROADMAP item 2: d^2 lies under the absolute radicand clamp "
+                "1e-10, so it reads 0.0")
+    if gap == 1e-8:
+        return ("ROADMAP item 2: the trace formula cancels every digit of d^2 "
+                "~ 1e-16 tr, or its radicand falls below the clamp and raises")
+    if kind == "d2" and cond == 1e6 and gap == 1e-4:
+        return ("ROADMAP item 2: the fidelity's trace loses d2^2 to "
+                "cancellation at condition 1e6, 3e-4 to 4e-2")
+    return None
+
+
+def _cells():
+    for kind, s, cond, field, gap in itertools.product(
+            ("d1", "d2", "d3", "d4"), SCALES, CONDS, FIELDS, GAPS):
+        reason = _fails_today(kind, s, cond, gap)
+        marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+        yield pytest.param(kind, s, cond, field, gap, marks=marks,
+                           id=f"{kind}-s{s:g}-cond{cond:g}-{field}-gap{gap:g}")
+
+
+@pytest.mark.parametrize("kind, s, cond, field, gap", _cells())
+def test_divergence_forward_error(kind, s, cond, field, gap):
+    a, b = _pair(s, cond, field, gap)
+    try:
+        value = divergence(DistanceKind(kind), SpdMatrix(a), SpdMatrix(b))
+    except InternalConsistencyError as exc:
+        pytest.fail(f"raised {exc}", pytrace=False)
+    error = mp_oracle.relative_error(value, _truth(s, cond, field, gap)[kind])
+    if not error <= BOUNDS[kind, gap]:
+        # no traceback: formatting one for each of the 122 cells that fail
+        # today costs about half a second
+        pytest.fail(f"relative error {error:.3e} > {BOUNDS[kind, gap]:.0e}", pytrace=False)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
+def test_oracle_agrees_with_scipy(complex_entries):
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = make_rng(1)
+    for dim in (2, 4):
+        a, b = (random_spd(rng, dim, cond=10.0, complex_entries=complex_entries).entries
+                for _ in range(2))
+        root_a, inv_root_a = linalg.sqrtm(a), np.linalg.inv(linalg.sqrtm(a))
+        pairs = [
+            (mp_oracle.sqrtm(a), root_a),
+            (mp_oracle.logm(a), linalg.logm(a)),
+            (mp_oracle.geometric_mean(a, b),
+             root_a @ linalg.sqrtm(inv_root_a @ b @ inv_root_a) @ root_a),
+            (mp_oracle.log_euclidean_mean(a, b),
+             linalg.expm((linalg.logm(a) + linalg.logm(b)) / 2)),
+        ]
+        for truth, reference in pairs:
+            assert truth.dtype == a.dtype
+            assert np.linalg.norm(truth - reference) <= 1e-14 * np.linalg.norm(truth)
