@@ -35,7 +35,6 @@ from .bregman import (
     variance,
 )
 from .calculus import (
-    IntegrationMeasure,
     d_tr_log_euclidean,
     divided_difference_kernel,
     fd_directional,

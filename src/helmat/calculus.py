@@ -28,7 +28,6 @@ its quadrature and :func:`d_tr_log_euclidean` take one matrix.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -69,7 +68,7 @@ HESSIAN_BASE_STEP = 1e-2
 _GAP_RTOL = 1e-7
 
 #: Gauss-Legendre node counts of the cross-check quadratures: the first
-#: rule, and the largest before :class:`IntegrationMeasure` gives up.
+#: rule, and the largest before :func:`_half_power_integral` gives up.
 QUAD_FIRST_NODES = 32
 QUAD_MAX_NODES = 4096
 #: Change between two node doublings below which a quadrature has converged,
@@ -179,12 +178,14 @@ def frechet_geometric_quadrature(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> H
     ax = a_inv @ x.entries
     eye = np.eye(a.dim)
 
-    def integrand(lam: np.ndarray) -> np.ndarray:
+    def weighted_sum(lam: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        # summed in node order, so the total is bit for bit the per-node sum
         shift = lam[:, None, None] * eye
         left = np.linalg.solve(shift + xa, yarr)
-        return _adjoint(np.linalg.solve(_adjoint(shift + ax), _adjoint(left)))
+        values = _adjoint(np.linalg.solve(_adjoint(shift + ax), _adjoint(left)))
+        return np.add.reduce(weights[:, None, None] * values, axis=0)
 
-    return _hermitian_stack(IntegrationMeasure.half_power().integrate_matrix(integrand))
+    return _hermitian_stack(_half_power_integral(weighted_sum, np.linalg.norm))
 
 
 def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
@@ -241,84 +242,46 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-@dataclass(frozen=True)
-class IntegrationMeasure:
-    """Adaptive Gauss-Legendre quadrature against ``dnu`` or ``dlam`` on (0, inf).
+def _half_power_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes ``lam`` and weights of the ``n``-node rule against
+    ``dnu(lam) = (1/pi) lam^{1/2} dlam`` on (0, inf).
 
-    ``half_power`` integrates against ``dnu(lam) = (1/pi) lam^{1/2} dlam``,
-    ``lebesgue`` against plain ``dlam``.  The half line is mapped to (0, 1)
-    by ``lam = u / (1 - u)``; for the half-power measure the square-root
-    weight is first absorbed by ``lam = s^2`` (so ``s`` is mapped instead),
-    otherwise the transplanted integrand has an inverse-square-root endpoint
-    singularity that stalls Gauss-Legendre far above the target accuracy.
-    Nodes are doubled from ``QUAD_FIRST_NODES`` until the result moves by
-    less than ``QUAD_TOL``, up to ``QUAD_MAX_NODES``.
+    The square-root weight is absorbed by ``lam = s^2`` and the half line of
+    ``s`` is mapped to (0, 1) by ``s = u / (1 - u)``; mapping ``lam`` directly
+    leaves an inverse-square-root endpoint singularity that stalls
+    Gauss-Legendre far above the target accuracy.
     """
+    u, w = _gauss_legendre(n)
+    u = 0.5 * (u + 1.0)
+    w = 0.5 * w
+    s = u / (1.0 - u)
+    return s * s, w * (2.0 / np.pi) * s * s / (1.0 - u) ** 2
 
-    kind: str
 
-    @classmethod
-    def half_power(cls) -> "IntegrationMeasure":
-        return cls(kind="half_power")
+def _half_power_integral(weighted_sum, norm):
+    """Integral against ``dnu``: ``weighted_sum(lam, weights)`` on rules of
+    ``QUAD_FIRST_NODES``, twice as many, ... nodes until two results differ by
+    at most ``QUAD_TOL`` times ``max(1, norm(result))``.
 
-    @classmethod
-    def lebesgue(cls) -> "IntegrationMeasure":
-        return cls(kind="lebesgue")
-
-    def _nodes_weights(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        u, w = _gauss_legendre(n)
-        u = 0.5 * (u + 1.0)
-        w = 0.5 * w
-        if self.kind == "half_power":
-            s = u / (1.0 - u)
-            lam = s * s
-            weights = w * (2.0 / np.pi) * s * s / (1.0 - u) ** 2
-        elif self.kind == "lebesgue":
-            lam = u / (1.0 - u)
-            weights = w / (1.0 - u) ** 2
-        else:
-            raise ValueError(f"unknown measure kind {self.kind!r}")
-        return lam, weights
-
-    def integrate(self, f: Callable[[float], float]) -> float:
-        """Scalar integral with node doubling until the update is below
-        ``QUAD_TOL``;
-        ``f`` is called once per node."""
-
-        def total(lam, weights):
-            return sum(w * f(x) for x, w in zip(lam, weights))
-
-        return self._integrate(total, abs)
-
-    def integrate_matrix(self, f: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """Matrix-valued integral; convergence in the Frobenius norm.
-
-        ``f`` takes the whole node array ``lam`` of shape ``(N,)`` and
-        returns the stack ``(N, n, n)`` of its values, ``f(lam)[i]`` being
-        the integrand at ``lam[i]``.  The weighted values are summed node by
-        node in node order, so the total is bit for bit the per-node sum.
-        """
-
-        def total(lam, weights):
-            return np.add.reduce(weights[:, None, None] * f(lam), axis=0)
-
-        return self._integrate(total, np.linalg.norm)
-
-    def _integrate(self, weighted_sum, norm):
-        previous = None
-        n = QUAD_FIRST_NODES
-        while n <= QUAD_MAX_NODES:
-            total = weighted_sum(*self._nodes_weights(n))
-            if previous is not None and norm(total - previous) <= QUAD_TOL * max(
-                1.0, norm(total)
-            ):
-                return total
-            previous = total
-            n *= 2
-        raise QuadratureError(
-            f"quadrature did not converge below {QUAD_TOL:.1e} "
-            f"within {QUAD_MAX_NODES} nodes"
-        )
+    Raises
+    ------
+    QuadratureError
+        If no rule up to ``QUAD_MAX_NODES`` nodes converges.
+    """
+    previous = None
+    n = QUAD_FIRST_NODES
+    while n <= QUAD_MAX_NODES:
+        total = weighted_sum(*_half_power_rule(n))
+        if previous is not None and norm(total - previous) <= QUAD_TOL * max(
+            1.0, norm(total)
+        ):
+            return total
+        previous = total
+        n *= 2
+    raise QuadratureError(
+        f"quadrature did not converge below {QUAD_TOL:.1e} "
+        f"within {QUAD_MAX_NODES} nodes"
+    )
 
 
 def quad_check(representation: str, x: float | None = None) -> float:
@@ -334,18 +297,20 @@ def quad_check(representation: str, x: float | None = None) -> float:
       the constant multiplying ``tr(Y A^{-1} Y)`` in the diagonal Hessian of
       the geometric-mean divergence; equals ``1/2``.
     """
-    measure = IntegrationMeasure.half_power()
-    if representation == "sqrt_resolvent":
-        if x is None or x <= 0.0:
-            raise ValueError("sqrt_resolvent needs a positive evaluation point x")
-        value = measure.integrate(
-            lambda lam: lam / (lam * lam + 1.0) - 1.0 / (lam + x)
+    def integrate(f: Callable[[float], float]) -> float:
+        return _half_power_integral(
+            lambda lam, weights: sum(w * f(t) for t, w in zip(lam, weights)), abs
         )
+
+    if representation == "sqrt_resolvent":
+        if x is None or not 0.0 < x < np.inf:
+            raise ValueError("sqrt_resolvent needs a positive finite evaluation point x")
+        value = integrate(lambda lam: lam / (lam * lam + 1.0) - 1.0 / (lam + x))
         return float(1.0 / np.sqrt(2.0) + value)
     if representation == "grad_normalization":
-        return float(measure.integrate(lambda lam: 1.0 / (1.0 + lam) ** 2))
+        return float(integrate(lambda lam: 1.0 / (1.0 + lam) ** 2))
     if representation == "hessian_normalization":
-        return float(4.0 * measure.integrate(lambda lam: 1.0 / (1.0 + lam) ** 3))
+        return float(4.0 * integrate(lambda lam: 1.0 / (1.0 + lam) ** 3))
     raise ValueError(
         f"unknown representation {representation!r}; "
         "use sqrt_resolvent, grad_normalization or hessian_normalization"

@@ -213,8 +213,6 @@ def _cmd_bary(args) -> tuple[dict, int, str]:
 
 
 def _cmd_verify(args) -> tuple[dict, int, str]:
-    if args.samples < 1:
-        raise CliUsageError("--samples must be a positive integer")
     results = run_suite(args.suite, seed=args.seed, samples=args.samples)
     all_passed = all(r.passed for r in results)
     table = [

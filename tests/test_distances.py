@@ -57,6 +57,17 @@ def test_hellinger_examples():
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
+def test_distance_is_root_two_hellinger_on_diagonal_matrices(kind):
+    # d^2 = tr A + tr B - 2 tr G is twice the paper's tr (A+B)/2 - tr G,
+    # while the scalar Hellinger distance keeps its 1/sqrt(2)
+    p, q = [0.1, 0.2, 0.3, 0.4], [0.25] * 4
+    value = distance(kind, SpdMatrix(np.diag(p)), SpdMatrix(np.diag(q)))
+    scalar = np.sqrt(2.0) * hellinger(ProbabilityVector(p), ProbabilityVector(q))
+    assert value == pytest.approx(scalar, rel=1e-14)
+    assert round(value, 6) == 0.237446
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
 def test_distance_zero_on_diagonal_and_symmetric(kind):
     rng = make_rng(0)
     a, b = random_spd(rng, 3, cond=50.0), random_spd(rng, 3, cond=50.0)

@@ -3,7 +3,8 @@
 
 The grid follows the distances' hard cases: a scale ``s``, a condition
 number, real or complex entries, and a gap ``delta`` between the two
-matrices.  A cell that fails today is a strict xfail whose reason names
+matrices.  The square root, the logarithm and the two means run on the
+same grid at the widest gap.  A cell that fails today is a strict xfail whose reason names
 the defect; each bound is the worst error measured over the cells that
 pass, rounded up to one significant digit.
 """
@@ -16,7 +17,8 @@ import pytest
 
 from helmat.distances import DistanceKind, divergence
 from helmat.errors import InternalConsistencyError
-from helmat.linalg import SpdMatrix
+from helmat.linalg import SpdMatrix, logm, sqrtm
+from helmat.means import geometric_mean, log_euclidean_pair
 from helmat.sampling import make_rng, random_spd
 
 import mp_oracle
@@ -32,6 +34,27 @@ BOUNDS = {
     ("d2", 1e-1): 2e-8, ("d2", 1e-4): 4e-5,
     ("d3", 1e-1): 3e-11, ("d3", 1e-4): 2e-7,
     ("d4", 1e-1): 4e-12, ("d4", 1e-4): 3e-6,
+}
+
+
+#: Largest relative Frobenius error of each matrix function or mean, per
+#: condition number, over the scales and fields; ``logm`` is measured
+#: against ``max(1, ||log A||_F)``, since ``log A ~ 0`` at s = 1 and cond 1.
+MEAN_BOUNDS = {
+    ("sqrtm", 1.0): 8e-16, ("sqrtm", 1e3): 3e-15, ("sqrtm", 1e6): 6e-15,
+    ("logm", 1.0): 7e-16, ("logm", 1e3): 4e-14, ("logm", 1e6): 2e-12,
+    ("geometric_mean", 1.0): 3e-15, ("geometric_mean", 1e3): 3e-14,
+    ("geometric_mean", 1e6): 9e-10,
+    ("log_euclidean_pair", 1.0): 3e-14, ("log_euclidean_pair", 1e3): 5e-15,
+    ("log_euclidean_pair", 1e6): 3e-13,
+}
+
+#: Each library function of ``(A, B)`` and its 50-digit reference.
+MEANS = {
+    "sqrtm": (lambda a, b: sqrtm(a), lambda a, b: mp_oracle.sqrtm(a)),
+    "logm": (lambda a, b: logm(a), lambda a, b: mp_oracle.logm(a)),
+    "geometric_mean": (geometric_mean, mp_oracle.geometric_mean),
+    "log_euclidean_pair": (log_euclidean_pair, mp_oracle.log_euclidean_mean),
 }
 
 
@@ -97,6 +120,20 @@ def test_divergence_forward_error(kind, s, cond, field, gap):
         # no traceback: formatting one for each of the 122 cells that fail
         # today costs about half a second
         pytest.fail(f"relative error {error:.3e} > {BOUNDS[kind, gap]:.0e}", pytrace=False)
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("cond", CONDS)
+@pytest.mark.parametrize("s", SCALES)
+@pytest.mark.parametrize("name", MEANS)
+def test_mean_forward_error(name, s, cond, field):
+    # the pair at the widest gap: two well-separated matrices
+    a, b = _pair(s, cond, field, GAPS[0])
+    function, reference = MEANS[name]
+    truth = reference(a, b)
+    error = np.linalg.norm(function(SpdMatrix(a), SpdMatrix(b)).entries - truth) / max(
+        1.0 if name == "logm" else 0.0, np.linalg.norm(truth))
+    assert error <= MEAN_BOUNDS[name, cond]
 
 
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])

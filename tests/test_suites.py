@@ -1,6 +1,7 @@
 """The sampled suites evaluate one stack per dimension; these tests hold them
 to the per-sample loops over the public scalar API that they replaced."""
 
+import dataclasses
 import importlib.util
 import sys
 from pathlib import Path
@@ -403,6 +404,42 @@ def test_verify_rows_are_the_benchmark_rows(monkeypatch):
 def test_run_suite_rejects_an_unknown_name():
     with pytest.raises(ValueError, match="unknown suite 'nope'; choose from"):
         suites.run_suite("nope")
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+@pytest.mark.parametrize("name", ["all", "trace-chain"])
+def test_run_suite_rejects_nonpositive_samples(name, samples):
+    # zero samples would pass every sampled row over 0 pairs
+    with pytest.raises(ValueError, match=f"samples must be a positive integer, got {samples}"):
+        suites.run_suite(name, 42, samples)
+
+
+def _row(result, name):
+    return next(c for c in result.checks if c.name == name)
+
+
+def test_fixed_point_row_names_the_failed_solves(monkeypatch):
+    real_solve = barycentre.solve
+
+    def failing_solve(kind, mats, w, **options):
+        x, report = real_solve(kind, mats, w, **options)
+        return x, dataclasses.replace(report, converged=False,
+                                      bracket_ok=kind is not barycentre.LOG_EUCLIDEAN)
+
+    monkeypatch.setattr(barycentre, "solve", failing_solve)
+    row = _row(suites.d4_guess_suite(42, 10), "fixed-point-residuals")
+    assert not row.passed
+    assert row.detail.endswith("; 3 of 3 solves did not converge, 1 left the bracket")
+
+
+def test_unitary_minimum_row_counts_the_unitaries_that_beat_the_polar_factor(monkeypatch):
+    real_d2_unitary = distances.d2_unitary
+    # an inflated minimum that every sampled unitary beats
+    monkeypatch.setattr(distances, "d2_unitary",
+                        lambda a, b: (10.0 * real_d2_unitary(a, b)[0], None))
+    row = _row(suites.counterexamples_suite(42, 1), "d2-unitary-minimum")
+    assert not row.passed
+    assert row.detail.endswith("; 500 of 500 random unitaries beat the polar factor")
 
 
 def test_fold_reports_a_negative_extreme():
