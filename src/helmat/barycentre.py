@@ -64,6 +64,7 @@ from .linalg import (
     SpdMatrix,
     _adjoint,
     _frobenius_norms,
+    _hermitian_stack,
     _per_matrix,
     _require_same_dim,
     _spd_stack,
@@ -122,7 +123,7 @@ class Wasserstein(MeanKind):
 
     def _mean(self, x: SpdMatrix, a: SpdMatrix) -> np.ndarray:
         root = sqrt_entries(x)
-        return sqrtm(_spd_stack(root @ a.entries @ root)).entries
+        return sqrtm(_hermitian_stack(root @ a.entries @ root)).entries
 
     def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
         cross = product_sqrt(a, b)

@@ -46,7 +46,6 @@ from .linalg import (
     _hermitian_stack,
     _per_matrix,
     _require_same_dim,
-    _spd_stack,
     _trace,
     apply_spectral,
     as_array,
@@ -159,7 +158,7 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     yarr = as_array(y)
     _require_same_dim(a.dim, x.dim, len(yarr))
     root, inv_root = sqrt_pair_entries(a)
-    middle = _spd_stack(inv_root @ x.entries @ inv_root)
+    middle = _hermitian_stack(inv_root @ x.entries @ inv_root)
     pushed = hermitian_part(inv_root @ yarr @ inv_root)
     return _hermitian_stack(root @ _daleckii_krein("sqrt", middle.eig(), pushed) @ root)
 
@@ -202,7 +201,7 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     """
     _require_same_dim(a.dim, x.dim)
     _, inv_root = sqrt_pair_entries(a)
-    middle = _spd_stack(inv_root @ x.entries @ inv_root)
+    middle = _hermitian_stack(inv_root @ x.entries @ inv_root)
     pulled = inv_root @ _daleckii_krein("sqrt", middle.eig(), a.entries) @ inv_root
     return _hermitian_stack(np.eye(a.dim) - 2.0 * pulled)
 

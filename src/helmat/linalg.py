@@ -13,7 +13,11 @@ the checked eigensolve and the SPD threshold.  Values the library computes
 are built by :func:`_hermitian_stack` and :func:`_spd_stack` instead, from
 one matrix or a stack ``(..., n, n)``: they take the exact Hermitian part
 themselves, so no defect is scanned for, check that the entries are finite
-and, for SPD values, run the checked eigensolve and the threshold.
+and, for SPD values, run the checked eigensolve and the threshold.  The
+inner congruence of two SPD values (``A^{-1/2} B A^{-1/2}`` or
+``A^{1/2} B A^{1/2}``) is built by :func:`_hermitian_stack`: its condition
+number can be the product of theirs, so the threshold would reject it for
+a valid pair, and the map applied to it rejects a negative eigenvalue.
 Spectral results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` instead of
 by an eigensolve (see :class:`SpdMatrix`).
 
@@ -553,11 +557,23 @@ def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     eigenvalues:  ``A^{1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}``.  The result
     is similar to ``(A^{1/2} B A^{1/2})^{1/2}`` and shares its eigenvalues.
     On stacks ``a`` and ``b`` it gives one root per pair.
+
+    ``A^{1/2} B A^{1/2}`` is built as a Hermitian value, not held to the
+    SPD threshold: its condition number can be the product of those of
+    ``A`` and ``B``, so it may fall below the threshold for a valid pair.
+
+    Raises
+    ------
+    SpectralDomainError
+        If ``A^{1/2} B A^{1/2}`` has a negative eigenvalue, which only
+        roundoff can give it.
     """
     _require_same_dim(a.dim, b.dim)
     root, inv_root = sqrt_pair_entries(a)
-    inner = sqrt_entries(_spd_stack(root @ b.entries @ root))
-    return root @ inner @ inv_root
+    inner = _hermitian_stack(root @ b.entries @ root)
+    spectrum = inner.eig().eigenvalues
+    _check_defined(spectrum < 0.0, spectrum, "square root is undefined at")
+    return root @ sqrt_entries(inner) @ inv_root
 
 
 def congruence(k: MatrixLike, a: SpdMatrix) -> SpdMatrix:

@@ -113,9 +113,14 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
 
 def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
-    value, so no eigensolve checks it; ``t`` and dimensions are unchecked."""
+    value, so no eigensolve checks it; ``t`` and dimensions are unchecked.
+
+    ``A^{-1/2} B A^{-1/2}`` is built as a Hermitian value, not held to the
+    SPD threshold, since its condition number can be the product of those
+    of ``A`` and ``B``; a negative eigenvalue of it raises
+    :class:`~helmat.errors.SpectralDomainError` from the power map."""
     root, inv_root = sqrt_pair_entries(a)
-    middle = _spd_stack(inv_root @ b.entries @ inv_root)
+    middle = _hermitian_stack(inv_root @ b.entries @ inv_root)
     powered = apply_spectral(lambda x: x**t, middle).entries
     return hermitian_part(root @ powered @ root)
 

@@ -8,9 +8,10 @@ through the package PRNG (see :mod:`helmat.sampling`).
 The sampled loops of the counterexamples and trace-chain suites, the
 divergence-axiom, ``grad_phi3`` and Frechet rows of the divergence-axioms
 suite and the closed-form pair loop of the d4-guess suite draw every sample
-first, in sample order, and then evaluate one stack per dimension
-(:class:`_DrawsByDim`): an :class:`~helmat.linalg.SpdMatrix` over
-``(k, n, n)`` built by :func:`~helmat.linalg._spd_stack`, which the
+first, in sample order, into a list of per-sample draw lists, and then
+evaluate one stack per dimension and position (:func:`_stacks_by_dim`): the
+raw ``(k, n, n)`` blocks, or an :class:`~helmat.linalg.SpdMatrix` over
+``(k, n, n)`` built by :func:`~helmat.sampling.build_spd`, which the
 distances, the derivatives of :mod:`~helmat.calculus` and the closed forms
 and residuals of :mod:`~helmat.barycentre` take as they take one matrix.
 The 500 random unitaries of the ``d2-unitary-minimum`` row are one draw and
@@ -183,47 +184,25 @@ def _noncommuting_pair_entries(rng, dim: int) -> tuple[np.ndarray, np.ndarray]:
             return a, b
 
 
-class _DrawsByDim:
-    """The draws of a sampled suite, grouped by dimension in sample order.
+def _stacks_by_dim(samples: Sequence[Sequence[tuple[np.ndarray, np.ndarray] | np.ndarray]]
+                   ) -> Iterator[list[SpdMatrix | np.ndarray]]:
+    """The draws of a sampled suite as stacks, one dimension at a time.
 
     Each sample is a fixed sequence of real draws of one dimension: a
     :func:`draw_spd` result (a Gaussian block and a spectrum), or a lone
-    block (a Gaussian block, or the entries of a drawn matrix).  A group
-    keeps its draws as raw float64 bytes, not as arrays: a thousand samples
-    would otherwise hold thousands of small arrays.
+    block (a Gaussian block, or the entries of a drawn matrix).  For each
+    dimension, in order of first appearance, this gives one stack per
+    position in the sample, its samples in sample order: an
+    :class:`SpdMatrix` over ``(k, n, n)`` built by :func:`build_spd` from
+    the :func:`draw_spd` results there, or the ``(k, n, n)`` lone blocks.
     """
-
-    def __init__(self) -> None:
-        self._groups: dict[int, bytearray] = {}
-        self._spd_at: list[bool] = []
-
-    def add(self, draws: Sequence[tuple[np.ndarray, np.ndarray] | np.ndarray]) -> None:
-        self._spd_at = [isinstance(draw, tuple) for draw in draws]
-        first = draws[0][0] if self._spd_at[0] else draws[0]
-        group = self._groups.setdefault(first.shape[-1], bytearray())
-        for draw in draws:
-            for part in draw if isinstance(draw, tuple) else (draw,):
-                group += part.tobytes()
-
-    def stacks(self) -> Iterator[list[SpdMatrix | np.ndarray]]:
-        """For each dimension, in order of first appearance, one stack per
-        position in the sample: an :class:`SpdMatrix` over ``(k, n, n)``
-        built from the :func:`draw_spd` results there, or the ``(k, n, n)``
-        lone blocks."""
-        for dim, group in self._groups.items():
-            width = sum(dim * dim + dim if spd else dim * dim for spd in self._spd_at)
-            rows = np.frombuffer(group).reshape(-1, width)
-            stacks = []
-            start = 0
-            for spd in self._spd_at:
-                block = rows[:, start : start + dim * dim].reshape(-1, dim, dim)
-                start += dim * dim
-                if spd:
-                    stacks.append(build_spd(block, rows[:, start : start + dim]))
-                    start += dim
-                else:
-                    stacks.append(block)
-            yield stacks
+    groups: dict[int, list] = {}
+    for draws in samples:
+        first = draws[0][0] if isinstance(draws[0], tuple) else draws[0]
+        groups.setdefault(first.shape[-1], []).append(draws)
+    for group in groups.values():
+        yield [build_spd(*map(np.stack, zip(*column))) if isinstance(column[0], tuple)
+               else np.stack(column) for column in zip(*group)]
 
 
 def _triangle_check(result: SuiteResult, label: str, kind: DistanceKind,
@@ -258,14 +237,14 @@ def counterexamples_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
                     D4_TRIANGLE_TRIPLE, D4_TRIANGLE_REFERENCE)
 
     rng = make_rng(seed)
-    triples = _DrawsByDim()
+    triples = []
     for _ in range(samples):
         dim = int(rng.integers(2, 5))
-        triples.add([draw_spd(rng, dim, cond=50.0) for _ in range(3)])
+        triples.append([draw_spd(rng, dim, cond=50.0) for _ in range(3)])
     violations = [
         distances.distance(kind, a, b) - distances.distance(kind, a, c)
         - distances.distance(kind, c, b)
-        for a, b, c in triples.stacks()
+        for a, b, c in _stacks_by_dim(triples)
         for kind in (DistanceKind.D1, DistanceKind.D2)
     ]
     result.at_most("d1-d2-triangle-holds", violations, 1e-10,
@@ -296,13 +275,13 @@ def trace_chain_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     """Weak monotonicity of the four mean traces and of the squared distances."""
     result = SuiteResult("trace-chain")
     rng = make_rng(seed)
-    pairs = _DrawsByDim()
+    pairs = []
     for _ in range(samples):
         dim = int(rng.integers(2, 7))
         cond = 10.0 ** rng.uniform(0.0, 4.0)
-        pairs.add([draw_spd(rng, dim, cond=cond), draw_spd(rng, dim, cond=cond)])
+        pairs.append([draw_spd(rng, dim, cond=cond), draw_spd(rng, dim, cond=cond)])
     chain_gaps, order_gaps = [], []
-    for a, b in pairs.stacks():
+    for a, b in _stacks_by_dim(pairs):
         chain = distances.trace_chain(a, b)
         chain_gaps.append(np.diff(chain, axis=0))
         order_gaps.append(-np.diff(distances.chain_divergences(a, b, chain), axis=0))
@@ -319,16 +298,16 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     rng = make_rng(seed)
     n_points = max(20, samples // 10)
 
-    def draw_points() -> _DrawsByDim:
+    def draw_points() -> Iterator[list[SpdMatrix | np.ndarray]]:
         # one SPD base point and one Hermitian direction per sample
-        points = _DrawsByDim()
+        points = []
         for _ in range(n_points):
             dim = int(rng.integers(2, 5))
-            points.add([draw_spd(rng, dim, cond=20.0), rng.standard_normal((dim, dim))])
-        return points
+            points.append([draw_spd(rng, dim, cond=20.0), rng.standard_normal((dim, dim))])
+        return _stacks_by_dim(points)
 
     diag, grad3, grad4, hessian = [], [], [], []
-    for a, gaussian in draw_points().stacks():
+    for a, gaussian in draw_points():
         y = hermitian_part(gaussian)
         for kind in (DistanceKind.D3, DistanceKind.D4):
             diag.append(distances.divergence(kind, a, a))
@@ -356,7 +335,7 @@ def divergence_axioms_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
                    f"max relative Hessian error over {n_points} pairs: ")
 
     frechet_errors = []
-    for x, gaussian in draw_points().stacks():
+    for x, gaussian in draw_points():
         y = hermitian_part(gaussian)
         for name, approx in calculus.fd_frechet(x, y).items():
             exact = calculus.frechet(name, x, y).entries
@@ -499,13 +478,13 @@ def d4_guess_suite(seed: int = 42, samples: int = 1000) -> SuiteResult:
     n_pairs = max(10, samples // 10)
     w2 = WeightVector.uniform(2)
 
-    pairs = _DrawsByDim()
+    pairs = []
     for _ in range(n_pairs):
         dim = int(rng.integers(2, 5))
-        pairs.add(_noncommuting_pair_entries(rng, dim))
+        pairs.append(_noncommuting_pair_entries(rng, dim))
     closed = {barycentre.WASSERSTEIN: [], barycentre.PowerMean(0.5): []}
     refuted = []
-    for entries in pairs.stacks():
+    for entries in _stacks_by_dim(pairs):
         a, b = (_spd_stack(block) for block in entries)
         for kind, residuals in closed.items():
             x = barycentre.closed_form_m2(kind, a, b)

@@ -1,5 +1,6 @@
-"""A 50-digit reference for the four Hellinger-type squared distances and
-the means they are built from, computed with mpmath.
+"""A 50-digit reference for the four Hellinger-type squared distances, the
+means they are built from, the two-point barycentres and the tracial
+Bregman divergences, computed with mpmath.
 
 Every function takes binary64 numpy arrays, real or complex Hermitian,
 and reads their entries exactly.  Spectral functions come from one
@@ -101,6 +102,45 @@ def log_euclidean_mean(a, b) -> np.ndarray:
     """``exp((log A + log B) / 2)``, rounded to binary64."""
     mean = _log_euclidean_mean(_Eigensystem(_matrix(a)), _Eigensystem(_matrix(b)))
     return _to_numpy(mean, np.iscomplexobj(a) or np.iscomplexobj(b))
+
+
+@_at_working_precision
+def two_point_barycentre(kind: str, a, b) -> np.ndarray:
+    """The equal-weight barycentre of ``(A, B)``, rounded to binary64:
+    ``(A + B + (AB)^{1/2} + (BA)^{1/2}) / 4`` for ``"wasserstein"`` and
+    ``(A + B + 2 A # B) / 4`` for ``"power-half"``, with
+    ``(AB)^{1/2} = A^{1/2} (A^{1/2} B A^{1/2})^{1/2} A^{-1/2}`` and
+    ``(BA)^{1/2}`` its adjoint."""
+    ma, mb = _matrix(a), _matrix(b)
+    eig_a = _Eigensystem(ma)
+    root_a, inv_root_a = eig_a.apply(mp.sqrt), eig_a.apply(lambda x: 1 / mp.sqrt(x))
+    if kind == "wasserstein":
+        cross = root_a * _Eigensystem(root_a * mb * root_a).apply(mp.sqrt) * inv_root_a
+        cross = cross + cross.H
+    else:
+        cross = 2 * _geometric_mean(root_a, inv_root_a, mb)
+    return _to_numpy((ma + mb + cross) / 4, np.iscomplexobj(a) or np.iscomplexobj(b))
+
+
+#: The mother functions of :func:`bregman`, ``psi`` and ``psi'``, keyed by
+#: the library's names for them.
+_MOTHERS = {
+    "entropy": (lambda x: x * mp.log(x) - x, mp.log),
+    "square": (lambda x: x * x / 2, lambda x: x),
+    "power_1.5": (lambda x: x * mp.sqrt(x), lambda x: 3 * mp.sqrt(x) / 2),
+}
+
+
+@_at_working_precision
+def bregman(name: str, a, b) -> mp.mpf:
+    """The tracial Bregman divergence ``tr psi(A) - tr psi(B) -
+    tr psi'(B)(A - B)`` of the mother function ``name`` (``"entropy"``,
+    ``"square"`` or ``"power_1.5"``), as a 50-digit number."""
+    psi, dpsi = _MOTHERS[name]
+    ma, mb = _matrix(a), _matrix(b)
+    eig_a, eig_b = _Eigensystem(ma), _Eigensystem(mb)
+    return (sum(psi(x) for x in eig_a.values) - sum(psi(x) for x in eig_b.values)
+            - _trace(eig_b.apply(dpsi) * (ma - mb)))
 
 
 @_at_working_precision

@@ -23,13 +23,30 @@ from helmat.barycentre import (
     refute_d4_guess,
     solve,
 )
-from helmat.calculus import fd_directional, grad_phi3
+from helmat.calculus import fd_directional, frechet_geometric, grad_phi3
 from helmat.cli import EXIT_OK, run
-from helmat.distances import DistanceKind
-from helmat.errors import DimensionMismatchError, UnsupportedObjectiveError
-from helmat.linalg import SpdMatrix, congruence, frobenius_norm, hermitian_part
+from helmat.distances import DistanceKind, distance, trace_chain
+from helmat.errors import (
+    DimensionMismatchError,
+    SpectralDomainError,
+    UnsupportedObjectiveError,
+)
+from helmat.linalg import (
+    SpdMatrix,
+    _hermitian_stack,
+    congruence,
+    frobenius_norm,
+    hermitian_part,
+    product_sqrt,
+)
 from helmat.matio import matrix_to_payload
-from helmat.means import WeightVector, arithmetic_mean, geometric_mean, q_half
+from helmat.means import (
+    WeightVector,
+    arithmetic_mean,
+    geometric_mean,
+    geometric_mean_entries,
+    q_half,
+)
 from helmat.sampling import make_rng, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE, _noncommuting_pair_entries
 
@@ -371,6 +388,59 @@ def test_solve_power_half_m2_closed_form():
     assert report.converged
     reference = (a.entries + b.entries + 2.0 * geometric_mean(a, b).entries) / 4.0
     assert frobenius_norm(x.entries - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
+#: A valid pair whose inner congruences A^{-1/2} B A^{-1/2} and
+#: A^{1/2} (1.5 A) A^{1/2} have condition number 1e12: each input passes the
+#: SPD threshold, but the congruences would not.
+WIDE = np.array([1e-3, 1.0, 1e3])
+WIDE_PAIRS = {"reversed": (WIDE, WIDE[::-1]), "scaled": (WIDE, 1.5 * WIDE)}
+
+
+def _wide_pair(name):
+    return tuple(SpdMatrix(np.diag(d)) for d in WIDE_PAIRS[name])
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+def test_distances_of_a_pair_with_an_ill_conditioned_congruence(kind):
+    # commuting, so each d^2 is sum (sqrt a_i - sqrt b_i)^2 = 1996.002
+    a, b = _wide_pair("reversed")
+    assert distance(kind, a, b) ** 2 == pytest.approx(1996.002, rel=1e-12)
+
+
+@pytest.mark.parametrize("pair", WIDE_PAIRS)
+def test_means_and_derivatives_of_a_pair_with_an_ill_conditioned_congruence(pair):
+    a, b = _wide_pair(pair)
+    da, db = WIDE_PAIRS[pair]
+    assert_allclose(geometric_mean(a, b).entries, np.diag(np.sqrt(da * db)), rtol=1e-12)
+    expected = np.sum(np.sqrt(da * db))
+    assert_allclose(trace_chain(a, b), [expected, expected, expected, expected], rtol=1e-12)
+    assert_allclose(grad_phi3(a, b).entries, np.diag(1.0 - np.sqrt(da / db)),
+                    rtol=1e-12, atol=1e-12)
+    assert_allclose(frechet_geometric(a, b, np.eye(3)).entries,
+                    np.diag(0.5 * np.sqrt(da / db)), rtol=1e-12)
+    closed = np.diag(((np.sqrt(da) + np.sqrt(db)) / 2.0) ** 2)
+    for kind in (WASSERSTEIN, PowerMean(0.5)):
+        assert_allclose(closed_form_m2(kind, a, b).entries, closed, rtol=1e-12)
+    assert_allclose(mean_map(WASSERSTEIN, a, b).entries, np.diag(np.sqrt(da * db)),
+                    rtol=1e-12)
+    x, report = solve(WASSERSTEIN, [a, b], WeightVector.uniform(2))
+    assert report.converged
+    assert frobenius_norm(x.entries - closed) <= 1e-12 * np.linalg.norm(closed)
+
+
+def test_a_negative_eigenvalue_of_the_inner_congruence_raises():
+    # built without the SPD check: no valid input gets a congruence this far
+    # below zero, but roundoff must not hide one that does
+    a = SpdMatrix(np.eye(3))
+    bad = _hermitian_stack(np.diag([1.0, -1.0, 2.0]), SpdMatrix)
+    for call in (lambda: geometric_mean_entries(a, bad, 0.5),
+                 lambda: frechet_geometric(a, bad, np.eye(3)),
+                 lambda: grad_phi3(a, bad),
+                 lambda: WASSERSTEIN._mean(a, bad),
+                 lambda: product_sqrt(a, bad)):
+        with pytest.raises(SpectralDomainError, match="-1.0"):
+            call()
 
 
 def test_solve_complex_family():

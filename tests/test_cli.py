@@ -269,6 +269,17 @@ def test_bary_nonconvergence_exit_code(capsys, matrix_files):
     assert "DID NOT CONVERGE" in err
 
 
+def test_bary_wasserstein_of_a_pair_with_an_ill_conditioned_congruence(capsys, tmp_path):
+    # A^{1/2} B A^{1/2} has condition 1e12, above the SPD threshold of an
+    # input; A and B themselves are valid
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path, scale in zip(paths, (1.0, 1.5)):
+        write_matrix_file(path, np.diag(scale * np.array([1e-3, 1.0, 1e3])))
+    code, report, err = run_cli(capsys, ["bary", "wasserstein", *map(str, paths)])
+    assert code == EXIT_OK, err
+    assert report["solver"]["converged"] is True
+
+
 def test_verify_counterexamples_passes(capsys):
     code, report, err = run_cli(
         capsys, ["verify", "counterexamples", "--samples", "50"]

@@ -13,7 +13,14 @@ from helmat import barycentre, calculus, distances, legendre_cex, means, suites
 from helmat.distances import DistanceKind
 from helmat.linalg import SpdMatrix, frobenius_norm, sqrt_entries
 from helmat.means import WeightVector
-from helmat.sampling import _haar_basis, make_rng, random_hermitian, random_spd
+from helmat.sampling import (
+    _haar_basis,
+    build_spd,
+    draw_spd,
+    make_rng,
+    random_hermitian,
+    random_spd,
+)
 
 
 def _reference_counterexamples(seed, samples):
@@ -440,6 +447,28 @@ def test_unitary_minimum_row_counts_the_unitaries_that_beat_the_polar_factor(mon
     row = _row(suites.counterexamples_suite(42, 1), "d2-unitary-minimum")
     assert not row.passed
     assert row.detail.endswith("; 500 of 500 random unitaries beat the polar factor")
+
+
+@pytest.mark.parametrize("spd_first", [True, False], ids=["spd-block", "block-spd"])
+def test_stacks_by_dim_groups_the_samples_in_order(spd_first):
+    rng = make_rng(5)
+    dims = [3, 2, 3, 4, 2, 3]
+    samples = []
+    for dim in dims:
+        draws = [draw_spd(rng, dim), rng.standard_normal((dim, dim))]
+        samples.append(draws if spd_first else draws[::-1])
+    spd_at = 0 if spd_first else 1
+    stacks = list(suites._stacks_by_dim(samples))
+    # dimensions in order of first appearance, each with its samples in order
+    assert [stack[1 - spd_at].shape for stack in stacks] == [(3, 3, 3), (2, 2, 2), (1, 4, 4)]
+    for stack, dim in zip(stacks, (3, 2, 4)):
+        group = [sample for sample, d in zip(samples, dims) if d == dim]
+        expected = build_spd(*(np.stack([sample[spd_at][i] for sample in group])
+                               for i in (0, 1)))
+        assert isinstance(stack[spd_at], SpdMatrix)
+        assert stack[spd_at].entries.tobytes() == expected.entries.tobytes()
+        blocks = np.stack([sample[1 - spd_at] for sample in group])
+        assert stack[1 - spd_at].tobytes() == blocks.tobytes()
 
 
 def test_fold_reports_a_negative_extreme():
