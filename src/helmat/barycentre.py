@@ -63,14 +63,14 @@ from .distances import DistanceKind, divergence
 from .linalg import (
     SpdMatrix,
     _adjoint,
+    _congruence,
     _frobenius_norms,
-    _hermitian_stack,
     _per_matrix,
     _require_same_dim,
     _spd_stack,
+    apply_spectral,
     product_sqrt,
     sqrt_entries,
-    sqrtm,
 )
 from .means import (
     WeightVector,
@@ -122,8 +122,7 @@ class Wasserstein(MeanKind):
     distance = DistanceKind.D2
 
     def _mean(self, x: SpdMatrix, a: SpdMatrix) -> np.ndarray:
-        root = sqrt_entries(x)
-        return sqrtm(_hermitian_stack(root @ a.entries @ root)).entries
+        return apply_spectral(np.sqrt, _congruence(sqrt_entries(x), a)).entries
 
     def _closed_form(self, a: SpdMatrix, b: SpdMatrix) -> SpdMatrix:
         cross = product_sqrt(a, b)

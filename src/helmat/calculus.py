@@ -42,6 +42,7 @@ from .linalg import (
     _adjoint,
     _as_stack,
     _check_defined,
+    _congruence,
     _frobenius_norms,
     _hermitian_stack,
     _per_matrix,
@@ -158,9 +159,9 @@ def frechet_geometric(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMat
     yarr = as_array(y)
     _require_same_dim(a.dim, x.dim, len(yarr))
     root, inv_root = sqrt_pair_entries(a)
-    middle = _hermitian_stack(inv_root @ x.entries @ inv_root)
     pushed = hermitian_part(inv_root @ yarr @ inv_root)
-    return _hermitian_stack(root @ _daleckii_krein("sqrt", middle.eig(), pushed) @ root)
+    derivative = _daleckii_krein("sqrt", _congruence(inv_root, x).eig(), pushed)
+    return _hermitian_stack(root @ derivative @ root)
 
 
 def frechet_geometric_quadrature(a: SpdMatrix, x: SpdMatrix, y: MatrixLike) -> HermitianMatrix:
@@ -199,10 +200,9 @@ def grad_phi3(a: SpdMatrix, x: SpdMatrix) -> HermitianMatrix:
     to ``diag(1 - sqrt(a_i / x_i))``.  Stacks ``A`` and ``X`` of one shape
     give one gradient per pair.
     """
-    _require_same_dim(a.dim, x.dim)
     _, inv_root = sqrt_pair_entries(a)
-    middle = _hermitian_stack(inv_root @ x.entries @ inv_root)
-    pulled = inv_root @ _daleckii_krein("sqrt", middle.eig(), a.entries) @ inv_root
+    derivative = _daleckii_krein("sqrt", _congruence(inv_root, x).eig(), a.entries)
+    pulled = inv_root @ derivative @ inv_root
     return _hermitian_stack(np.eye(a.dim) - 2.0 * pulled)
 
 

@@ -15,9 +15,11 @@ one matrix or a stack ``(..., n, n)``: they take the exact Hermitian part
 themselves, so no defect is scanned for, check that the entries are finite
 and, for SPD values, run the checked eigensolve and the threshold.  The
 inner congruence of two SPD values (``A^{-1/2} B A^{-1/2}`` or
-``A^{1/2} B A^{1/2}``) is built by :func:`_hermitian_stack`: its condition
-number can be the product of theirs, so the threshold would reject it for
-a valid pair, and the map applied to it rejects a negative eigenvalue.
+``A^{1/2} B A^{1/2}``) is built once, by :func:`_congruence`, as a
+Hermitian value: its condition number can be the product of theirs, so the
+threshold would reject it for a valid pair.  One rule, :func:`_floored`,
+reads its negative eigenvalues down to ``-1e-10`` times its spectral radius
+as zero (roundoff) and raises below that.
 Spectral results ``V f(Lambda) V*`` are checked on ``f(Lambda)`` instead of
 by an eigensolve (see :class:`SpdMatrix`).
 
@@ -549,6 +551,59 @@ def sqrt_pair_entries(a: SpdMatrix) -> tuple[np.ndarray, np.ndarray]:
     return _memoized(a, _root), _memoized(a, _inverse_root)
 
 
+#: Negative eigenvalue of an inner congruence, relative to its spectral
+#: radius, down to which :func:`_floored` takes it for roundoff.
+_CONGRUENCE_RTOL = 1e-10
+
+
+def _floored(spectrum: np.ndarray) -> np.ndarray:
+    """The one roundoff rule for the spectra (ascending along the last axis)
+    of an inner congruence ``K B K*`` of an SPD ``B``: such a matrix is
+    positive semidefinite, so an eigenvalue down to ``-_CONGRUENCE_RTOL``
+    times the spectral radius is roundoff and reads as zero.  A spectrum
+    with no negative eigenvalue is returned as it is.
+
+    Raises
+    ------
+    SpectralDomainError
+        On an eigenvalue below that, naming the first.
+    """
+    if _any(spectrum[..., 0] < 0.0):
+        radius = np.maximum.reduce(np.abs(spectrum), axis=-1, keepdims=True)
+        _check_defined(spectrum < -_CONGRUENCE_RTOL * radius, spectrum, "congruence has negative")
+        spectrum = np.maximum(spectrum, 0.0)
+    return spectrum
+
+
+class _Congruence(HermitianMatrix):
+    """An inner congruence as :func:`_congruence` builds it: its
+    eigensystem is the checked one (kept in the memo) with the spectrum
+    :func:`_floored`, so the maps applied to it never see a roundoff-negative
+    eigenvalue."""
+
+    __slots__ = ()
+
+    def eig(self) -> EigenDecomposition:
+        eig = super().eig()
+        return EigenDecomposition(_frozen(_floored(eig.eigenvalues)), eig.eigenvectors)
+
+
+def _congruence(k: np.ndarray, b: SpdMatrix) -> _Congruence:
+    """The one builder of the inner congruence ``K B K*`` of an SPD value
+    ``B``, for a Hermitian factor ``K`` (``A^{1/2}`` or ``A^{-1/2}`` of an
+    SPD ``A``; stacks give one per pair): a Hermitian value, not held to
+    the SPD threshold, since its condition number can be the product of
+    those of ``A`` and ``B``.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``K`` and ``B`` differ in dimension.
+    """
+    _require_same_dim(k.shape[-1], b.dim)
+    return _hermitian_stack(k @ b.entries @ k, _Congruence)
+
+
 def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     """Square root of the product ``AB`` with positive eigenvalues.
 
@@ -558,22 +613,17 @@ def product_sqrt(a: SpdMatrix, b: SpdMatrix) -> np.ndarray:
     is similar to ``(A^{1/2} B A^{1/2})^{1/2}`` and shares its eigenvalues.
     On stacks ``a`` and ``b`` it gives one root per pair.
 
-    ``A^{1/2} B A^{1/2}`` is built as a Hermitian value, not held to the
-    SPD threshold: its condition number can be the product of those of
-    ``A`` and ``B``, so it may fall below the threshold for a valid pair.
+    ``A^{1/2} B A^{1/2}`` is built by :func:`_congruence`.
 
     Raises
     ------
     SpectralDomainError
-        If ``A^{1/2} B A^{1/2}`` has a negative eigenvalue, which only
-        roundoff can give it.
+        If ``A^{1/2} B A^{1/2}`` has an eigenvalue below ``-1e-10`` times
+        its spectral radius; a negative eigenvalue above that is roundoff
+        and reads as zero (the rule of :func:`_floored`).
     """
-    _require_same_dim(a.dim, b.dim)
     root, inv_root = sqrt_pair_entries(a)
-    inner = _hermitian_stack(root @ b.entries @ root)
-    spectrum = inner.eig().eigenvalues
-    _check_defined(spectrum < 0.0, spectrum, "square root is undefined at")
-    return root @ sqrt_entries(inner) @ inv_root
+    return root @ sqrt_entries(_congruence(root, b)) @ inv_root
 
 
 def congruence(k: MatrixLike, a: SpdMatrix) -> SpdMatrix:

@@ -18,11 +18,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatchError, InternalConsistencyError
+from .errors import DimensionMismatchError
 from .linalg import (
     SpdMatrix,
-    _any,
-    _first_failure,
+    _congruence,
+    _floored,
     _hermitian_stack,
     _number_array,
     _per_matrix,
@@ -107,21 +107,18 @@ def geometric_mean_t(a: SpdMatrix, b: SpdMatrix, t: float) -> SpdMatrix:
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"geometric-mean parameter must lie in [0, 1], got {t}")
-    _require_same_dim(a.dim, b.dim)
     return _spd_stack(geometric_mean_entries(a, b, t))
 
 
 def geometric_mean_entries(a: SpdMatrix, b: SpdMatrix, t: float) -> np.ndarray:
     """Hermitian array of ``A #_t B`` for callers that need no validated
-    value, so no eigensolve checks it; ``t`` and dimensions are unchecked.
+    value, so no eigensolve checks it; ``t`` is unchecked.
 
-    ``A^{-1/2} B A^{-1/2}`` is built as a Hermitian value, not held to the
-    SPD threshold, since its condition number can be the product of those
-    of ``A`` and ``B``; a negative eigenvalue of it raises
-    :class:`~helmat.errors.SpectralDomainError` from the power map."""
+    ``A^{-1/2} B A^{-1/2}`` is built by :func:`~helmat.linalg._congruence`,
+    which checks the dimensions, and whose eigenvalues below the roundoff
+    floor raise :class:`~helmat.errors.SpectralDomainError`."""
     root, inv_root = sqrt_pair_entries(a)
-    middle = _hermitian_stack(inv_root @ b.entries @ inv_root)
-    powered = apply_spectral(lambda x: x**t, middle).entries
+    powered = apply_spectral(lambda x: x**t, _congruence(inv_root, b)).entries
     return hermitian_part(root @ powered @ root)
 
 
@@ -158,23 +155,14 @@ def fidelity(a: SpdMatrix, b: SpdMatrix) -> float | np.ndarray:
     ------
     HermitianError
         If an entry of ``A^{1/2} B A^{1/2}`` overflows.
-    InternalConsistencyError
+    SpectralDomainError
         If ``A^{1/2} B A^{1/2}`` has an eigenvalue below ``-1e-10`` times
-        its spectral radius: a congruence of an SPD matrix is SPD, so only
-        roundoff may push an eigenvalue below zero.
+        its spectral radius; a negative eigenvalue above that is roundoff
+        and reads as zero (the rule of :func:`~helmat.linalg._floored`).
     """
-    _require_same_dim(a.dim, b.dim)
-    root = sqrt_entries(a)
-    inner = root @ b.entries @ root
-    lam = np.linalg.eigvalsh(_hermitian_stack(inner).entries)
-    bad = lam[..., 0] < -1e-10 * np.maximum.reduce(np.abs(lam), axis=-1)
-    if _any(bad):
-        index, where = _first_failure(bad)
-        raise InternalConsistencyError(
-            f"{where}congruence of an SPD matrix produced eigenvalue {lam[index][0]:.3e}"
-        )
-    # eigenvalues can round to ~ -1e-16 when the inputs are nearly singular
-    return _per_matrix(np.sqrt(np.clip(lam, 0.0, None)).sum(axis=-1))
+    # the spectrum alone, with no reconstruction check: only a trace is needed
+    lam = np.linalg.eigvalsh(_congruence(sqrt_entries(a), b).entries)
+    return _per_matrix(np.sqrt(_floored(lam)).sum(axis=-1))
 
 
 def q_half(mats: Sequence[SpdMatrix], w: WeightVector) -> SpdMatrix:

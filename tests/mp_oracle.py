@@ -167,6 +167,116 @@ def divergences(a, b) -> dict[str, mp.mpf]:
     return {kind: total - 2 * _trace(mean) for kind, mean in means.items()}
 
 
+def _mean_terms(kind: str, eig_x: _Eigensystem, family: list) -> list:
+    """``G(X, A_j)`` of a barycentre kind for each ``A_j`` of ``family``:
+    ``(X^{1/2} A X^{1/2})^{1/2}`` for ``"wasserstein"``, ``X #_t A`` for
+    ``"power-<t>"``, and ``exp((log X + log A)/2)`` for ``"log-euclidean"``,
+    whose ``family`` holds the ``log A_j`` instead."""
+    if kind == "wasserstein":
+        root = eig_x.apply(mp.sqrt)
+        return [_Eigensystem(root * a * root).apply(mp.sqrt) for a in family]
+    if kind == "log-euclidean":
+        log_x = eig_x.apply(mp.log)
+        return [_Eigensystem((log_x + log_a) / 2).apply(mp.exp) for log_a in family]
+    t = mp.mpf(float(kind.removeprefix("power-")))
+    root, inv_root = eig_x.apply(mp.sqrt), eig_x.apply(lambda x: 1 / mp.sqrt(x))
+    return [root * _Eigensystem(inv_root * a * inv_root).apply(lambda x: x**t) * root
+            for a in family]
+
+
+def _coordinates(m: mp.matrix, as_complex: bool) -> mp.matrix:
+    """The real coordinates of a Hermitian ``m``, as one column: the
+    diagonal, then the real parts (and, for complex ``m``, the imaginary
+    parts) of the entries above it."""
+    n = m.rows
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    parts = [mp.re(m[i, i]) for i in range(n)] + [mp.re(m[i, j]) for i, j in upper]
+    if as_complex:
+        parts += [mp.im(m[i, j]) for i, j in upper]
+    return mp.matrix(parts)
+
+
+def _from_coordinates(column: mp.matrix, n: int, as_complex: bool) -> mp.matrix:
+    """The Hermitian n-by-n matrix whose :func:`_coordinates` are ``column``."""
+    upper = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = mp.diag([column[i] for i in range(n)])
+    for k, (i, j) in enumerate(upper):
+        m[i, j] = column[n + k] + (1j * column[n + len(upper) + k] if as_complex else 0)
+        m[j, i] = mp.conj(m[i, j])
+    return m
+
+
+#: Steps :func:`picard_solve` takes before it gives up: the mixing converges
+#: in about as many steps as its memory (at most 9 for d <= 3), and a restart
+#: begins that count again, so 60 leaves room for several restarts.
+_PICARD_STEPS = 60
+
+
+@_at_working_precision
+def picard_solve(kind: str, mats, weights, start) -> np.ndarray:
+    """The fixed point of ``X = sum_j w_j G(X, A_j)`` (see :func:`_mean_terms`
+    for ``kind``), rounded to binary64.  The weights are taken as given, not
+    normalised again, so the equation is the one the library solves.
+
+    The iteration starts from ``start`` (the library's answer, so few steps
+    are needed) and mixes the Picard images by Anderson acceleration over up
+    to as many earlier steps as the matrix has real degrees of freedom: near
+    the fixed point the map is almost linear, and the mixing then converges
+    in about that many steps.  A mixed iterate that is not positive definite
+    or does not lower the residual is replaced by its Picard image, and the
+    history restarts.  It stops when ``||X - T(X)||_F <= 1e-30 ||X||_F``; for
+    these contractive maps the fixed point is within a small multiple of
+    that of ``X``, far below the rounding to binary64."""
+    n = np.shape(start)[-1]
+    as_complex = any(np.iscomplexobj(a) for a in (start, *mats))
+    memory = n * n if as_complex else n * (n + 1) // 2
+    family = [_matrix(a) for a in mats]
+    if kind == "log-euclidean":
+        family = [_Eigensystem(a).apply(mp.log) for a in family]
+    w = [mp.mpf(float(wj)) for wj in weights]
+
+    def picard(x):
+        """``x``, ``x - T(x)`` and the relative residual."""
+        eig_x = _Eigensystem(x)
+        if min(eig_x.values) <= 0:
+            return x, None, mp.inf
+        image = sum((wj * g for wj, g in zip(w, _mean_terms(kind, eig_x, family))),
+                    mp.zeros(n, n))
+        gap = x - (image + image.H) / 2
+        return x, gap, mp.mnorm(gap, "f") / mp.mnorm(x, "f")
+
+    x, gap, residual = picard(_matrix(start))
+    steps, diffs = [], []
+    for _ in range(_PICARD_STEPS):
+        if residual <= mp.mpf(10) ** -30:
+            return _to_numpy(x, as_complex)
+        mixed = None
+        if steps:
+            diff_matrix = mp.matrix([list(c) for c in diffs]).T
+            # unit columns: mpmath's Householder QR calls a column of norm
+            # below its epsilon singular, however well conditioned
+            scales = [mp.norm(c) for c in diffs]
+            target = _coordinates(gap, as_complex)
+            try:
+                unit = mp.qr_solve(diff_matrix * mp.diag([1 / c for c in scales]),
+                                   target / mp.norm(target))[0]
+            except (ValueError, ZeroDivisionError):  # singular, or an exact zero pivot
+                unit = None
+            if unit is not None:
+                gamma = mp.matrix([u * mp.norm(target) / c for u, c in zip(unit, scales)])
+                update = (mp.matrix([list(c) for c in steps]).T - diff_matrix) * gamma
+                mixed = picard(_from_coordinates(
+                    _coordinates(x - gap, as_complex) - update, n, as_complex))
+            if mixed is None or not mixed[2] < residual:
+                mixed, steps, diffs = None, [], []
+        if mixed is None:
+            mixed = picard(x - gap)
+        steps = [*steps, _coordinates(mixed[0] - x, as_complex)][-memory:]
+        diffs = [*diffs, _coordinates(mixed[1] - gap, as_complex)][-memory:]
+        x, gap, residual = mixed
+    raise ArithmeticError(f"{kind} Picard solve left residual {float(residual):.3e}")
+
+
 @_at_working_precision
 def relative_error(value: float, truth: mp.mpf) -> float:
     """``|value - truth| / |truth|``, formed at working precision."""

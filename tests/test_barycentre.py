@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from helmat.barycentre import (
 )
 from helmat.calculus import fd_directional, frechet_geometric, grad_phi3
 from helmat.cli import EXIT_OK, run
-from helmat.distances import DistanceKind, distance, trace_chain
+from helmat.distances import DistanceKind, distance, divergence, trace_chain
 from helmat.errors import (
     DimensionMismatchError,
     SpectralDomainError,
@@ -43,12 +44,15 @@ from helmat.matio import matrix_to_payload
 from helmat.means import (
     WeightVector,
     arithmetic_mean,
+    fidelity,
     geometric_mean,
     geometric_mean_entries,
     q_half,
 )
-from helmat.sampling import make_rng, random_spd
+from helmat.sampling import _haar_basis, make_rng, random_spd
 from helmat.suites import D3_TRIANGLE_TRIPLE, _noncommuting_pair_entries
+
+import mp_oracle
 
 ALL_KINDS = (WASSERSTEIN, PowerMean(0.5), LOG_EUCLIDEAN)
 
@@ -208,18 +212,23 @@ def test_mixing_on_a_2x2_pair_with_a_singular_gram_system():
         assert fixed_point_residual(kind, x, [a, b], w) <= 1e-12
 
 
-def _census_family(seed):
-    """One family of the hard-family census: its dimension, size, condition
-    number, field and damping are drawn from ``seed``, then its matrices and
-    weights; returns the family, the raw weights and the solver
-    configuration."""
-    rng = make_rng(seed)
-    dim, m = rng.integers(2, 13), rng.integers(2, 9)
-    cond = 10 ** rng.uniform(1, 6)
-    complex_entries = bool(rng.integers(2))
-    damping = (1.0, 0.5)[rng.integers(2)]
-    mats = [random_spd(rng, dim, cond=cond, complex_entries=complex_entries) for _ in range(m)]
-    return mats, rng.uniform(0.1, 3.0, m), SolverConfig(damping=damping)
+_CENSUS_TOOL = Path(__file__).resolve().parents[1] / "tools" / "census.py"
+_spec = importlib.util.spec_from_file_location("census", _CENSUS_TOOL)
+census = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(census)
+
+
+@pytest.mark.parametrize("seed, drawn", [
+    (102425, (2, 3, False, 0.5, "54d6e094b30dfecb")),
+    (200824, (5, 3, True, 1.0, "e249cf2cd7c622f3")),
+], ids=["seed-102425", "seed-200824"])
+def test_census_draws_are_pinned(seed, drawn):
+    # the census tool's recipe: dimension, size, field, damping and a digest
+    # of the matrices and raw weights
+    mats, weights, cfg = census.draw_family(seed)
+    digest = hashlib.sha256(b"".join(a.entries.tobytes() for a in mats) + weights.tobytes())
+    assert (mats[0].dim, len(mats), mats[0].entries.dtype.kind == "c", cfg.damping,
+            digest.hexdigest()[:16]) == drawn
 
 
 @pytest.mark.parametrize("seed, kind", [(201367, PowerMean(0.1)), (200824, WASSERSTEIN)],
@@ -227,7 +236,7 @@ def _census_family(seed):
 def test_hard_families_converge(seed, kind):
     # ill-conditioned families (cond 9.9e4 and 9.1e5) on which halving the
     # Picard step after five growing residuals stalled the solve at 500 steps
-    mats, weights, cfg = _census_family(seed)
+    mats, weights, cfg = census.draw_family(seed)
     w = WeightVector(weights)
     x, report = solve(kind, mats, w, cfg)
     assert report.converged and report.bracket_ok
@@ -241,7 +250,7 @@ def test_hard_families_converge(seed, kind):
 
 
 def test_hard_family_converges_from_the_cli(capsys, tmp_path):
-    mats, weights, _ = _census_family(201367)
+    mats, weights, _ = census.draw_family(201367)
     files = [str(tmp_path / f"a{j}.json") for j in range(len(mats))]
     for path, a in zip(files, mats):
         Path(path).write_text(json.dumps(matrix_to_payload(a.entries)))
@@ -429,18 +438,90 @@ def test_means_and_derivatives_of_a_pair_with_an_ill_conditioned_congruence(pair
     assert frobenius_norm(x.entries - closed) <= 1e-12 * np.linalg.norm(closed)
 
 
+def _inner_congruence_sites(a, b):
+    """Each call that forms an inner congruence of ``(a, b)``, by name."""
+    return {
+        "geometric_mean_entries": lambda: geometric_mean_entries(a, b, 0.5),
+        "frechet_geometric": lambda: frechet_geometric(a, b, np.eye(3)),
+        "grad_phi3": lambda: grad_phi3(a, b),
+        "wasserstein_mean": lambda: WASSERSTEIN._mean(a, b),
+        "product_sqrt": lambda: product_sqrt(a, b),
+        "fidelity": lambda: fidelity(a, b),
+    }
+
+
 def test_a_negative_eigenvalue_of_the_inner_congruence_raises():
     # built without the SPD check: no valid input gets a congruence this far
-    # below zero, but roundoff must not hide one that does
+    # below zero, but roundoff must not hide one that does, at any scale
     a = SpdMatrix(np.eye(3))
-    bad = _hermitian_stack(np.diag([1.0, -1.0, 2.0]), SpdMatrix)
-    for call in (lambda: geometric_mean_entries(a, bad, 0.5),
-                 lambda: frechet_geometric(a, bad, np.eye(3)),
-                 lambda: grad_phi3(a, bad),
-                 lambda: WASSERSTEIN._mean(a, bad),
-                 lambda: product_sqrt(a, bad)):
-        with pytest.raises(SpectralDomainError, match="-1.0"):
-            call()
+    for scale in (1e-12, 1.0, 1e12):
+        bad = _hermitian_stack(scale * np.diag([1.0, -1.0, 2.0]), SpdMatrix)
+        for call in _inner_congruence_sites(a, bad).values():
+            with pytest.raises(SpectralDomainError, match=f"negative eigenvalue {-scale!r}$"):
+                call()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_a_roundoff_negative_eigenvalue_of_the_inner_congruence_reads_as_zero(scale):
+    # -1e-13 is roundoff against the spectral radius 2 at every scale
+    a = SpdMatrix(np.eye(3))
+    b = _hermitian_stack(scale * np.diag([1.0, -1e-13, 2.0]), SpdMatrix)
+    sites = _inner_congruence_sites(a, b)
+    root = np.diag(np.sqrt(scale * np.array([1.0, 0.0, 2.0])))
+    assert np.array_equal(geometric_mean_entries(a, b, 0.5), root)
+    assert np.array_equal(WASSERSTEIN._mean(a, b), root)
+    assert np.array_equal(product_sqrt(a, b), root)
+    assert fidelity(a, b) == np.trace(root)
+    # the square root's derivative is infinite at the zero the floor leaves
+    for name in ("frechet_geometric", "grad_phi3"):
+        with pytest.raises(SpectralDomainError, match="undefined near eigenvalue 0.0$"):
+            sites[name]()
+
+
+def _probe_pairs(count=200):
+    """Valid pairs ``A = Q diag(1e-5, 1, 1e5) Q*``, ``B = R diag(1e5, 1,
+    1e-5) R*`` with complex Haar ``Q``, ``R``: each input has condition
+    1e10, and ``A^{-1/2} B A^{-1/2}`` about 1e20, so roundoff gives it
+    negative eigenvalues far below the SPD threshold."""
+    rng = make_rng(3)
+    pairs = []
+    for _ in range(count):
+        q, r = (_haar_basis(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+                for _ in range(2))
+        a = (q * np.array([1e-5, 1.0, 1e5])) @ q.conj().T
+        b = (r * np.array([1e5, 1.0, 1e-5])) @ r.conj().T
+        pairs.append((SpdMatrix(hermitian_part(a)), SpdMatrix(hermitian_part(b))))
+    return pairs
+
+
+def test_d3_and_the_half_power_closed_form_of_wide_pairs_never_raise():
+    for a, b in _probe_pairs():
+        distance(DistanceKind.D3, a, b)
+        closed_form_m2(PowerMean(0.5), a, b)
+
+
+def test_d3_and_the_half_power_closed_form_of_wide_pairs_against_the_oracle():
+    # worst relative errors on these pairs 1.10e-3 and 1.51e-3, while
+    # perturbing both inputs by a relative 1.1e-16 moves the 50-digit values
+    # by at most 1.3e-11: the digits are lost by the congruence formula
+    # (A^{-1/2} B A^{-1/2} has condition ~1e20), not by the inputs; a form
+    # that avoids it is ROADMAP item 2
+    for a, b in _probe_pairs(10):
+        value = divergence(DistanceKind.D3, a, b)
+        truth = mp_oracle.divergences(a.entries, b.entries)["d3"]
+        assert mp_oracle.relative_error(value, truth) <= 2e-3
+        closed = closed_form_m2(PowerMean(0.5), a, b).entries
+        truth = mp_oracle.two_point_barycentre("power-half", a.entries, b.entries)
+        assert np.linalg.norm(closed - truth) <= 2e-3 * np.linalg.norm(truth)
+
+
+def test_dist_d3_of_a_wide_pair_from_the_cli(capsys, tmp_path):
+    files = [str(tmp_path / name) for name in ("a.json", "b.json")]
+    for path, value in zip(files, _probe_pairs(1)[0]):
+        Path(path).write_text(json.dumps(matrix_to_payload(value.entries)))
+    assert run(["dist", "d3", *files]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["outputs"]["distance"] == pytest.approx(447.2, rel=1e-4)
 
 
 def test_solve_complex_family():

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from helmat.calculus import fd_directional
 from helmat.distances import DistanceKind, divergence
-from helmat.errors import DimensionMismatchError, InternalConsistencyError
+from helmat.errors import DimensionMismatchError, SpectralDomainError
 from helmat.linalg import SpdMatrix, congruence, frobenius_norm, sqrt_entries
 from helmat.means import (
     WeightVector,
@@ -180,7 +180,7 @@ def test_fidelity_negative_eigenvalue_check_is_relative(monkeypatch, scale):
         return values - (values[..., :1] + 1e-3 * values[..., -1:]) * (np.arange(3) == 0)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
-    with pytest.raises(InternalConsistencyError, match="eigenvalue"):
+    with pytest.raises(SpectralDomainError, match="negative eigenvalue"):
         fidelity(a, b)
 
 

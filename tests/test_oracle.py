@@ -212,6 +212,48 @@ def test_barycentre_forward_error(name, s, cond, field):
     assert np.linalg.norm(value - truth) / np.linalg.norm(truth) <= BARYCENTRE_BOUNDS[name, cond]
 
 
+#: The solved kinds, by the labels of ``mp_oracle.picard_solve``.
+SOLVE_KINDS = {
+    "wasserstein": barycentre.WASSERSTEIN,
+    "power-0.5": barycentre.PowerMean(0.5),
+    "log-euclidean": barycentre.LOG_EUCLIDEAN,
+}
+
+#: Largest relative Frobenius error of a solve, per kind and condition
+#: number, over the fields.
+SOLVE_BOUNDS = {
+    ("wasserstein", 10.0): 2e-12, ("wasserstein", 1e3): 6e-13,
+    ("power-0.5", 10.0): 2e-13, ("power-0.5", 1e3): 2e-13,
+    ("log-euclidean", 10.0): 2e-12, ("log-euclidean", 1e3): 8e-13,
+}
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("cond", (10.0, 1e3))
+@pytest.mark.parametrize("kind", SOLVE_KINDS)
+def test_solve_forward_error(kind, cond, field):
+    # d = 3, m = 3: the 50-digit solve starts from the library's answer
+    rng = make_rng(0)
+    mats = [random_spd(rng, 3, cond=cond, complex_entries=field == "complex") for _ in range(3)]
+    w = WeightVector(rng.uniform(0.5, 2.0, 3))
+    x, report = barycentre.solve(SOLVE_KINDS[kind], mats, w)
+    assert report.converged
+    truth = mp_oracle.picard_solve(kind, [a.entries for a in mats], w.weights, x.entries)
+    error = np.linalg.norm(x.entries - truth) / np.linalg.norm(truth)
+    assert error <= SOLVE_BOUNDS[kind, cond]
+
+
+@pytest.mark.parametrize("kind, closed", [("wasserstein", "wasserstein"),
+                                          ("power-0.5", "power-half")])
+def test_oracle_solve_agrees_with_the_two_point_closed_forms(kind, closed):
+    a, b = _pair(1.0, 1e3, "real", GAPS[0])
+    w = WeightVector.uniform(2)
+    x, _ = barycentre.solve(SOLVE_KINDS[kind], [SpdMatrix(a), SpdMatrix(b)], w)
+    solved = mp_oracle.picard_solve(kind, [a, b], w.weights, x.entries)
+    truth = mp_oracle.two_point_barycentre(closed, a, b)
+    assert np.linalg.norm(solved - truth) <= 1e-15 * np.linalg.norm(truth)
+
+
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 def test_oracle_agrees_with_scipy(complex_entries):
     linalg = pytest.importorskip("scipy.linalg")
