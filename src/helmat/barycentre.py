@@ -31,8 +31,14 @@ A kind evaluates ``G(X, A_j)`` from the values themselves: the factors of
 one argument (``X^{1/2}``, ``X^{-1/2}``, ``log X``, ``log A_j``) are kept
 in that value's memo (see :func:`~helmat.linalg._memoized`), so a step forms
 those of ``X`` once and a solve those of each ``A_j`` once.
-:func:`mean_map`, :func:`fixed_point_residual` and :func:`solve` share one
-Picard sum, which also gives the relative residual.
+:func:`fixed_point_residual`, :func:`refute_d4_guess` and :func:`solve`
+share one Picard sum, which also gives the relative residual.  It takes the
+family as :func:`_grouped` stacks it (once per solve): each run of at most
+32 KiB of entries is one stack ``(k, ..., n, n)`` carrying the memos of its
+values, so one congruence, one eigensolve and one synthesis give its ``k``
+terms, and a value too large to share a run (a real 64-by-64 matrix) is
+its own group, as it was before stacking.  The terms are summed in family
+order, so every iterate has the bits of the terms taken one by one.
 
 :func:`closed_form_m2`, :func:`fixed_point_residual` and
 :func:`refute_d4_guess` also take stacks of pairs ``(..., n, n)`` (built by
@@ -49,6 +55,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Sequence
 
 import numpy as np
@@ -68,6 +75,7 @@ from .linalg import (
     _per_matrix,
     _require_same_dim,
     _spd_stack,
+    _stacked,
     apply_spectral,
     product_sqrt,
     sqrt_entries,
@@ -230,13 +238,52 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
     return _spd_stack(kind._mean(x, a))
 
 
+#: Bytes of entries a group of :func:`_grouped` holds at most.  At d = 64,
+#: m = 16 (the benchmark's bary-large, on a 2-core x86-64 host with one
+#: OpenBLAS thread), one stack of the whole family raised the minor page
+#: faults of a solve from about 140 to 13,000-19,500 (each step allocates
+#: fresh 512 KiB temporaries), cut ops/s by 10.4% and raised the peak RSS
+#: from 42.9 to 47.0 MB; singleton groups that were copies still cost
+#: 1.5 MB.  A group of one real 64-by-64 matrix is 32 KiB, so there every
+#: group is the value itself.
+_GROUP_BYTES = 32 * 1024
+
+
+def _grouped(mats: Sequence[SpdMatrix]) -> list[SpdMatrix]:
+    """The family as runs of consecutive values of one shape and dtype,
+    each at most ``_GROUP_BYTES``: a run of several is one stack ``(k, ...,
+    n, n)`` built by :func:`~helmat.linalg._stacked`, carrying their memos,
+    and a run of one is the value itself."""
+    groups = []
+    for _, run in groupby(mats, key=lambda a: (a.entries.shape, a.entries.dtype)):
+        run = list(run)
+        size = max(1, _GROUP_BYTES // run[0].entries.nbytes)
+        chunks = (run[i:i + size] for i in range(0, len(run), size))
+        groups += [chunk[0] if len(chunk) == 1 else _stacked(chunk) for chunk in chunks]
+    return groups
+
+
+def _terms(kind: MeanKind, x: SpdMatrix, groups: Sequence[SpdMatrix]):
+    """``G(X, A_j)`` in family order, over the family as :func:`_grouped`
+    gives it, one group at a time: a group with one axis more than ``X``
+    gives one term per slice, from one congruence, one eigensolve and one
+    synthesis.  Lazy, so no more than one group's terms are held at once:
+    holding all 16 terms of a bary-large step raised its peak RSS by
+    0.5 MB."""
+    for group in groups:
+        term = kind._mean(x, group)
+        yield from term if term.ndim > x.entries.ndim else (term,)
+
+
 def _picard_sum(
-    kind: MeanKind, x: SpdMatrix, mats: Sequence[SpdMatrix], weights
+    kind: MeanKind, x: SpdMatrix, groups: Sequence[SpdMatrix], weights
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """``sum_j w_j G(X, A_j)`` and the relative residual
-    ``||X - sum||_F / ||X||_F`` of each matrix; the memo of ``X`` serves
-    its factors to every term after the first."""
-    summed = sum(wj * kind._mean(x, aj) for wj, aj in zip(weights, mats))
+    ``||X - sum||_F / ||X||_F`` of each matrix, over :func:`_terms`.  The
+    terms are summed in family order, so the sum has the bits of the terms
+    taken one by one; the memo of ``X`` serves its factors to every group
+    after the first."""
+    summed = sum(wj * term for wj, term in zip(weights, _terms(kind, x, groups)))
     relative = _frobenius_norms(x.entries - summed) / _frobenius_norms(x.entries)
     return summed, _per_matrix(relative)
 
@@ -248,7 +295,7 @@ def fixed_point_residual(
     defining equation at a candidate ``X``; one per matrix if ``x`` and the
     ``mats`` are stacks of one shape."""
     _require_same_dim(x.dim, check_family(mats, w))
-    return _picard_sum(kind, x, mats, w.weights)[1]
+    return _picard_sum(kind, x, _grouped(mats), w.weights)[1]
 
 
 class _AndersonHistory:
@@ -326,7 +373,9 @@ def solve(
     :class:`SolverReport`): then the step falls back to the Picard
     image, which is counted in ``fallbacks``.  A fallback and a residual
     that grew each restart the mixing history; ``eta`` is ``cfg.damping``
-    throughout.  A step costs m + 1 eigensolves, plus one per fallback.
+    throughout.  A step decomposes m + 1 matrices, plus one per fallback: the
+    iterate, and the m terms in one LAPACK call per group of
+    :func:`_grouped`, so two calls when the family is one group.
     """
     cfg = cfg or SolverConfig()
     current = x0 if x0 is not None else arithmetic_mean(mats, w)
@@ -340,6 +389,7 @@ def solve(
     start = current.eig().eigenvalues
     lower = start[0] * (1.0 - _BRACKET_SLACK) if start[0] < lower else lower
     upper = start[-1] * (1.0 + _BRACKET_SLACK) if start[-1] > upper else upper
+    groups = _grouped(mats)
     history = _AndersonHistory()
 
     previous_residual = np.inf
@@ -355,7 +405,7 @@ def solve(
                     f"iterate spectrum [{spectrum[0]:.6e}, {spectrum[-1]:.6e}] left "
                     f"the bracket [{lower:.6e}, {upper:.6e}] at iteration {iterations}"
                 )
-        summed, residual = _picard_sum(kind, current, mats, w.weights)
+        summed, residual = _picard_sum(kind, current, groups, w.weights)
         if residual <= cfg.tol or iterations == cfg.max_iter:
             break
         # growth restarts the mixing history
@@ -464,7 +514,8 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     candidate = _spd_stack(
         (a.entries + b.entries + 2.0 * log_euclidean_pair(a, b).entries) / 4.0
     )
-    _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, (a, b), WeightVector.uniform(2).weights)
+    _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, _grouped((a, b)),
+                              WeightVector.uniform(2).weights)
     return D4GuessReport(
         candidate=candidate,
         residual=_per_matrix(relative * _frobenius_norms(candidate.entries)),

@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mean.add_argument("--weights", default=None,
                         help="JSON file with an array of positive weights, "
                              "or an inline JSON array (default: uniform)")
-    p_mean.add_argument("--t", type=float, default=0.5,
+    p_mean.add_argument("--t", type=float, default=None,
                         help="interpolation parameter for geo-t (default 0.5)")
 
     p_bary = sub.add_parser("bary", help="fixed-point barycentre of a family")
@@ -131,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bary.add_argument("--tol", type=float, default=1e-12)
     p_bary.add_argument("--max-iter", type=int, default=500)
     p_bary.add_argument("--damping", type=float, default=1.0)
-    p_bary.add_argument("--t", type=float, default=0.5,
+    p_bary.add_argument("--t", type=float, default=None,
                         help="power-mean parameter for power-t (default 0.5)")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
@@ -139,6 +139,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=42)
     p_verify.add_argument("--samples", type=int, default=1000)
     return parser
+
+
+def _t_for(args, kind: str) -> float:
+    """``--t`` (0.5 when unset) for a command whose one reading kind is
+    ``kind``; setting it for another kind is a usage error."""
+    if args.t is not None and args.kind != kind:
+        raise CliUsageError(f"--t applies only to {args.command} {kind}")
+    return 0.5 if args.t is None else args.t
 
 
 def _cmd_dist(args) -> tuple[dict, int, str]:
@@ -167,11 +175,12 @@ def _cmd_mean(args) -> tuple[dict, int, str]:
     pairwise = args.kind in ("geo", "geo-t")
     if pairwise and args.weights is not None:
         raise CliUsageError(f"--weights does not apply to mean {args.kind}")
+    t = _t_for(args, "geo-t")
     mats, digest = _load(args.files, _spd)
     if pairwise and len(mats) != 2:
         raise CliUsageError(f"mean {args.kind} needs exactly two matrices")
     w = _weights_for(args, len(mats))
-    result = _MEANS[args.kind](mats, w, args.t)
+    result = _MEANS[args.kind](mats, w, t)
     report = {
         "command": ["mean", args.kind, *args.files],
         "inputs": {"files": list(args.files), "digest": digest,
@@ -182,9 +191,10 @@ def _cmd_mean(args) -> tuple[dict, int, str]:
 
 
 def _cmd_bary(args) -> tuple[dict, int, str]:
+    t = _t_for(args, "power-t")
     mats, digest = _load(args.files, _spd)
     w = _weights_for(args, len(mats))
-    kind = _BARY_KINDS[args.kind](args.t)
+    kind = _BARY_KINDS[args.kind](t)
     cfg = barycentre.SolverConfig(tol=args.tol, max_iter=args.max_iter,
                                   damping=args.damping)
     solution, solver_report = barycentre.solve(kind, mats, w, cfg)
@@ -195,7 +205,7 @@ def _cmd_bary(args) -> tuple[dict, int, str]:
                    "weights": [float(x) for x in w.weights],
                    "tol": args.tol, "max_iter": args.max_iter,
                    "damping": args.damping,
-                   "t": args.t if args.kind == "power-t" else None},
+                   "t": t if args.kind == "power-t" else None},
         "outputs": {"matrix": matrix_to_payload(solution.entries)},
         "solver": {
             "iterations": solver_report.iterations,

@@ -51,7 +51,8 @@ spectral functions every distance is built from, ``A^{1/2}`` and
 eigensystem, ``V f(Lambda) V*``, and kept read-only.  The first use runs
 the checks it always ran, and later uses return those same bits, so a
 value reused across calls pays for each function once and reports do not
-change.  ``SpdMatrix(h)`` shares the memo of ``h``.
+change.  ``SpdMatrix(h)`` shares the memo of ``h``, and :func:`_stacked`
+gives a stack of values the stacked entries of their memos.
 
 Values are immutable after construction and every operation is a pure
 function, so everything in this module is safe for concurrent use: two
@@ -62,7 +63,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -339,6 +340,31 @@ class SpdMatrix(HermitianMatrix):
         else:
             super().__init__(entries)
         _check_positive(self.eig().eigenvalues)
+
+
+def _stacked(values: Sequence[HermitianMatrix]) -> HermitianMatrix:
+    """One value over the stack ``(k, ..., n, n)`` of ``k`` values of one
+    type, shape and dtype, already checked, with no new check or
+    eigensolve: its memo holds, stacked, each entry that all their memos
+    hold (eigensystems, roots, logarithms), so the stack gives each of
+    them the bits it gives alone."""
+    first = values[0]
+    value = type(first).__new__(type(first))
+    value._entries = _frozen(np.stack([v.entries for v in values]))
+    value._memo = {key: _stacked_entry([v._memo[key] for v in values])
+                   for key in first._memo if all(key in v._memo for v in values)}
+    return value
+
+
+def _stacked_entry(entries: list):
+    """The memo entries of several values as one entry of their stack."""
+    first = entries[0]
+    if isinstance(first, HermitianMatrix):
+        return _stacked(entries)
+    if isinstance(first, EigenDecomposition):
+        return EigenDecomposition(_frozen(np.stack([e.eigenvalues for e in entries])),
+                                  _frozen(np.stack([e.eigenvectors for e in entries])))
+    return _frozen(np.stack(entries))
 
 
 def _spd_stack(arrays: MatrixLike) -> SpdMatrix:

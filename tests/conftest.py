@@ -19,13 +19,14 @@ settings.load_profile("numeric")
 def eigensolves(monkeypatch):
     """Log of LAPACK eigensolves (``eigh`` and ``eigvalsh``) made while the
     test runs, as ``helmat.linalg`` and ``helmat.means`` look them up: one
-    ``(name, dtype)`` entry per call, ``dtype`` that of the decomposed array."""
+    ``(name, dtype, shape)`` entry per call, the dtype and shape of the
+    decomposed array, whose leading axes count the matrices of a stack."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):
-            calls.append((_name, np.asarray(a).dtype))
+            calls.append((_name, np.asarray(a).dtype, np.shape(a)))
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)

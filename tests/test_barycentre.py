@@ -112,6 +112,11 @@ def test_each_kind_is_the_record_of_its_distance():
     assert LOG_EUCLIDEAN.distance is DistanceKind.D4
 
 
+def _matrices(eigensolves) -> int:
+    """The number of matrices the logged eigensolves decomposed."""
+    return sum(int(np.prod(shape[:-2])) for _, _, shape in eigensolves)
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: type(k).__name__)
 def test_solve_makes_m_plus_one_eigensolves_per_picard_step(kind, eigensolves):
     rng = make_rng(5)
@@ -121,10 +126,78 @@ def test_solve_makes_m_plus_one_eigensolves_per_picard_step(kind, eigensolves):
     eigensolves.clear()
     _, report = solve(kind, mats, w)
     assert report.converged
-    # one per term G(X, A_j) plus one for the new iterate, for each of the
-    # iterations + 1 Picard sums (the first iterate is the arithmetic mean),
-    # plus one for each rejected mixed iterate
-    assert len(eigensolves) == (report.iterations + 1) * (m + 1) + report.fallbacks
+    # one matrix per term G(X, A_j) plus one for the new iterate, for each
+    # of the iterations + 1 Picard sums (the first iterate is the arithmetic
+    # mean), plus one for each rejected mixed iterate
+    assert _matrices(eigensolves) == (report.iterations + 1) * (m + 1) + report.fallbacks
+    # the m terms of a step are one stack: two LAPACK calls per step
+    assert len(eigensolves) == 2 * (report.iterations + 1) + report.fallbacks
+
+
+#: (dim, m, complex, damping) of the families whose solves are pinned in
+#: SOLVE_PINNED; family i is drawn from make_rng(30 + i) at cond 20.  Their
+#: sizes make one group of the whole family (d 3, 5 and 16), three groups of
+#: two (d 40) and singleton groups (d 64), as barycentre._grouped forms them.
+SOLVE_FAMILIES = {
+    "d3-m5-real": (3, 5, False, 1.0),
+    "d5-m4-complex-half": (5, 4, True, 0.5),
+    "d16-m8-real": (16, 8, False, 1.0),
+    "d40-m6-real": (40, 6, False, 1.0),
+    "d64-m3-real": (64, 3, False, 1.0),
+}
+
+#: (iterations, final_residual, fallbacks, sha256 prefix of the solution's
+#: bytes) of solve on each family, as each term G(X, A_j) was evaluated on
+#: its own before the terms were stacked
+SOLVE_PINNED = {
+    "d3-m5-real": {
+        "Wasserstein()": (13, 5.506502581787938e-14, 0, "fdc907e248970d7c"),
+        "PowerMean(t=0.5)": (10, 6.871242453035292e-13, 0, "4fa97b29669d6c82"),
+        "PowerMean(t=0.1)": (16, 6.833139522495249e-13, 0, "86ca450fac040018"),
+        "LogEuclidean()": (10, 2.9837912922815475e-14, 0, "fb01dde2733c881e"),
+    },
+    "d5-m4-complex-half": {
+        "Wasserstein()": (20, 7.241612276874706e-13, 0, "d546f6cbe2c7d535"),
+        "PowerMean(t=0.5)": (13, 4.616504135686669e-13, 0, "67344368a8d4fcf5"),
+        "PowerMean(t=0.1)": (20, 1.9096561141768795e-13, 0, "69013d0305b09329"),
+        "LogEuclidean()": (12, 1.133632821089705e-13, 0, "8a0e38079e22de22"),
+    },
+    "d16-m8-real": {
+        "Wasserstein()": (16, 2.602497735641767e-13, 0, "20103e46101a4004"),
+        "PowerMean(t=0.5)": (12, 7.195908802964044e-13, 0, "f381bb58c6cb4dd4"),
+        "PowerMean(t=0.1)": (20, 6.06584407323842e-13, 0, "282185e35502d42c"),
+        "LogEuclidean()": (10, 2.357715754765887e-13, 0, "535043c7fcdc211d"),
+    },
+    "d40-m6-real": {
+        "Wasserstein()": (18, 3.144119223918183e-13, 0, "2c566f7cc807c4b4"),
+        "PowerMean(t=0.5)": (12, 6.072694066093908e-13, 0, "bad3f7d4ac6cea9c"),
+        "PowerMean(t=0.1)": (32, 4.153563968362209e-13, 0, "ea27a70d7293bdb9"),
+        "LogEuclidean()": (10, 8.11021910126562e-13, 0, "51fea88cc260f21b"),
+    },
+    "d64-m3-real": {
+        "Wasserstein()": (19, 1.389402383142801e-13, 0, "f39471e3db4f8835"),
+        "PowerMean(t=0.5)": (12, 6.568643890255523e-13, 0, "990731d351633843"),
+        "PowerMean(t=0.1)": (24, 8.96311010695558e-14, 0, "fb193f9738715adb"),
+        "LogEuclidean()": (11, 2.7785343294995247e-13, 0, "280bc931616178d1"),
+    },
+}
+
+
+@pytest.mark.parametrize("family, kind", [
+    (family, kind) for family in SOLVE_FAMILIES
+    for kind in (WASSERSTEIN, PowerMean(0.5), PowerMean(0.1), LOG_EUCLIDEAN)
+], ids=str)
+def test_solve_keeps_its_bits(family, kind):
+    dim, m, complex_entries, damping = SOLVE_FAMILIES[family]
+    rng = make_rng(30 + list(SOLVE_FAMILIES).index(family))
+    mats = [random_spd(rng, dim, cond=20.0, complex_entries=complex_entries)
+            for _ in range(m)]
+    w = WeightVector(rng.uniform(0.5, 2.0, m))
+    x, report = solve(kind, mats, w, SolverConfig(damping=damping))
+    digest = hashlib.sha256(x.entries.tobytes()).hexdigest()[:16]
+    assert (report.iterations, report.final_residual, report.fallbacks, digest) == \
+        SOLVE_PINNED[family][repr(kind)]
+    assert report.converged
 
 
 def _plain_picard(kind, mats, w, tol=1e-12, max_iter=500):
@@ -196,7 +269,8 @@ def test_mixing_converges_where_picard_stalls(eigensolves):
     assert mixed.converged and mixed.final_residual <= 1e-12
     # a mixed iterate was rejected, at the price of one eigensolve
     assert mixed.fallbacks >= 1
-    assert len(eigensolves) == (mixed.iterations + 1) * 3 + mixed.fallbacks
+    assert _matrices(eigensolves) == (mixed.iterations + 1) * 3 + mixed.fallbacks
+    assert len(eigensolves) == (mixed.iterations + 1) * 2 + mixed.fallbacks
     assert fixed_point_residual(WASSERSTEIN, x, mats, w) <= 1e-12
 
 
@@ -763,8 +837,10 @@ def test_refute_d4_guess_on_pinned_pair(eigensolves):
     assert not report.inconclusive
     assert report.refuted
     assert report.relative_residual > 1e-6
-    # exp of the log average, the candidate, and one exp per residual term
-    assert len(eigensolves) == 4
+    # exp of the log average, the candidate, and one exp per residual term,
+    # the two terms in one call
+    assert _matrices(eigensolves) == 4
+    assert len(eigensolves) == 3
 
 
 def test_refute_d4_guess_random_pairs():

@@ -68,3 +68,44 @@ def test_a_seed_is_run_once_per_workload(tmp_path, capsys, seeds):
                           "--seeds", *seeds, "--out", str(out)])
     assert exit_info.value.code == 2 and "runs once" in capsys.readouterr().err
     assert len(json.loads(out.read_text())["runs"]) == 2
+
+
+BOUNDS = {"ops_per_s": 0.25, "op_p50_ms": 0.25}
+
+
+def _pairs(parent_ops, change_ops, p50=1.0):
+    return [run for seed, (p, c) in enumerate(zip(parent_ops, change_ops))
+            for run in (_run(seed, "parent", p, p50), _run(seed, "change", c, p50))]
+
+
+def test_summary_flags_a_metric_worse_beyond_its_bound():
+    # medians 10 -> 7.4 (26% lower) and p50 1.0 -> 1.25 (25% higher, at the bound)
+    runs = [run for seed in range(3)
+            for run in (_run(seed, "parent", 10.0, 1.0), _run(seed, "change", 7.4, 1.25))]
+    entry = bench_pairs.summarize(runs, DIRECTIONS, BOUNDS)["pool"]
+    assert entry["ops_per_s"]["worse_beyond_bound"] is True
+    assert entry["op_p50_ms"]["worse_beyond_bound"] is False
+    assert "worse_beyond_bound" not in bench_pairs.summarize(runs, DIRECTIONS)["pool"]["ops_per_s"]
+
+
+@pytest.mark.parametrize("change_ops, met", [
+    ([12.0] * 9 + [9.0], True),          # wins 9 of 10, gap 2 over an IQR of width 0.75
+    ([12.0] * 8 + [9.0] * 2, False),     # wins only 8 of 10
+    ([10.6] * 10, False),                # wins all 10, but the gap 0.6 is inside the IQR
+], ids=["met", "too-few-wins", "inside-the-spread"])
+def test_claim_is_met_by_nine_tenths_of_wins_and_a_gap_beyond_the_spread(change_ops, met):
+    parent_ops = [9.5, 10.0, 10.5, 10.0, 9.5, 10.0, 10.5, 10.0, 9.5, 10.5]
+    summary = bench_pairs.summarize(_pairs(parent_ops, change_ops), DIRECTIONS)
+    claimed = bench_pairs._claim(summary, "pool:ops_per_s", DIRECTIONS)
+    assert summary["pool"]["ops_per_s"]["parent_iqr"] == [9.625, 10.375]
+    assert claimed["pairs"] == 10 and claimed["met"] is met
+
+
+def test_claim_on_a_lower_is_better_metric_counts_a_fall_as_the_gain():
+    parent = [_run(seed, "parent", 1.0, p50) for seed, p50 in enumerate([5.0, 5.2, 4.8])]
+    change = [_run(seed, "change", 1.0, p50) for seed, p50 in enumerate([4.0, 4.1, 3.9])]
+    summary = bench_pairs.summarize(parent + change, DIRECTIONS)
+    assert bench_pairs._claim(summary, "pool:op_p50_ms", DIRECTIONS)["met"] is True
+    slower = [_run(seed, "change", 1.0, p50) for seed, p50 in enumerate([6.0, 6.1, 5.9])]
+    summary = bench_pairs.summarize(parent + slower, DIRECTIONS)
+    assert bench_pairs._claim(summary, "pool:op_p50_ms", DIRECTIONS)["met"] is False

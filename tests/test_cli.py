@@ -447,6 +447,22 @@ def test_weights_do_not_apply_to_the_two_point_means(capsys, matrix_files, kind)
     assert err == f"error: --weights does not apply to mean {kind}\n"
 
 
+@pytest.mark.parametrize("command, kind, takes", [
+    ("bary", "wasserstein", "power-t"),
+    ("bary", "logeuclid-type", "power-t"),
+    ("mean", "arith", "geo-t"),
+    ("mean", "geo", "geo-t"),
+    ("mean", "logeuclid", "geo-t"),
+    ("mean", "qhalf", "geo-t"),
+])
+def test_t_applies_only_to_the_kind_that_reads_it(capsys, matrix_files, command, kind, takes):
+    # a kind that ignores --t used to run with it and exit 0
+    files = [matrix_files["a"], matrix_files["b"]]
+    code, report, err = run_cli(capsys, [command, kind, *files, "--t", "0.3"])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err == f"error: --t applies only to {command} {takes}\n"
+
+
 def test_installed_entry_point_smoke(tmp_path):
     a = tmp_path / "a.json"
     write_matrix_file(a, np.diag([1.0, 2.0]))

@@ -99,4 +99,4 @@ def test_real_inputs_make_no_complex_eigensolve(eigensolves):
         distance(kind, mats[0], mats[1])
         distance(kind, mats[2], mats[3])
     assert len(eigensolves) > 0
-    assert {dtype for _, dtype in eigensolves} == {np.dtype(np.float64)}
+    assert {dtype for _, dtype, _ in eigensolves} == {np.dtype(np.float64)}

@@ -12,6 +12,7 @@ from helmat.linalg import (
     HermitianMatrix,
     SpdMatrix,
     _spd_stack,
+    _stacked,
     logm,
     sqrt_entries,
     sqrt_pair_entries,
@@ -131,3 +132,24 @@ def test_a_value_with_a_full_memo_pickles(syntheses):
     assert np.array_equal(sqrt_pair_entries(copy)[1], inverse_root)
     assert np.array_equal(logm(copy).entries, log.entries)
     assert syntheses == []  # the copy's memo came along
+
+
+def test_a_stack_of_values_carries_the_memo_entries_they_all_hold(eigensolves, syntheses):
+    rng = make_rng(8)
+    values = [random_spd(rng, 4, complex_entries=True) for _ in range(3)]
+    for a in values:
+        logm(a)
+    sqrt_entries(values[0])  # held by one value only, so not carried
+    eigensolves.clear()
+    syntheses.clear()
+    stack = _stacked(values)
+    assert isinstance(stack, SpdMatrix) and stack.entries.shape == (3, 4, 4)
+    assert not stack.entries.flags.writeable
+    assert _same(stack.entries, [a.entries for a in values])
+    log = logm(stack)
+    assert eigensolves == [] and syntheses == []
+    assert _same(stack.eig().eigenvectors, [a.eig().eigenvectors for a in values])
+    assert _same(log.entries, [logm(a).entries for a in values])
+    # the root is formed from the carried eigensystem, with the bits of each value's own
+    assert _same(sqrt_entries(stack), [sqrt_entries(a) for a in values])
+    assert eigensolves == [] and len(syntheses) == 3

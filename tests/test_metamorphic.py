@@ -5,9 +5,10 @@ reference value.
 - d3 under congruence: ``(CAC*) # (CBC*) = C (A # B) C*`` (Bhatia,
   *Positive Definite Matrices*, Princeton 2007, ch. 4), so
   ``d3^2(CAC*, CBC*) = tr C (A + B - 2 A # B) C*``.
-- The power means ``P_t`` are congruence covariant, idempotent and
-  invariant under a permutation of the family and its weights (Lim and
-  Palfia, *J. Funct. Anal.* 262, 2012).
+- The power means ``P_t`` are congruence covariant, idempotent,
+  invariant under a permutation of the family and its weights, and
+  monotone in the Loewner order: ``A_j <= B_j`` for every ``j`` gives
+  ``P_t(A; w) <= P_t(B; w)`` (Lim and Palfia, *J. Funct. Anal.* 262, 2012).
 - The Wasserstein and log-Euclidean barycentres are unitarily covariant
   but not congruence covariant; the size of the failure is pinned, so that
   nothing comes to rely on it.
@@ -21,7 +22,7 @@ import pytest
 
 from helmat.barycentre import LOG_EUCLIDEAN, WASSERSTEIN, PowerMean, solve
 from helmat.distances import DistanceKind, divergence
-from helmat.linalg import congruence
+from helmat.linalg import SpdMatrix, congruence, hermitian_part
 from helmat.means import WeightVector, geometric_mean
 from helmat.sampling import make_rng, random_orthogonal, random_spd
 
@@ -94,6 +95,45 @@ def test_power_means_are_idempotent_and_permutation_invariant(t):
     y, report = solve(PowerMean(t), [mats[j] for j in order], WeightVector(w.weights[order]))
     assert report.converged
     assert _relative(y.entries, x.entries) <= PERMUTATION_BOUNDS[t]
+
+
+#: Largest negative eigenvalue of ``P_t(B) - P_t(A)`` relative to
+#: ``||P_t(B)||_2``, per ``t``, over the draws of the test below: measured
+#: 2.0e-12, 4.2e-15 and 1.2e-16.  P_0.1 contracts slowest, so its solves
+#: stop furthest from the fixed point within the residual tolerance.
+MONOTONICITY_BOUNDS = {0.1: 3e-12, 0.5: 5e-15, 0.9: 2e-16}
+
+
+def _raised_pair(rng, q, dim):
+    """``A = Q (A' + a) Q*`` and ``B = Q (A' + c uu* + a) Q*``: a random SPD
+    block ``A'`` of dimension ``dim - 1`` and a scalar ``a``, with ``B``
+    raised by a rank-one term of relative size 1e-6 to 1 in the block only,
+    so ``B - A`` is positive semidefinite with a zero eigenvalue."""
+    block = np.zeros((dim, dim))
+    block[:-1, :-1] = random_spd(rng, dim - 1, cond=30.0).entries
+    block[-1, -1] = rng.uniform(0.5, 2.0)
+    u = rng.standard_normal(dim - 1)
+    raised = block.copy()
+    raised[:-1, :-1] += 10.0 ** rng.uniform(-6.0, 0.0) * np.outer(u, u) / (u @ u)
+    return (SpdMatrix(hermitian_part(q @ arr @ q.T)) for arr in (block, raised))
+
+
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+def test_power_means_are_loewner_monotone(t):
+    # families of three at d = 2 and 3; P_t of such a family is block
+    # diagonal in the basis Q, so P_t(B) - P_t(A) keeps the zero eigenvalue
+    # of each B_j - A_j, and roundoff alone may take it below zero
+    rng = make_rng(40)
+    for draw in range(10):
+        dim, m = 2 + draw % 2, 3
+        q = random_orthogonal(rng, dim)
+        lower, upper = zip(*(_raised_pair(rng, q, dim) for _ in range(m)))
+        w = WeightVector(rng.uniform(0.5, 2.0, m))
+        (x, low), (y, high) = (solve(PowerMean(t), family, w) for family in (lower, upper))
+        assert low.converged and high.converged
+        spectrum = np.linalg.eigvalsh(y.entries - x.entries) / np.linalg.norm(y.entries, 2)
+        assert spectrum[0] >= -MONOTONICITY_BOUNDS[t]
+        assert spectrum[1] > 0.0  # the raised block stays strictly above
 
 
 @pytest.mark.parametrize("kind, least, most", [(WASSERSTEIN, 2e-2, 4e-15),

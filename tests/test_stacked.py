@@ -393,7 +393,9 @@ def _count(eigensolves, call) -> int:
     [
         (lambda a, b: closed_form_m2(WASSERSTEIN, a, b), 2),
         (lambda a, b: closed_form_m2(PowerMean(0.5), a, b), 2),
-        (refute_d4_guess, 4),
+        # exp of the log average, the candidate, and the exps of the two
+        # residual terms in one call
+        (refute_d4_guess, 3),
         # the base point comes with an empty eigen cache
         (lambda a, b: frechet("log", invm(a), b.entries), 1),
         (lambda a, b: fd_frechet(a, b.entries), 2),

@@ -392,7 +392,7 @@ def test_sampled_suites_make_a_fixed_number_of_eigensolves(suite, eigensolves):
     few = len(eigensolves)
     suite(42, 1000)
     assert len(eigensolves) == 2 * few
-    assert {dtype for _, dtype in eigensolves} == {np.dtype(np.float64)}
+    assert {dtype for _, dtype, _ in eigensolves} == {np.dtype(np.float64)}
 
 
 def test_verify_rows_are_the_benchmark_rows(monkeypatch):

@@ -20,12 +20,19 @@ the file already holds for W is refused, so every pair is counted once.
 ``traced[W]``.  Nothing under ``perfbench/`` changes.
 
 The file has ``BENCH_14.json``'s layout: ``claimed`` (the workload and
-metric the change claims to improve), ``summary`` (per workload and
-end-to-end metric: the medians, inclusive quartiles and ratio of both
-sides, and ``change_wins``, the pairs where the change is strictly better;
-a tie counts for neither) and ``runs`` (each run's seed, side, order, exit
+metric the change claims to improve, and ``met``, the verdict of the claim
+rule below), ``summary`` (per workload and end-to-end metric: the medians,
+inclusive quartiles and ratio of both sides, ``change_wins``, the pairs
+where the change is strictly better, a tie counting for neither, and
+``worse_beyond_bound``, whether the change's median is worse than the
+parent's by more than the metric's relative ``bound`` in
+``BENCHMARK.json``) and ``runs`` (each run's seed, side, order, exit
 status, environment block and metrics).  Better means higher or lower as
 ``BENCHMARK.json`` says.
+
+A claim is met when the change wins at least nine tenths of the pairs and
+its median is better than the parent's by more than the width of the
+parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -40,12 +47,21 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _benchmark() -> tuple[dict[str, str], float]:
-    """The direction of each end-to-end metric and the run length in
-    seconds, as ``BENCHMARK.json`` sets them."""
+def _benchmark() -> tuple[dict[str, str], dict[str, float], float]:
+    """The direction and the relative bound of each end-to-end metric, and
+    the run length in seconds, as ``BENCHMARK.json`` sets them."""
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    return {metric["name"]: metric["better"] for metric in spec["end_to_end"]}, \
-        spec["run_seconds"]
+    metrics = spec["end_to_end"]
+    return {metric["name"]: metric["better"] for metric in metrics}, \
+        {metric["name"]: metric["bound"] for metric in metrics}, spec["run_seconds"]
+
+
+def _worse_beyond(parent: float, change: float, better: str, bound: float) -> bool:
+    """Whether ``change`` is worse than ``parent`` by more than the
+    relative ``bound``."""
+    if better == "higher":
+        return change < parent * (1.0 - bound)
+    return change > parent * (1.0 + bound)
 
 
 def _spread(values: list[float]) -> dict[str, float | list[float]]:
@@ -54,12 +70,15 @@ def _spread(values: list[float]) -> dict[str, float | list[float]]:
     return {"median": statistics.median(values), "iqr": [quartiles[0], quartiles[2]]}
 
 
-def summarize(runs: list[dict], directions: dict[str, str]) -> dict[str, dict]:
+def summarize(runs: list[dict], directions: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict[str, dict]:
     """Per workload: the pairs (seeds run on both sides, both exiting 0),
     whether every paired run was correct, and for each metric of
-    ``directions`` the medians, quartiles and ratio of the two sides and
-    the number of pairs the change wins.  A seed run twice on one side of
-    a workload is an error: one of its pairs would go uncounted."""
+    ``directions`` the medians, quartiles and ratio of the two sides, the
+    number of pairs the change wins and, for a metric of ``bounds``,
+    whether the change's median is worse beyond its bound.  A seed run
+    twice on one side of a workload is an error: one of its pairs would go
+    uncounted."""
     keys = [(r["workload"], r["seed"], r["side"]) for r in runs]
     if len(set(keys)) < len(keys):
         raise ValueError("a seed ran twice on one side of a workload")
@@ -87,20 +106,31 @@ def summarize(runs: list[dict], directions: dict[str, str]) -> dict[str, dict]:
                 "change_wins": wins,
                 "ratio": change["median"] / parent["median"] if parent["median"] else None,
             }
+            if bounds and metric in bounds:
+                entry[metric]["worse_beyond_bound"] = _worse_beyond(
+                    parent["median"], change["median"], better, bounds[metric])
         summary[workload] = entry
     return summary
 
 
-def _claim(summary: dict, claim: str) -> dict | None:
-    """The ``claimed`` block of ``WORKLOAD:METRIC``, once it has pairs."""
+def _claim(summary: dict, claim: str, directions: dict[str, str]) -> dict | None:
+    """The ``claimed`` block of ``WORKLOAD:METRIC``, once it has pairs,
+    with ``met``, the verdict of the claim rule."""
     workload, metric = claim.split(":")
     stats = summary.get(workload, {}).get(metric)
     if stats is None:
         return None
+    pairs = summary[workload]["pairs"]
+    gap = stats["change_median"] - stats["parent_median"]
+    if directions[metric] == "lower":
+        gap = -gap
+    low, high = stats["parent_iqr"]
     return {"workload": workload, "metric": metric,
             "parent_median": stats["parent_median"], "change_median": stats["change_median"],
-            "change_wins": stats["change_wins"], "pairs": summary[workload]["pairs"],
-            "parent_iqr": stats["parent_iqr"]}
+            "change_wins": stats["change_wins"], "pairs": pairs,
+            "parent_iqr": stats["parent_iqr"],
+            # nine tenths of the pairs, in integers so 9 of 10 is exact
+            "met": 10 * stats["change_wins"] >= 9 * pairs and gap > high - low}
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -127,7 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--traced", type=int, metavar="SEED")
     args = parser.parse_args(argv)
 
-    directions, seconds = _benchmark()
+    directions, bounds, seconds = _benchmark()
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"description": ""}
     runs: list[dict] = doc.setdefault("runs", [])
     held = sorted({r["seed"] for r in runs if r["workload"] == args.workload})
@@ -147,9 +177,9 @@ def main(argv: list[str] | None = None) -> int:
                          "ran_first": position == 0, **run})
             print(f"{args.workload} seed {seed} {side}: exit {run['exit']}", flush=True)
         doc["machine"] = next((r["info"]["env"] for r in runs if r["exit"] == 0), None)
-        doc["summary"] = summarize(runs, directions)
-        if claim and _claim(doc["summary"], claim):
-            doc["claimed"] = _claim(doc["summary"], claim)
+        doc["summary"] = summarize(runs, directions, bounds)
+        if claim and _claim(doc["summary"], claim, directions):
+            doc["claimed"] = _claim(doc["summary"], claim, directions)
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     if args.traced is not None:
         doc.setdefault("traced", {})[args.workload] = {
