@@ -34,11 +34,12 @@ those of ``X`` once and a solve those of each ``A_j`` once.
 :func:`fixed_point_residual`, :func:`refute_d4_guess` and :func:`solve`
 share one Picard sum, which also gives the relative residual.  It takes the
 family as :func:`_grouped` stacks it (once per solve): each run of at most
-32 KiB of entries is one stack ``(k, ..., n, n)`` carrying the memos of its
-values, so one congruence, one eigensolve and one synthesis give its ``k``
-terms, and a value too large to share a run (a real 64-by-64 matrix) is
-its own group, as it was before stacking.  The terms are summed in family
-order, so every iterate has the bits of the terms taken one by one.
+32 KiB of entries, of the iterate's shape, is one stack ``(k, ..., n, n)``
+carrying the memos of its values, so one congruence, one eigensolve and
+one synthesis give its ``k`` terms, and a value too large to share a run
+(a real 64-by-64 matrix) or of another shape is its own group, as it was
+before stacking.  The terms are summed in family order, so every iterate
+has the bits of the terms taken one by one.
 
 :func:`closed_form_m2`, :func:`fixed_point_residual` and
 :func:`refute_d4_guess` also take stacks of pairs ``(..., n, n)`` (built by
@@ -61,6 +62,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
+    HelmatError,
     HermitianError,
     InternalConsistencyError,
     NotPositiveDefiniteError,
@@ -249,34 +251,44 @@ def mean_map(kind: MeanKind, x: SpdMatrix, a: SpdMatrix) -> SpdMatrix:
 _GROUP_BYTES = 32 * 1024
 
 
-def _grouped(mats: Sequence[SpdMatrix]) -> list[SpdMatrix]:
-    """The family as runs of consecutive values of one shape and dtype,
-    each at most ``_GROUP_BYTES``: a run of several is one stack ``(k, ...,
-    n, n)`` built by :func:`~helmat.linalg._stacked`, carrying their memos,
-    and a run of one is the value itself."""
+def _grouped(
+    mats: Sequence[SpdMatrix], shape: tuple[int, ...]
+) -> list[tuple[SpdMatrix, list[SpdMatrix]]]:
+    """The family as runs of consecutive values, each with the value that
+    evaluates it.  Values of the iterate's ``shape`` and one dtype form runs
+    of at most ``_GROUP_BYTES``, and a run of several is one stack ``(k,
+    ..., n, n)`` built by :func:`~helmat.linalg._stacked`, carrying their
+    memos.  Every other value is a run of one, the value itself, so values
+    that broadcast against the iterate are evaluated as they are alone."""
     groups = []
-    for _, run in groupby(mats, key=lambda a: (a.entries.shape, a.entries.dtype)):
+    for (run_shape, _), run in groupby(mats, key=lambda a: (a.entries.shape, a.entries.dtype)):
         run = list(run)
-        size = max(1, _GROUP_BYTES // run[0].entries.nbytes)
-        chunks = (run[i:i + size] for i in range(0, len(run), size))
-        groups += [chunk[0] if len(chunk) == 1 else _stacked(chunk) for chunk in chunks]
+        size = max(1, _GROUP_BYTES // run[0].entries.nbytes) if run_shape == shape else 1
+        for chunk in (run[i:i + size] for i in range(0, len(run), size)):
+            groups.append((chunk[0] if len(chunk) == 1 else _stacked(chunk), chunk))
     return groups
 
 
-def _terms(kind: MeanKind, x: SpdMatrix, groups: Sequence[SpdMatrix]):
+def _terms(kind: MeanKind, x: SpdMatrix, groups: Sequence[tuple[SpdMatrix, list]]):
     """``G(X, A_j)`` in family order, over the family as :func:`_grouped`
-    gives it, one group at a time: a group with one axis more than ``X``
-    gives one term per slice, from one congruence, one eigensolve and one
-    synthesis.  Lazy, so no more than one group's terms are held at once:
-    holding all 16 terms of a bary-large step raised its peak RSS by
-    0.5 MB."""
-    for group in groups:
-        term = kind._mean(x, group)
-        yield from term if term.ndim > x.entries.ndim else (term,)
+    gives it, one group at a time: a run of several values gives one term
+    per value, from one congruence, one eigensolve and one synthesis.  Lazy,
+    so no more than one group's terms are held at once: holding all 16
+    terms of a bary-large step raised its peak RSS by 0.5 MB."""
+    for value, run in groups:
+        try:
+            term = kind._mean(x, value)
+        except HelmatError:
+            # the first value of a stack to fail alone raises the error it
+            # gives unstacked, which names no slice of the group
+            for a in run if len(run) > 1 else ():
+                kind._mean(x, a)
+            raise
+        yield from term if len(run) > 1 else (term,)
 
 
 def _picard_sum(
-    kind: MeanKind, x: SpdMatrix, groups: Sequence[SpdMatrix], weights
+    kind: MeanKind, x: SpdMatrix, groups: Sequence[tuple[SpdMatrix, list]], weights
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """``sum_j w_j G(X, A_j)`` and the relative residual
     ``||X - sum||_F / ||X||_F`` of each matrix, over :func:`_terms`.  The
@@ -292,10 +304,10 @@ def fixed_point_residual(
     kind: MeanKind, x: SpdMatrix, mats: Sequence[SpdMatrix], w: WeightVector
 ) -> float | np.ndarray:
     """Relative residual ``||X - sum_j w_j G(X, A_j)||_F / ||X||_F`` of the
-    defining equation at a candidate ``X``; one per matrix if ``x`` and the
-    ``mats`` are stacks of one shape."""
+    defining equation at a candidate ``X``; one per matrix if ``x`` or the
+    ``mats`` are stacks, which broadcast against each other."""
     _require_same_dim(x.dim, check_family(mats, w))
-    return _picard_sum(kind, x, _grouped(mats), w.weights)[1]
+    return _picard_sum(kind, x, _grouped(mats, x.entries.shape), w.weights)[1]
 
 
 class _AndersonHistory:
@@ -389,7 +401,7 @@ def solve(
     start = current.eig().eigenvalues
     lower = start[0] * (1.0 - _BRACKET_SLACK) if start[0] < lower else lower
     upper = start[-1] * (1.0 + _BRACKET_SLACK) if start[-1] > upper else upper
-    groups = _grouped(mats)
+    groups = _grouped(mats, current.entries.shape)
     history = _AndersonHistory()
 
     previous_residual = np.inf
@@ -514,8 +526,8 @@ def refute_d4_guess(a: SpdMatrix, b: SpdMatrix) -> D4GuessReport:
     candidate = _spd_stack(
         (a.entries + b.entries + 2.0 * log_euclidean_pair(a, b).entries) / 4.0
     )
-    _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, _grouped((a, b)),
-                              WeightVector.uniform(2).weights)
+    groups = _grouped((a, b), candidate.entries.shape)
+    _, relative = _picard_sum(LOG_EUCLIDEAN, candidate, groups, WeightVector.uniform(2).weights)
     return D4GuessReport(
         candidate=candidate,
         residual=_per_matrix(relative * _frobenius_norms(candidate.entries)),

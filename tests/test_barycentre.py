@@ -29,6 +29,7 @@ from helmat.cli import EXIT_OK, run
 from helmat.distances import DistanceKind, distance, divergence, trace_chain
 from helmat.errors import (
     DimensionMismatchError,
+    EigenDecompositionError,
     SpectralDomainError,
     UnsupportedObjectiveError,
 )
@@ -99,7 +100,7 @@ def test_mean_map_entries_are_the_picard_term():
     rng = make_rng(4)
     x, a = random_spd(rng, 4, complex_entries=True), random_spd(rng, 4, cond=50.0)
     for kind in ALL_KINDS:
-        term, _ = _picard_sum(kind, x, [a], np.ones(1))
+        term, _ = _picard_sum(kind, x, barycentre._grouped([a], x.entries.shape), np.ones(1))
         assert np.array_equal(mean_map(kind, x, a).entries, term), kind
 
 
@@ -198,6 +199,34 @@ def test_solve_keeps_its_bits(family, kind):
     assert (report.iterations, report.final_residual, report.fallbacks, digest) == \
         SOLVE_PINNED[family][repr(kind)]
     assert report.converged
+
+
+def test_a_failing_term_of_a_stack_raises_the_error_it_gives_alone(monkeypatch):
+    # d 40, m 6: three groups of two, A_5 the second value of the last
+    rng = make_rng(34)
+    mats = [random_spd(rng, 40, cond=20.0) for _ in range(6)]
+    mats[5] = SpdMatrix(1e3 * mats[5].entries)
+    x = SpdMatrix(np.eye(40))
+    assert [len(run) for _, run in barycentre._grouped(mats, x.entries.shape)] == [2, 2, 2]
+    # the congruence of A_j by X^{1/2} = I is A_j, the only matrices whose
+    # corner entry exceeds 100 are A_5 and its term; their eigenvalues turn
+    # to NaN, which the checked eigensolve rejects
+    assert [a.entries[0, 0] > 100.0 for a in mats] == [False] * 5 + [True]
+    eigh = np.linalg.eigh
+
+    def poisoned(arr, *args, **kwargs):
+        values, vectors = eigh(arr, *args, **kwargs)
+        return np.where(arr[..., :1, 0] > 100.0, np.nan, values), vectors
+
+    monkeypatch.setattr(np.linalg, "eigh", poisoned)
+    with pytest.raises(EigenDecompositionError) as alone:
+        mean_map(WASSERSTEIN, x, mats[5])
+    with pytest.raises(EigenDecompositionError) as stacked:
+        fixed_point_residual(WASSERSTEIN, x, mats, WeightVector.uniform(6))
+    with pytest.raises(EigenDecompositionError) as single:
+        fixed_point_residual(WASSERSTEIN, x, mats[5:], WeightVector.uniform(1))
+    assert str(stacked.value) == str(single.value) == str(alone.value)
+    assert str(stacked.value).startswith("eigendecomposition reconstruction defect nan")
 
 
 def _plain_picard(kind, mats, w, tol=1e-12, max_iter=500):

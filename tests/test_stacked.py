@@ -334,6 +334,24 @@ def test_closed_forms_and_residuals_per_slice(dim, complex_entries):
         closed_form_m2(PowerMean(0.3), a, b)
 
 
+@pytest.mark.parametrize("dim, stack", [(3, 2), (3, STACK), (16, 9)])
+def test_residuals_of_mixed_shapes_per_slice(dim, stack):
+    # one matrix against stacked pairs, and a stack against one pair; two
+    # (9, 16, 16) stacks exceed the bytes of one group of the Picard sum
+    rng = make_rng(400 + dim + stack)
+    a, b, x = ([random_spd(rng, dim, cond=100.0) for _ in range(stack)] for _ in range(3))
+    a_stack, b_stack, x_stack = (_spd_stack(np.array([v.entries for v in row]))
+                                 for row in (a, b, x))
+    w2 = WeightVector.uniform(2)
+    for kind in (WASSERSTEIN, PowerMean(0.5), LOG_EUCLIDEAN):
+        one_x = fixed_point_residual(kind, x[0], [a_stack, b_stack], w2)
+        one_pair = fixed_point_residual(kind, x_stack, [a[0], b[0]], w2)
+        assert np.shape(one_x) == np.shape(one_pair) == (stack,)
+        for i in range(stack):
+            assert one_x[i] == fixed_point_residual(kind, x[0], [a[i], b[i]], w2)
+            assert one_pair[i] == fixed_point_residual(kind, x[i], [a[0], b[0]], w2)
+
+
 @pytest.mark.parametrize("complex_entries", [False, True], ids=["real", "complex"])
 @pytest.mark.parametrize("dim", PAIR_DIMS)
 def test_refute_d4_guess_per_slice(dim, complex_entries):

@@ -71,12 +71,12 @@ def _spread(values: list[float]) -> dict[str, float | list[float]]:
 
 
 def summarize(runs: list[dict], directions: dict[str, str],
-              bounds: dict[str, float] | None = None) -> dict[str, dict]:
+              bounds: dict[str, float]) -> dict[str, dict]:
     """Per workload: the pairs (seeds run on both sides, both exiting 0),
     whether every paired run was correct, and for each metric of
     ``directions`` the medians, quartiles and ratio of the two sides, the
-    number of pairs the change wins and, for a metric of ``bounds``,
-    whether the change's median is worse beyond its bound.  A seed run
+    number of pairs the change wins and whether the change's median is
+    worse beyond the metric's relative bound in ``bounds``.  A seed run
     twice on one side of a workload is an error: one of its pairs would go
     uncounted."""
     keys = [(r["workload"], r["seed"], r["side"]) for r in runs]
@@ -105,10 +105,9 @@ def summarize(runs: list[dict], directions: dict[str, str],
                 "parent_iqr": parent["iqr"], "change_iqr": change["iqr"],
                 "change_wins": wins,
                 "ratio": change["median"] / parent["median"] if parent["median"] else None,
+                "worse_beyond_bound": _worse_beyond(
+                    parent["median"], change["median"], better, bounds[metric]),
             }
-            if bounds and metric in bounds:
-                entry[metric]["worse_beyond_bound"] = _worse_beyond(
-                    parent["median"], change["median"], better, bounds[metric])
         summary[workload] = entry
     return summary
 
