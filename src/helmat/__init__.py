@@ -31,7 +31,6 @@ from .bregman import (
     left_barycentre,
     phi4_via_min,
     power_mother,
-    right_barycentre,
     variance,
 )
 from .calculus import (

@@ -10,6 +10,10 @@ whose gradient map is ``psi'`` applied to the spectrum.  Because ``psi'`` is
 strictly increasing it is a homeomorphism onto the open interval
 ``J = psi'((0, inf))``, which makes the left barycentre solvable in closed
 form: apply ``(psi')^{-1}`` to the weighted average of the ``psi'(A_j)``.
+The right barycentre, the minimiser of ``sum_j w_j Phi(A_j, X)``, is the
+weighted arithmetic mean for every mother function (Banerjee, Merugu,
+Dhillon and Ghosh, JMLR 6, 2005, Prop. 1), so it is
+:func:`~helmat.means.arithmetic_mean` and is not defined again here.
 
 With the entropy seed ``x log x - x`` the divergence is the entropy
 divergence ``S(A|B) - tr A + tr B``, where ``S(A|B) = tr A (log A - log B)``
@@ -35,7 +39,6 @@ from .linalg import (
 )
 from .means import (
     WeightVector,
-    arithmetic_mean,
     check_family,
     log_euclidean_pair,
 )
@@ -133,18 +136,6 @@ def bregman_tracial(m: MotherFunction, a: SpdMatrix, b: SpdMatrix) -> float:
             f"Bregman divergence for {m.name!r} came out {value:.3e}"
         )
     return max(value, 0.0)
-
-
-def right_barycentre(
-    m: MotherFunction, mats: Sequence[SpdMatrix], w: WeightVector
-) -> SpdMatrix:
-    """Minimiser of ``sum_j w_j Phi(A_j, X)`` over ``X``.
-
-    This is the weighted arithmetic mean for *every* mother function; the
-    result does not depend on ``m``.
-    """
-    del m  # the minimiser is mother-function independent
-    return arithmetic_mean(mats, w)
 
 
 def left_barycentre(

@@ -89,15 +89,14 @@ def _load(paths: list[str], build) -> tuple[list, str]:
 
 
 def _weights_for(args, count: int) -> WeightVector:
+    """``--weights`` for a family of ``count`` matrices, uniform when
+    unset.  A wrong count is the family's fault, raised by
+    :func:`~helmat.means.check_family`."""
     if args.weights is None:
-        w = WeightVector.uniform(count)
-    elif args.weights.strip().startswith("["):
-        w = decode_json("inline weights", args.weights, WeightVector)
-    else:
-        w, _ = read_json_file(args.weights, WeightVector)
-    if len(w) != count:
-        raise CliUsageError(f"got {len(w)} weights for {count} matrices")
-    return w
+        return WeightVector.uniform(count)
+    if args.weights.strip().startswith("["):
+        return decode_json("inline weights", args.weights, WeightVector)
+    return read_json_file(args.weights, WeightVector)[0]
 
 
 def build_parser() -> argparse.ArgumentParser:

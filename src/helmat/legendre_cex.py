@@ -33,6 +33,7 @@ import numpy as np
 from .linalg import (
     MatrixLike,
     _adjoint,
+    _checked_eigh,
     _frobenius_norms,
     _per_matrix,
     _trace,
@@ -88,14 +89,14 @@ def _grad_trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
     # spectral map p sign(lam) |lam|^{p-1} (the polar-factor formula
     # specialised to the Hermitian case).  Needed on the stationarity grid,
     # where the affine image of a positive matrix may be indefinite.
-    lam, vectors = np.linalg.eigh(arr)
-    mapped = p * np.sign(lam) * np.abs(lam) ** (p - 1.0)
-    return (vectors * mapped[..., None, :]) @ _adjoint(vectors)
+    eig = _checked_eigh(arr)
+    lam = eig.eigenvalues
+    return eig.synthesize(p * np.sign(lam) * np.abs(lam) ** (p - 1.0))
 
 
 def _trace_abs_power(arr: np.ndarray, p: float) -> np.ndarray:
     """``tr |X|^p`` of each Hermitian matrix of ``arr``."""
-    return np.sum(np.abs(np.linalg.eigvalsh(arr)) ** p, axis=-1)
+    return np.sum(np.abs(_checked_eigh(arr).eigenvalues) ** p, axis=-1)
 
 
 # The vector cone map and the anchors: the boundary images (n, 0) and

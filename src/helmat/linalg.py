@@ -657,16 +657,14 @@ def congruence(k: MatrixLike, a: SpdMatrix) -> SpdMatrix:
 
     Raises
     ------
+    DimensionMismatchError
+        If ``K`` and ``A`` differ in dimension.
     SingularMatrixError
         If the smallest singular value of ``K`` is not above
         ``1e-12`` times the largest.
     """
     karr = as_array(k)
-    if karr.shape[0] != a.dim:
-        raise DimensionMismatchError(
-            f"congruence factor is {karr.shape[0]}x{karr.shape[1]} "
-            f"but the matrix has dimension {a.dim}"
-        )
+    _require_same_dim(a.dim, karr.shape[-1])
     singular_values = np.linalg.svd(karr, compute_uv=False)
     if singular_values[-1] <= 1e-12 * singular_values[0]:
         raise SingularMatrixError(

@@ -8,6 +8,12 @@ complex128.  JSON text holds numbers in Python's shortest round-trip decimal
 form (at most 17 significant digits), so :func:`matrix_from_payload` of the
 JSON text of :func:`matrix_to_payload` gives back the entries bit-exactly.
 
+The file format covers structure, shape and numbers: a top-level object, a
+positive integer ``dim``, and ``dim x dim`` arrays of JSON numbers.  Whether
+the entries are finite (``NaN``, or a number like ``1e400`` that overflows
+to infinity) belongs to the value, so the ``SpdMatrix`` built from the
+array rejects them, as it rejects input from any other source.
+
 :func:`read_json_file` is the one reader of input files: it reads a file's
 bytes once, decodes them, and builds a validated value from the JSON, so a
 report digest taken of the bytes it returns covers exactly what was parsed.
@@ -66,8 +72,6 @@ def _as_grid(name: str, payload, dim: int) -> np.ndarray:
         raise MatrixFileError(
             f"field {name!r} must be a {dim}x{dim} array, got shape {arr.shape}"
         )
-    if not np.all(np.isfinite(arr)):
-        raise MatrixFileError(f"field {name!r} contains non-finite entries")
     return arr
 
 

@@ -618,6 +618,18 @@ def test_d3_and_the_half_power_closed_form_of_wide_pairs_against_the_oracle():
         assert np.linalg.norm(closed - truth) <= 2e-3 * np.linalg.norm(truth)
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 14: the congruence formula eigensolves A^{-1/2} B A^{-1/2}, "
+    "of condition ~1e20 here; 34 of these pairs raise NotPositiveDefiniteError "
+    "and the other 166 are off by more than 2e-7, by up to 48.7x"))
+def test_geometric_mean_of_wide_pairs_never_raises_and_matches_the_oracle():
+    # pair by pair, so the first wrong pair ends the test
+    for a, b in _probe_pairs():
+        mean = geometric_mean(a, b).entries
+        truth = mp_oracle.geometric_mean(a.entries, b.entries)
+        assert np.linalg.norm(mean - truth) <= 2e-7 * np.linalg.norm(truth)
+
+
 def test_dist_d3_of_a_wide_pair_from_the_cli(capsys, tmp_path):
     files = [str(tmp_path / name) for name in ("a.json", "b.json")]
     for path, value in zip(files, _probe_pairs(1)[0]):

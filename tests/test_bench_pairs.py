@@ -85,6 +85,30 @@ def test_summary_flags_a_metric_worse_beyond_its_bound():
     assert entry["op_p50_ms"]["worse_beyond_bound"] is False
 
 
+WIDE = [6.0, 8.0, 10.0, 12.0, 14.0]  # IQR [8, 12]: width 4 over a bound of 0.25 * 10
+
+
+@pytest.mark.parametrize("metric, parent, change, unresolved", [
+    ("ops_per_s", WIDE, [7.0, 9.0, 10.0, 11.0, 13.0], True),
+    ("ops_per_s", [9.0, 9.5, 10.0, 10.5, 11.0], [7.0, 9.0, 10.0, 11.0, 13.0], False),
+    ("ops_per_s", WIDE, [15.0, 16.0, 17.0, 18.0, 19.0], False),
+    ("op_p50_ms", WIDE, [1.0, 2.0, 3.0, 4.0, 5.0], False),
+    ("op_p50_ms", WIDE, [15.0, 16.0, 17.0, 18.0, 19.0], True),
+], ids=["wide-spread", "tight-spread", "clean-separation", "lower-is-better-separation",
+        "lower-is-better-worse"])
+def test_a_metric_is_unresolved_when_the_parent_spreads_beyond_its_bound(metric, parent, change,
+                                                                         unresolved):
+    # unresolved unless every change run is better than every parent run
+    def run(seed, side, value):
+        ops, p50 = (value, 1.0) if metric == "ops_per_s" else (1.0, value)
+        return _run(seed, side, ops, p50)
+
+    runs = [r for seed, (p, c) in enumerate(zip(parent, change))
+            for r in (run(seed, "parent", p), run(seed, "change", c))]
+    entry = bench_pairs.summarize(runs, DIRECTIONS, BOUNDS)["pool"]
+    assert entry[metric]["unresolved"] is unresolved
+
+
 @pytest.mark.parametrize("change_ops, met", [
     ([12.0] * 9 + [9.0], True),          # wins 9 of 10, gap 2 over an IQR of width 0.75
     ([12.0] * 8 + [9.0] * 2, False),     # wins only 8 of 10

@@ -11,7 +11,6 @@ from helmat.bregman import (
     left_barycentre,
     phi4_via_min,
     power_mother,
-    right_barycentre,
     variance,
 )
 from helmat.calculus import fd_directional
@@ -203,25 +202,18 @@ def test_relative_entropy_jointly_convex_sampled():
         assert lhs <= rhs + 1e-10
 
 
-def test_right_barycentre_is_arithmetic_and_instance_independent():
-    rng = make_rng(5)
-    mats = [random_spd(rng, 3) for _ in range(4)]
-    w = WeightVector([0.1, 0.2, 0.3, 0.4])
-    r_entropy = right_barycentre(ENTROPY, mats, w)
-    r_square = right_barycentre(SQUARE, mats, w)
-    reference = arithmetic_mean(mats, w)
-    assert frobenius_norm(r_entropy.entries - r_square.entries) <= 1e-12
-    assert frobenius_norm(r_entropy.entries - reference.entries) <= 1e-12
-
-
-def test_right_barycentre_beats_perturbations():
+@pytest.mark.parametrize("mother", [ENTROPY, SQUARE, power_mother(1.5)],
+                         ids=lambda m: m.name)
+def test_arithmetic_mean_is_the_right_barycentre(mother):
+    # the minimiser of sum_j w_j Phi(A_j, X) is the arithmetic mean for
+    # every mother function (Banerjee et al., JMLR 6, 2005, Prop. 1)
     rng = make_rng(6)
     mats = [random_spd(rng, 3) for _ in range(3)]
     w = WeightVector([0.25, 0.35, 0.4])
-    centre = right_barycentre(ENTROPY, mats, w)
+    centre = arithmetic_mean(mats, w)
 
     def objective(x):
-        return sum(wj * bregman_tracial(ENTROPY, m, x) for wj, m in zip(w.weights, mats))
+        return sum(wj * bregman_tracial(mother, m, x) for wj, m in zip(w.weights, mats))
 
     base = objective(centre)
     for _ in range(200):

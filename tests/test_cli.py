@@ -214,6 +214,15 @@ def test_mean_weights_file_and_count_mismatch(capsys, tmp_path, matrix_files):
     assert "weights" in err
 
 
+@pytest.mark.parametrize("command, kind", [("mean", "arith"), ("bary", "power-t")])
+def test_a_wrong_weight_count_exits_3_with_the_family_check_message(capsys, matrix_files,
+                                                                    command, kind):
+    files = [matrix_files["a"], matrix_files["b"]]
+    code, report, err = run_cli(capsys, [command, kind, *files, "--weights", "[1, 2, 3]"])
+    assert code == EXIT_INPUT_ERROR and report is None
+    assert err == "error: 2 matrices but 3 weights\n"
+
+
 def test_bary_identical_inputs(capsys, matrix_files):
     code, report, _ = run_cli(
         capsys, ["bary", "wasserstein", matrix_files["a"], matrix_files["a"]]
@@ -378,8 +387,8 @@ def test_inline_weights_with_a_boolean_exit_3(capsys, matrix_files):
 INVALID_MATRIX_FILES = {
     "top-level-array": ("[[1.0]]", "expected a JSON object at the top level"),
     "no-real": ('{"dim": 1}', "missing required field 'real'"),
-    "nan": ('{"dim": 1, "real": [[NaN]]}', "field 'real' contains non-finite entries"),
-    "overflow": ('{"dim": 1, "real": [[1e400]]}', "field 'real' contains non-finite entries"),
+    "nan": ('{"dim": 1, "real": [[NaN]]}', "matrix entries must be finite"),
+    "overflow": ('{"dim": 1, "real": [[1e400]]}', "matrix entries must be finite"),
 }
 
 

@@ -1,6 +1,8 @@
 """Every name a module of the package imports is used in that module, every
-private module-level name the package defines is used in the package, and
-every public one is used in the package or named in the README.
+private module-level name the package defines is used in the package,
+every public one is used in the package or named in the README, and
+numpy's eigensolver is called only by the checked eigensolve (and by the
+one function named below).
 
 ``__init__.py`` is exempt from the first and third rules: it imports names
 to re-export them.
@@ -91,3 +93,27 @@ def test_every_public_name_is_used_in_the_package_or_named_in_the_readme():
                     if not name.startswith("_") and name not in named
                     and readers[name] == (name in _references(node)))
     assert unused == []
+
+
+#: The (module, function) pairs that call ``np.linalg.eigh`` or
+#: ``eigvalsh``: the checked eigensolve, and ``fidelity``, whose unchecked
+#: spectrum stays until ROADMAP item 2 moves it (moving it changes the last
+#: bits of d2 in two pinned reports).
+RAW_EIGENSOLVE_OWNERS = {("linalg.py", "_checked_eigh"), ("means.py", "fidelity")}
+
+
+def _raw_eigensolve_owners(node: ast.AST, owner: str = "") -> set[str]:
+    """The innermost function around each ``np.linalg.eigh`` or
+    ``eigvalsh`` under ``node``, ``owner`` at the top."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        owner = node.name
+    found = {owner} if isinstance(node, ast.Attribute) and ast.unparse(node) in (
+        "np.linalg.eigh", "np.linalg.eigvalsh") else set()
+    return found.union(*(_raw_eigensolve_owners(child, owner)
+                         for child in ast.iter_child_nodes(node)))
+
+
+def test_every_eigensolve_is_the_checked_one():
+    owners = {(module, owner) for module, tree in TREES.items()
+              for owner in _raw_eigensolve_owners(tree)}
+    assert owners == RAW_EIGENSOLVE_OWNERS

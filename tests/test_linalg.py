@@ -368,7 +368,7 @@ def test_congruence_rejects_singular():
 
 
 def test_congruence_rejects_a_factor_of_another_dimension():
-    with pytest.raises(DimensionMismatchError, match="2x2 but the matrix has dimension 3"):
+    with pytest.raises(DimensionMismatchError, match="dimension mismatch: 3 vs 2"):
         congruence(np.eye(2), SpdMatrix(np.eye(3)))
 
 

@@ -26,9 +26,13 @@ inclusive quartiles and ratio of both sides, ``change_wins``, the pairs
 where the change is strictly better, a tie counting for neither, and
 ``worse_beyond_bound``, whether the change's median is worse than the
 parent's by more than the metric's relative ``bound`` in
-``BENCHMARK.json``) and ``runs`` (each run's seed, side, order, exit
-status, environment block and metrics).  Better means higher or lower as
-``BENCHMARK.json`` says.
+``BENCHMARK.json``, and ``unresolved``, whether the parent's runs spread
+too widely for that bound to tell: their interquartile width exceeds the
+bound times their median, and some change run is not better than every
+parent run) and ``runs`` (each run's seed, side, order, exit status,
+environment block and metrics).  Better means higher or lower as
+``BENCHMARK.json`` says.  An unresolved metric is reported as unresolved,
+not as unchanged.
 
 A claim is met when the change wins at least nine tenths of the pairs and
 its median is better than the parent's by more than the width of the
@@ -43,6 +47,7 @@ import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Sequence
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -64,7 +69,7 @@ def _worse_beyond(parent: float, change: float, better: str, bound: float) -> bo
     return change > parent * (1.0 + bound)
 
 
-def _spread(values: list[float]) -> dict[str, float | list[float]]:
+def _spread(values: Sequence[float]) -> dict[str, float | list[float]]:
     quartiles = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 \
         else [values[0]] * 3
     return {"median": statistics.median(values), "iqr": [quartiles[0], quartiles[2]]}
@@ -75,8 +80,9 @@ def summarize(runs: list[dict], directions: dict[str, str],
     """Per workload: the pairs (seeds run on both sides, both exiting 0),
     whether every paired run was correct, and for each metric of
     ``directions`` the medians, quartiles and ratio of the two sides, the
-    number of pairs the change wins and whether the change's median is
-    worse beyond the metric's relative bound in ``bounds``.  A seed run
+    number of pairs the change wins, whether the change's median is
+    worse beyond the metric's relative bound in ``bounds`` and whether the
+    metric is unresolved (see the module docstring).  A seed run
     twice on one side of a workload is an error: one of its pairs would go
     uncounted."""
     keys = [(r["workload"], r["seed"], r["side"]) for r in runs]
@@ -98,8 +104,12 @@ def summarize(runs: list[dict], directions: dict[str, str],
                       for p, c in pairs if metric in p["metrics"] and metric in c["metrics"]]
             if not values:
                 continue
-            parent, change = (_spread([v[k] for v in values]) for k in (0, 1))
+            parents, changes = zip(*values)
+            parent, change = _spread(parents), _spread(changes)
             wins = sum((c > p) if better == "higher" else (c < p) for p, c in values)
+            separated = (min(changes) > max(parents) if better == "higher"
+                         else max(changes) < min(parents))
+            low, high = parent["iqr"]
             entry[metric] = {
                 "parent_median": parent["median"], "change_median": change["median"],
                 "parent_iqr": parent["iqr"], "change_iqr": change["iqr"],
@@ -107,6 +117,8 @@ def summarize(runs: list[dict], directions: dict[str, str],
                 "ratio": change["median"] / parent["median"] if parent["median"] else None,
                 "worse_beyond_bound": _worse_beyond(
                     parent["median"], change["median"], better, bounds[metric]),
+                "unresolved": high - low > bounds[metric] * parent["median"]
+                and not separated,
             }
         summary[workload] = entry
     return summary
